@@ -28,6 +28,13 @@ __all__ = [
 
 SEMINORM_CAP = 8192
 
+_LAG_GROUP = 16  # consecutive lags that share one pruning bound
+_PATH_BLOCK = 256  # paths per block while the lag-group bounds are built
+# Relative headroom on a bound before it may skip a group: far above the few
+# ulps by which pow, or the norm's sum in another memory order, can break
+# monotonicity, and far below any gap worth pruning.
+_SLACK = 1.0 + 2.0**-40
+
 
 @dataclass(frozen=True)
 class NormReport:
@@ -84,25 +91,72 @@ def holder_seminorm(
 ) -> float:
     """Exact grid seminorm sup_{t_i < t_j} |f(t_j) - f(t_i)| / (t_j - t_i)^gamma.
 
-    O(n^2) scan over all grid pairs in the window; windows longer than
-    ``SEMINORM_CAP`` steps are refused rather than silently subsampled.
+    The window's values go through ``holder_seminorm_batch`` as a batch of
+    one path, so the scalar and batch results are the same bits. Windows
+    longer than ``SEMINORM_CAP`` steps are refused rather than silently
+    subsampled.
     """
-    if not 0.0 < exponent <= 1.0:
-        raise DomainError(f"Holder exponent must lie in (0, 1], got {exponent}")
     values, dt = _window_values(path, a, b)
-    n = len(values) - 1
-    if n > SEMINORM_CAP:
-        raise ResourceError(f"seminorm scan capped at {SEMINORM_CAP} steps, window has {n}")
-    best = 0.0
-    for lag in range(1, n + 1):
-        m = _increment_norms(values, lag).max() / (lag * dt) ** exponent
-        if m > best:
-            best = float(m)
-    return best
+    return float(holder_seminorm_batch(values[None], dt, exponent)[0])
+
+
+def _lag_group_bounds(values: np.ndarray, dt: float, exponent: float) -> np.ndarray:
+    """(count, groups) upper bounds on the lag ratios of each lag group.
+
+    Group g holds the lags lo..hi = 16g+1..min(16g+16, n). Every pair at a
+    lag <= hi lies inside some window of hi+1 consecutive grid points, so
+    each coordinate of its increment is at most that coordinate's largest
+    range (max - min) over those windows, and its norm at most the norm of
+    those ranges; dividing by (lo*dt)^gamma bounds the ratios at every lag
+    of the group. Window extrema come from doubling windows as in
+    a sparse table, keeping only the current level, one block of paths at
+    a time so the levels stay small.
+    """
+    count, points = values.shape[:2]
+    n = points - 1
+    his = np.minimum(np.arange(_LAG_GROUP, n + _LAG_GROUP, _LAG_GROUP), n)
+    bounds = np.empty((count, len(his)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, count, _PATH_BLOCK):
+            top = bottom = values[start : start + _PATH_BLOCK]
+            width = 1  # grid points per window at the current level
+            for g, hi in enumerate(his):
+                span = int(hi) + 1
+                while 2 * width <= span:
+                    top = np.maximum(top[:, :-width], top[:, width:])
+                    bottom = np.minimum(bottom[:, :-width], bottom[:, width:])
+                    width *= 2
+                # window [i, i+span) is covered by the level windows at i and i+shift
+                shift, last = span - width, points - span + 1
+                highs = np.maximum(top[:, :last], top[:, shift:])
+                widest = (highs - np.minimum(bottom[:, :last], bottom[:, shift:])).max(axis=1)
+                if widest.ndim == 2:
+                    widest = np.linalg.norm(widest, axis=-1)
+                lo = _LAG_GROUP * g + 1
+                bounds[start : start + _PATH_BLOCK, g] = widest / (lo * dt) ** exponent
+    return bounds
 
 
 def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.ndarray:
-    """Per-path exact grid seminorms for a (count, n+1[, dim]) value block."""
+    """Per-path exact grid seminorms for a (count, n+1[, dim]) value block.
+
+    The result is the maximum over all lags and pairs of the float ratios
+    ``|x_j - x_i| / ((j-i)*dt)**exponent`` (Euclidean norm for dim > 1),
+    bit for bit the value of a plain scan over every lag. The scan is a
+    branch and bound over groups of 16 consecutive lags: each path gets an
+    upper bound per group (see ``_lag_group_bounds``), groups are visited
+    in decreasing order of their largest bound over the batch, and a group
+    is scanned only for the paths whose bound could still beat their
+    running maximum. Skipping is exact because rounded subtraction,
+    multiplication, division and the norm are monotone, so no computed
+    ratio of the group exceeds its computed bound beyond the few ulps by
+    which ``pow`` may fail to be monotone; the skip test multiplies the
+    bound by ``_SLACK`` to cover them. A nan or infinite value makes the
+    bounds of its path nan or inf, and such a bound never skips a group
+    unless the path's maximum is already nan, so non-finite inputs return
+    what the full scan returns (nan for a nan, inf for a lone inf). The
+    worst case, when no bound prunes, is still O(n^2) per path.
+    """
     if not 0.0 < exponent <= 1.0:
         raise DomainError(f"Holder exponent must lie in (0, 1], got {exponent}")
     if values.ndim == 3 and values.shape[2] == 1:
@@ -111,13 +165,23 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
     if n > SEMINORM_CAP:
         raise ResourceError(f"seminorm scan capped at {SEMINORM_CAP} steps, got {n}")
     best = np.zeros(values.shape[0])
-    for lag in range(1, n + 1):
-        diff = values[:, lag:] - values[:, :-lag]
-        if diff.ndim == 3:
-            inc = np.linalg.norm(diff, axis=-1).max(axis=1)
-        else:
-            inc = np.abs(diff).max(axis=1)
-        np.maximum(best, inc / (lag * dt) ** exponent, out=best)
+    bounds = _lag_group_bounds(values, dt, exponent)
+    for g in np.argsort(-bounds.max(axis=0, initial=-np.inf), kind="stable"):
+        bound = bounds[:, g]
+        settled = (bound < np.inf) & (bound * _SLACK <= best)
+        rows = np.flatnonzero(~settled & ~np.isnan(best))
+        if not rows.size:
+            continue
+        sub = values[rows]
+        group_best = best[rows]
+        for lag in range(_LAG_GROUP * g + 1, min(_LAG_GROUP * (g + 1), n) + 1):
+            diff = sub[:, lag:] - sub[:, :-lag]
+            if diff.ndim == 3:
+                inc = np.linalg.norm(diff, axis=-1).max(axis=1)
+            else:
+                inc = np.abs(diff, out=diff).max(axis=1)
+            np.maximum(group_best, inc / (lag * dt) ** exponent, out=group_best)
+        best[rows] = group_best
     return best
 
 

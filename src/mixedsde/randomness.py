@@ -24,7 +24,6 @@ __all__ = [
     "VALIDATOR",
     "stream_tag",
     "path_stream",
-    "standard_normals",
     "normal_matrix",
 ]
 
@@ -59,12 +58,6 @@ def path_stream(seed: int, path_index: int, tag: int) -> Generator:
         raise DomainError(f"path index out of range: {path_index}")
     key = (seed << 64) | (int(tag) << 32) | int(path_index)
     return Generator(Philox(key=key))
-
-
-def standard_normals(gen: Generator, count: int) -> np.ndarray:
-    """``count`` standard normals via inverse-CDF of the uniform stream."""
-    u = gen.random(count)
-    return ndtri(np.clip(u, _TINY, None))
 
 
 def normal_matrix(seed: int, tag: int, draws: int, count: int, offset: int = 0) -> np.ndarray:

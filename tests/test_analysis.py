@@ -33,6 +33,25 @@ def brute_force_seminorm(values, dt, gamma):
     return best
 
 
+def lag_scan_seminorm(values, dt, gamma):
+    """Plain O(n^2) scan over every lag: the same float ratios, no pruning."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 3 and values.shape[2] == 1:
+        values = values[:, :, 0]
+    best = np.zeros(values.shape[0])
+    for lag in range(1, values.shape[1]):
+        diff = values[:, lag:] - values[:, :-lag]
+        inc = np.linalg.norm(diff, axis=-1) if diff.ndim == 3 else np.abs(diff)
+        np.maximum(best, inc.max(axis=1) / (lag * dt) ** gamma, out=best)
+    return best
+
+
+def assert_exact(values, dt, gamma):
+    got = holder_seminorm_batch(values, dt, gamma)
+    assert np.array_equal(got, lag_scan_seminorm(values, dt, gamma), equal_nan=True)
+    return got
+
+
 # ------------------------------------------------------------------ sup norm
 
 
@@ -93,7 +112,76 @@ def test_seminorm_batch_agrees_with_scalar(fbm_750_1024):
     batch = holder_seminorm_batch(sub, grid.dt, 0.65)
     for i in range(5):
         single = holder_seminorm(DiscretePath(grid, sub[i]), exponent=0.65)
-        assert batch[i] == pytest.approx(single)
+        assert batch[i] == single
+
+
+@pytest.mark.parametrize("gamma", np.linspace(0.05, 1.0, 20))
+def test_seminorm_batch_exact_across_exponents(fbm_750_1024, gamma):
+    assert_exact(fbm_750_1024.values[:16, ::8], 1.0 / 128, gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.65, 0.74, 0.9])
+def test_seminorm_batch_exact_on_full_resolution_fbm(fbm_750_1024, gamma):
+    assert_exact(fbm_750_1024.values, 1.0 / 1024, gamma)
+
+
+@pytest.mark.parametrize("n", [1, 17])
+def test_seminorm_batch_exact_off_group_boundaries(n):
+    # n = 17 leaves a last lag group of one lag; n = 1 is a single group
+    rng = np.random.default_rng(n)
+    values = np.cumsum(rng.standard_normal((8, n + 1)), axis=1)
+    for gamma in (0.3, 0.65, 1.0):
+        assert_exact(values, 1.0 / n, gamma)
+
+
+def test_seminorm_batch_exact_on_ties():
+    # every lag of a linear path ties at gamma = 1; a constant path ties at 0
+    t = np.linspace(0, 1, 65)
+    values = np.stack([t, 3.0 * t, np.full(65, 2.5)])
+    got = assert_exact(values, 1.0 / 64, 1.0)
+    assert got[0] == pytest.approx(1.0) and got[1] == pytest.approx(3.0)
+    assert got[2] == 0.0
+
+
+def test_seminorm_batch_exact_for_vector_paths():
+    rng = np.random.default_rng(11)
+    values = np.cumsum(rng.standard_normal((12, 257, 2)), axis=1)
+    values[3, :, 1] = 0.0  # one coordinate frozen
+    for gamma in (0.4, 0.65, 0.9):
+        assert_exact(values, 1.0 / 256, gamma)
+
+
+def test_seminorm_batch_non_finite_values_keep_their_meaning():
+    rng = np.random.default_rng(5)
+    values = np.cumsum(rng.standard_normal((6, 65)), axis=1)
+    values[1, 40] = np.nan
+    values[2, 7] = np.inf
+    values[3, 10:] = np.inf  # inf - inf at lags within the run: the scan sees a nan
+    values[4, 20] = -np.inf
+    values[5, [10, 30]] = np.inf  # a nan only at lag 20, after other lags gave inf
+    with np.errstate(invalid="ignore"):
+        got = assert_exact(values, 1.0 / 64, 0.65)
+    assert np.isfinite(got[0])
+    assert np.isnan(got[1]) and got[2] == np.inf and np.isnan(got[3]) and got[4] == np.inf
+    assert np.isnan(got[5])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(holder_seminorm(path_from(values[1]), exponent=0.65))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=200),
+    dim=st.sampled_from([1, 2]),
+    gamma=st.floats(min_value=0.05, max_value=1.0),
+    tail=st.floats(min_value=0.5, max_value=3.0),
+)
+def test_seminorm_batch_exact_on_heavy_tailed_walks(seed, n, dim, gamma, tail):
+    # Student-t jumps: a few jumps dominate, so maxima sit at scattered lags
+    rng = np.random.default_rng(seed)
+    jumps = rng.standard_t(tail, size=(6, n, dim))
+    values = np.concatenate([np.zeros((6, 1, dim)), np.cumsum(jumps, axis=1)], axis=1)
+    assert_exact(values, 1.0 / n, gamma)
 
 
 def test_seminorm_monotone_in_window(fbm_750_1024):
