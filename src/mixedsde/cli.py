@@ -294,8 +294,7 @@ def _run_fbm(config: dict) -> tuple[list[str], list[dict]]:
             def job(lo, hi, hurst=hurst, method=method):
                 v = generate_fbm(grid, hurst, hi - lo, seed, method, path_offset=lo).values[:, 1:, 0]
                 return v.T @ v
-            chunks = parallel.chunk_ranges(paths)
-            pieces = parallel.run_jobs([lambda lo=lo, hi=hi: job(lo, hi) for lo, hi in chunks], workers)
+            pieces = parallel.map_paths(job, paths, workers)
             sample = sum(pieces) / paths
             points = grid.points[1:]
             for i in range(grid.step_count):
@@ -350,8 +349,7 @@ def _run_integrate(config: dict) -> tuple[list[str], list[dict]]:
             })
         return out
 
-    chunks = parallel.chunk_ranges(paths)
-    results = parallel.run_jobs([lambda lo=lo, hi=hi: job(lo, hi) for lo, hi in chunks], workers)
+    results = parallel.map_paths(job, paths, workers)
     rows = [row for piece in results for row in piece]
     header = ["path", "value", "oracle", "abs_error", "rel_error", "converged",
               "error_estimate", "young_love_bound", "young_love_ok"]
@@ -389,10 +387,12 @@ def _run_solve(config: dict) -> tuple[list[str], list[dict]]:
 
 
 def _build_model(config: dict):
+    params = config.get("model_params", {})
     try:
-        return model_zoo(config["model"], **config.get("model_params", {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad model parameters for {config['model']!r}: {exc}")
+        return model_zoo(config["model"], **params)
+    except (TypeError, ValueError) as exc:
+        given = ", ".join(f"model.{k}: {v!r}" for k, v in params.items())
+        raise ConfigError(f"bad model parameters for {config['model']!r} ({given}): {exc}")
 
 
 def _run_moments(config: dict) -> tuple[list[str], list[dict]]:

@@ -69,9 +69,6 @@ class TimeGrid:
             raise DomainError(f"need a < b on the grid, got indices ({ia}, {ib})")
         return ia, ib
 
-    def refine(self, factor: int) -> "TimeGrid":
-        return TimeGrid(self.horizon, self.step_count * int(factor))
-
     def coarsen(self, stride: int) -> "TimeGrid":
         stride = int(stride)
         if stride < 1 or self.step_count % stride != 0:

@@ -272,133 +272,87 @@ def _partner_samples(gen, base: np.ndarray, radius: float) -> np.ndarray:
     return pts
 
 
-class _RatioSet:
-    """The conditions of one assumption set as vectorized ratio closures."""
-
-    def __init__(self, model, set_id: str, mu: float | None):
-        self.model = model
-        self.set_id = set_id
-        beta = model.holder_beta
-        if beta is None:
-            beta = 0.75 - 0.5 * mu if mu is not None else 0.25  # midpoint of (1-mu, 1/2)
-        self.beta = beta
-        self.rho = getattr(model, "declared_rho", 0.0)
-
-    def _norm_of(self, fld, t, x, y=None):
-        if fld is None:
-            return np.zeros(len(x))
-        return _row_norm(fld(t, x) if y is None else fld(t, x, y))
-
-    def _jac_norm(self, fld, t, x, y=None):
-        if fld is None:
-            return np.zeros(len(x))
-        return _row_norm(fld.jacobian(t, x) if y is None else fld.jacobian(t, x, y))
-
-    def conditions(self):
-        m = self.model
-        if self.set_id == "A":
-            return [
-                ("A1", "point", lambda t, x: (
-                    self._norm_of(m.drift, t, x) + self._norm_of(m.wiener, t, x)
-                    + self._norm_of(m.rough, t, x)) / (1.0 + np.linalg.norm(x, axis=1))),
-                ("A2", "point", lambda t, x: self._jac_norm(m.rough, t, x)),
-                ("A3", "xpair", lambda t, x1, x2: _pair_ratio(
-                    _row_norm(m.drift(t, x1) - m.drift(t, x2))
-                    + self._pair_diff(m.wiener, t, x1, x2)
-                    + self._pair_jac_diff(m.rough, t, x1, x2),
-                    np.linalg.norm(x1 - x2, axis=1))),
-                ("A4-c", "tpair", lambda t, s, x: self._pair_time_diff(m.rough, t, s, x)
-                    / (abs(t - s) ** self.beta * (1.0 + np.linalg.norm(x, axis=1)))),
-                ("A4-cx", "tpair", lambda t, s, x: self._pair_time_jac_diff(m.rough, t, s, x)
-                    / abs(t - s) ** self.beta),
-            ]
-        if self.set_id == "B":
-            return [
-                ("B1", "point", lambda t, x: (
-                    self._norm_of(m.drift, t, x) + self._norm_of(m.wiener, t, x)
-                    + self._norm_of(m.rough, t, x))),
-                ("B2", "point", lambda t, x: self._jac_norm(m.rough, t, x)),
-                ("B3", "xpair", lambda t, x1, x2: _pair_ratio(
-                    _row_norm(m.drift(t, x1) - m.drift(t, x2))
-                    + self._pair_diff(m.wiener, t, x1, x2)
-                    + self._pair_jac_diff(m.rough, t, x1, x2),
-                    np.linalg.norm(x1 - x2, axis=1))),
-                ("B4-c", "tpair", lambda t, s, x: self._pair_time_diff(m.rough, t, s, x)
-                    / abs(t - s) ** self.beta),
-                ("B4-cx", "tpair", lambda t, s, x: self._pair_time_jac_diff(m.rough, t, s, x)
-                    / abs(t - s) ** self.beta),
-            ]
-        if self.set_id == "C":
-            rho = self.rho
-            xfac = lambda x: 1.0 + np.linalg.norm(x, axis=1) ** rho
-            yfac = lambda y: 1.0 + np.linalg.norm(y, axis=1)
-            return [
-                ("C1", "cpoint", lambda t, x, y: (
-                    self._norm_of(m.drift, t, x, y) + self._norm_of(m.rough, t, x, y))
-                    / (xfac(x) * yfac(y))),
-                ("C2", "cpoint", lambda t, x, y: self._norm_of(m.wiener, t, x, y) / yfac(y)),
-                ("C3", "cpoint", lambda t, x, y: self._jac_norm(m.rough, t, x, y) / xfac(x)),
-                ("C4", "ypair", lambda t, x, y1, y2: _pair_ratio(
-                    _row_norm(m.drift(t, x, y1) - m.drift(t, x, y2))
-                    + self._pair_diff_y(m.wiener, t, x, y1, y2)
-                    + self._pair_jac_diff_y(m.rough, t, x, y1, y2),
-                    np.linalg.norm(y1 - y2, axis=1))),
-                ("C5", "cxpair", lambda t, x1, x2, y: _pair_ratio(
-                    self._pair_diff_x_coupled(m.rough, t, x1, x2, y),
-                    np.linalg.norm(x1 - x2, axis=1) * yfac(y))),
-                ("C6-c", "ctpair", lambda t, s, x, y: self._pair_time_diff_coupled(m.rough, t, s, x, y)
-                    / (abs(t - s) ** self.beta * xfac(x) * yfac(y))),
-                ("C6-cy", "ctpair", lambda t, s, x, y: self._pair_time_jac_diff_coupled(m.rough, t, s, x, y)
-                    / (abs(t - s) ** self.beta * yfac(y))),
-            ]
-        raise DomainError(f"unknown assumption set {self.set_id!r}")
-
-    def _pair_diff(self, fld, t, x1, x2):
-        if fld is None:
-            return np.zeros(len(x1))
-        return _row_norm(fld(t, x1) - fld(t, x2))
-
-    def _pair_diff_y(self, fld, t, x, y1, y2):
-        if fld is None:
-            return np.zeros(len(x))
-        return _row_norm(fld(t, x, y1) - fld(t, x, y2))
-
-    def _pair_jac_diff(self, fld, t, x1, x2):
-        if fld is None:
-            return np.zeros(len(x1))
-        return _row_norm(fld.jacobian(t, x1) - fld.jacobian(t, x2))
-
-    def _pair_jac_diff_y(self, fld, t, x, y1, y2):
-        if fld is None:
-            return np.zeros(len(x))
-        return _row_norm(fld.jacobian(t, x, y1) - fld.jacobian(t, x, y2))
-
-    def _pair_diff_x_coupled(self, fld, t, x1, x2, y):
-        if fld is None:
-            return np.zeros(len(x1))
-        return _row_norm(fld(t, x1, y) - fld(t, x2, y))
-
-    def _pair_time_diff(self, fld, t, s, x):
-        if fld is None:
-            return np.zeros(len(x))
-        return _row_norm(fld(t, x) - fld(s, x))
-
-    def _pair_time_diff_coupled(self, fld, t, s, x, y):
-        if fld is None:
-            return np.zeros(len(x))
-        return _row_norm(fld(t, x, y) - fld(s, x, y))
-
-    def _pair_time_jac_diff(self, fld, t, s, x):
-        if fld is None:
-            return np.zeros(len(x))
-        return _row_norm(fld.jacobian(t, x) - fld.jacobian(s, x))
-
-    def _pair_time_jac_diff_coupled(self, fld, t, s, x, y):
-        if fld is None:
-            return np.zeros(len(x))
-        return _row_norm(fld.jacobian(t, x, y) - fld.jacobian(s, x, y))
+def _norm(fld, *args):
+    if fld is None:
+        return np.zeros(len(args[1]))
+    return _row_norm(fld(*args))
 
 
+def _jac_norm(fld, *args):
+    if fld is None:
+        return np.zeros(len(args[1]))
+    return _row_norm(fld.jacobian(*args))
+
+
+def _diff(fld, a, b):
+    """Norm of fld(*a) - fld(*b) per row; a and b are argument tuples."""
+    if fld is None:
+        return np.zeros(len(a[1]))
+    return _row_norm(fld(*a) - fld(*b))
+
+
+def _jac_diff(fld, a, b):
+    if fld is None:
+        return np.zeros(len(a[1]))
+    return _row_norm(fld.jacobian(*a) - fld.jacobian(*b))
+
+
+def _conditions(model, set_id: str):
+    """(condition id, sample names, ratio) for every condition of a set.
+
+    A ratio takes its samples by name: times ``t, s`` (``t > s``) and state
+    batches ``x, x1, x2`` of the primary stage or ``y, y1, y2`` of the
+    coupled one.
+    """
+    m = model
+    mu = m.driver.holder_order
+    beta = m.holder_beta
+    if beta is None:
+        beta = 0.75 - 0.5 * mu if mu is not None else 0.25  # midpoint of (1-mu, 1/2)
+    norm = lambda v: np.linalg.norm(v, axis=1)
+    if set_id in ("A", "B"):
+        growth = lambda t, x: _norm(m.drift, t, x) + _norm(m.wiener, t, x) + _norm(m.rough, t, x)
+        if set_id == "A":
+            bound = lambda t, x: growth(t, x) / (1.0 + norm(x))
+            holder = lambda t, s, x: _diff(m.rough, (t, x), (s, x)) / (abs(t - s) ** beta * (1.0 + norm(x)))
+        else:
+            bound = growth
+            holder = lambda t, s, x: _diff(m.rough, (t, x), (s, x)) / abs(t - s) ** beta
+        return [
+            (f"{set_id}1", ("t", "x"), bound),
+            (f"{set_id}2", ("t", "x"), lambda t, x: _jac_norm(m.rough, t, x)),
+            (f"{set_id}3", ("t", "x1", "x2"), lambda t, x1, x2: _pair_ratio(
+                _diff(m.drift, (t, x1), (t, x2)) + _diff(m.wiener, (t, x1), (t, x2))
+                + _jac_diff(m.rough, (t, x1), (t, x2)),
+                norm(x1 - x2))),
+            (f"{set_id}4-c", ("t", "s", "x"), holder),
+            (f"{set_id}4-cx", ("t", "s", "x"), lambda t, s, x:
+                _jac_diff(m.rough, (t, x), (s, x)) / abs(t - s) ** beta),
+        ]
+    if set_id == "C":
+        rho = m.declared_rho
+        xfac = lambda x: 1.0 + norm(x) ** rho
+        yfac = lambda y: 1.0 + norm(y)
+        return [
+            ("C1", ("t", "x", "y"), lambda t, x, y:
+                (_norm(m.drift, t, x, y) + _norm(m.rough, t, x, y)) / (xfac(x) * yfac(y))),
+            ("C2", ("t", "x", "y"), lambda t, x, y: _norm(m.wiener, t, x, y) / yfac(y)),
+            ("C3", ("t", "x", "y"), lambda t, x, y: _jac_norm(m.rough, t, x, y) / xfac(x)),
+            ("C4", ("t", "x", "y1", "y2"), lambda t, x, y1, y2: _pair_ratio(
+                _diff(m.drift, (t, x, y1), (t, x, y2)) + _diff(m.wiener, (t, x, y1), (t, x, y2))
+                + _jac_diff(m.rough, (t, x, y1), (t, x, y2)),
+                norm(y1 - y2))),
+            ("C5", ("t", "x1", "x2", "y"), lambda t, x1, x2, y: _pair_ratio(
+                _diff(m.rough, (t, x1, y), (t, x2, y)), norm(x1 - x2) * yfac(y))),
+            ("C6-c", ("t", "s", "x", "y"), lambda t, s, x, y: _diff(m.rough, (t, x, y), (s, x, y))
+                / (abs(t - s) ** beta * xfac(x) * yfac(y))),
+            ("C6-cy", ("t", "s", "x", "y"), lambda t, s, x, y: _jac_diff(m.rough, (t, x, y), (s, x, y))
+                / (abs(t - s) ** beta * yfac(y))),
+        ]
+    raise DomainError(f"unknown assumption set {set_id!r}")
+
+
+_STATE_NAMES = ("x", "x1", "x2", "y", "y1", "y2")
 _TIME_SAMPLES = 33
 _REFINE_ROUNDS = 4
 _REFINE_POINTS = 48
@@ -428,8 +382,7 @@ def validate_assumptions(
     if not coupled and isinstance(model, CoupledModelSpec):
         raise DomainError(f"set {set_id} applies to single-stage models")
 
-    mu = model.driver.holder_order if model.driver.rough_dim > 0 else None
-    ratios = _RatioSet(model, set_id, mu)
+    conditions = _conditions(model, set_id)
     ts = np.linspace(0.0, model.horizon, _TIME_SAMPLES)
     per_t = max(8, -(-samples // _TIME_SAMPLES))
     xdim = model.base_dim if coupled else model.state_dim
@@ -438,55 +391,42 @@ def validate_assumptions(
         return rnd.path_stream(seed, 0, rnd.stream_tag(rnd.VALIDATOR, component))
 
     xs = _box_samples(sampler(0), per_t, xdim, box_radius)
-    xs2 = _partner_samples(sampler(1), xs, box_radius)
+    pool = {"x": xs, "x1": xs, "x2": _partner_samples(sampler(1), xs, box_radius)}
     if coupled:
         ys = _box_samples(sampler(2), per_t, model.state_dim, box_radius)
-        ys2 = _partner_samples(sampler(3), ys, box_radius)
+        pool.update(y=ys, y1=ys, y2=_partner_samples(sampler(3), ys, box_radius))
     refine_gen = sampler(9)
 
     estimates = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for cond_id, kind, ratio in ratios.conditions():
+        for cond_id, names, ratio in conditions:
+            state_names = [k for k in _STATE_NAMES if k in names]
             best, witness = -np.inf, None
             non_finite_witness = None
 
-            def consider(cands, points):
+            def consider(times, states):
                 nonlocal best, witness, non_finite_witness
-                cands = np.asarray(cands, dtype=float)
+                cands = np.asarray(ratio(**times, **states), dtype=float)
+                pick = lambda i: {**times, **{k: v[i].copy() for k, v in states.items()}}
                 # -inf marks an uninformative candidate (coincident pair);
                 # NaN or +inf means the evaluator itself misbehaved.
                 bad = np.isnan(cands) | np.isposinf(cands)
                 if bad.any() and non_finite_witness is None:
-                    non_finite_witness = points(int(np.argmax(bad)))
+                    non_finite_witness = pick(int(np.argmax(bad)))
                 usable = np.where(bad, -np.inf, cands)
                 i = int(np.argmax(usable))
                 if usable[i] > best:
-                    best, witness = float(usable[i]), points(i)
+                    best, witness = float(usable[i]), pick(i)
 
             # pass 1: Monte Carlo sampling over the shared time grid
-            for t in ts:
-                if kind == "point":
-                    consider(ratio(t, xs), lambda i, t=t: {"t": t, "x": xs[i].copy()})
-                elif kind == "cpoint":
-                    consider(ratio(t, xs, ys), lambda i, t=t: {"t": t, "x": xs[i].copy(), "y": ys[i].copy()})
-                elif kind == "xpair":
-                    consider(ratio(t, xs, xs2), lambda i, t=t: {"t": t, "x1": xs[i].copy(), "x2": xs2[i].copy()})
-                elif kind == "cxpair":
-                    consider(ratio(t, xs, xs2, ys), lambda i, t=t: {"t": t, "x1": xs[i].copy(), "x2": xs2[i].copy(), "y": ys[i].copy()})
-                elif kind == "ypair":
-                    consider(ratio(t, xs, ys, ys2), lambda i, t=t: {"t": t, "x": xs[i].copy(), "y1": ys[i].copy(), "y2": ys2[i].copy()})
-                elif kind in ("tpair", "ctpair"):
-                    continue
-                else:  # pragma: no cover
-                    raise DomainError(f"unknown condition kind {kind!r}")
-            if kind in ("tpair", "ctpair"):
-                for it in range(len(ts)):
-                    for jt in range(it + 1, len(ts)):
-                        t, s = ts[jt], ts[it]
-                        if kind == "tpair":
-                            consider(ratio(t, s, xs), lambda i, t=t, s=s: {"t": t, "s": s, "x": xs[i].copy()})
-                        else:
-                            consider(ratio(t, s, xs, ys), lambda i, t=t, s=s: {"t": t, "s": s, "x": xs[i].copy(), "y": ys[i].copy()})
+            if "s" in names:
+                times = [
+                    {"t": ts[jt], "s": ts[it]} for it in range(len(ts)) for jt in range(it + 1, len(ts))
+                ]
+            else:
+                times = [{"t": t} for t in ts]
+            for time in times:
+                consider(time, {k: pool[k] for k in state_names})
             raw_best = best
 
             # pass 2: shrinking local search around the witness
@@ -494,36 +434,13 @@ def validate_assumptions(
                 for round_idx in range(_REFINE_ROUNDS):
                     radius = box_radius * 0.25 ** (round_idx + 1)
                     local = {}
-                    for key in ("x", "x1", "x2", "y", "y1", "y2"):
-                        if key in witness:
-                            center = witness[key]
-                            pts = center[None, :] + radius * (
-                                2.0 * refine_gen.random((_REFINE_POINTS, len(center))) - 1.0
-                            )
-                            local[key] = np.clip(pts, -box_radius, box_radius)
-                    t, s = witness["t"], witness.get("s")
-                    if kind == "point":
-                        cands = ratio(t, local["x"])
-                        pick = lambda i: {"t": t, "x": local["x"][i].copy()}
-                    elif kind == "cpoint":
-                        cands = ratio(t, local["x"], local["y"])
-                        pick = lambda i: {"t": t, "x": local["x"][i].copy(), "y": local["y"][i].copy()}
-                    elif kind == "xpair":
-                        cands = ratio(t, local["x1"], local["x2"])
-                        pick = lambda i: {"t": t, "x1": local["x1"][i].copy(), "x2": local["x2"][i].copy()}
-                    elif kind == "cxpair":
-                        cands = ratio(t, local["x1"], local["x2"], local["y"])
-                        pick = lambda i: {"t": t, "x1": local["x1"][i].copy(), "x2": local["x2"][i].copy(), "y": local["y"][i].copy()}
-                    elif kind == "ypair":
-                        cands = ratio(t, local["x"], local["y1"], local["y2"])
-                        pick = lambda i: {"t": t, "x": local["x"][i].copy(), "y1": local["y1"][i].copy(), "y2": local["y2"][i].copy()}
-                    elif kind == "tpair":
-                        cands = ratio(t, s, local["x"])
-                        pick = lambda i: {"t": t, "s": s, "x": local["x"][i].copy()}
-                    else:
-                        cands = ratio(t, s, local["x"], local["y"])
-                        pick = lambda i: {"t": t, "s": s, "x": local["x"][i].copy(), "y": local["y"][i].copy()}
-                    consider(cands, pick)
+                    for key in state_names:
+                        center = witness[key]
+                        pts = center[None, :] + radius * (
+                            2.0 * refine_gen.random((_REFINE_POINTS, len(center))) - 1.0
+                        )
+                        local[key] = np.clip(pts, -box_radius, box_radius)
+                    consider({k: witness[k] for k in ("t", "s") if k in names}, local)
 
             claimed = model.claimed_constants.get(cond_id)
             if non_finite_witness is not None:

@@ -21,10 +21,10 @@ import numpy as np
 from . import parallel
 from .analysis import holder_seminorm_batch
 from .errors import DomainError, EstimationError
-from .fbm import generate_drivers, generate_fbm
+from .fbm import generate_fbm
 from .grids import TimeGrid
 from .models import CoupledModelSpec
-from .solver import SolveOutput, euler_coupled, euler_mixed
+from .solver import SolveOutput, check_levels, euler_coupled, euler_mixed, stage_drivers
 
 __all__ = [
     "MomentTarget",
@@ -179,18 +179,6 @@ class StabilityTable:
         return sum(e.blowup_count for e in self.estimates)
 
 
-def _check_levels(levels) -> tuple[int, ...]:
-    levels = tuple(int(n) for n in levels)
-    if len(levels) < 1:
-        raise DomainError("need at least one grid level")
-    if list(levels) != sorted(set(levels)):
-        raise DomainError(f"levels must be strictly increasing, got {levels}")
-    for n in levels:
-        if n < 1 or n & (n - 1):
-            raise DomainError(f"levels must be dyadic (powers of two), got {n}")
-    return levels
-
-
 def _unpack_model(model):
     if isinstance(model, tuple):
         model_x, model_y = model
@@ -215,17 +203,7 @@ def _sups_by_level(model, levels, paths, seed, method, workers):
 
     def job(lo, hi):
         count = hi - lo
-        w, z = generate_drivers(
-            model_x.driver, grid_finest, count, seed, stage="x", method=method, path_offset=lo
-        )
-        if model_y is None:
-            w_y = z_y = None
-        elif model_y.share_drivers:
-            w_y, z_y = w, z
-        else:
-            w_y, z_y = generate_drivers(
-                model_y.driver, grid_finest, count, seed, stage="y", method=method, path_offset=lo
-            )
+        w, z, w_y, z_y = stage_drivers(model_x, model_y, grid_finest, count, seed, method, lo)
         per_level = {}
         for n in levels:
             stride = finest // n
@@ -250,8 +228,7 @@ def _sups_by_level(model, levels, paths, seed, method, workers):
             per_level[n] = (sups, out.blown)
         return per_level
 
-    chunks = parallel.chunk_ranges(paths)
-    results = parallel.run_jobs([lambda lo=lo, hi=hi: job(lo, hi) for lo, hi in chunks], workers)
+    results = parallel.map_paths(job, paths, workers)
     merged = {}
     for n in levels:
         sups = np.concatenate([r[n][0] for r in results])
@@ -289,7 +266,7 @@ def grid_stability_tables(
     workers: int = 1,
 ) -> list[StabilityTable]:
     """One stability table per target, all sharing the same solved paths."""
-    levels = _check_levels(levels)
+    levels = check_levels(levels)
     per_level = _sups_by_level(model, levels, paths, seed, method, workers)
     tables = []
     for target in targets:
@@ -361,8 +338,7 @@ def fernique_tail_check(
         coarse = holder_seminorm_batch(coarse_batch.values, coarse_batch.grid.dt, holder_order)
         return fine, coarse
 
-    chunks = parallel.chunk_ranges(paths)
-    results = parallel.run_jobs([lambda lo=lo, hi=hi: job(lo, hi) for lo, hi in chunks], workers)
+    results = parallel.map_paths(job, paths, workers)
     seminorms = np.concatenate([r[0] for r in results])
     median = float(np.median(seminorms))
 
@@ -447,7 +423,7 @@ def exponent_boundary_study(
     gammas = tuple(float(g) for g in gamma_list)
     if len(gammas) < 1 or list(gammas) != sorted(gammas):
         raise DomainError("gamma_list must be non-empty and sorted ascending")
-    model_x, model_y = _unpack_model(model)
+    model_x, _ = _unpack_model(model)
     if grid.horizon != model_x.horizon:
         raise DomainError(
             f"study grid horizon {grid.horizon} does not match model horizon {model_x.horizon}"
@@ -455,10 +431,7 @@ def exponent_boundary_study(
     n = grid.step_count
     if n & (n - 1):
         raise DomainError("the study grid must be dyadic")
-    per_level = _sups_by_level(
-        (model_x, model_y) if model_y is not None else model_x,
-        (n,), paths, seed, method, workers,
-    )
+    per_level = _sups_by_level(model, (n,), paths, seed, method, workers)
     sups, blowups = per_level[n]
     estimates = tuple(
         _estimate_from_sups(sups, blowups, MomentTarget("exp", c=c, gamma=g)) for g in gammas

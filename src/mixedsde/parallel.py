@@ -15,10 +15,6 @@ from typing import Callable, Sequence
 CHUNK_PATHS = 2048
 
 
-def chunk_ranges(total: int, size: int = CHUNK_PATHS) -> list[tuple[int, int]]:
-    return [(lo, min(total, lo + size)) for lo in range(0, total, size)]
-
-
 def run_jobs(jobs: Sequence[Callable[[], object]], workers: int = 1) -> list:
     """Run the jobs, in order, optionally on a thread pool; ordered results."""
     if workers <= 1 or len(jobs) <= 1:
@@ -26,3 +22,9 @@ def run_jobs(jobs: Sequence[Callable[[], object]], workers: int = 1) -> list:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(job) for job in jobs]
         return [f.result() for f in futures]
+
+
+def map_paths(job: Callable[[int, int], object], paths: int, workers: int) -> list:
+    """``job(lo, hi)`` on each ``CHUNK_PATHS`` range of paths; results in path order."""
+    ranges = [(lo, min(paths, lo + CHUNK_PATHS)) for lo in range(0, paths, CHUNK_PATHS)]
+    return run_jobs([lambda lo=lo, hi=hi: job(lo, hi) for lo, hi in ranges], workers)

@@ -83,10 +83,3 @@ class PathBatch:
     def restrict(self, stride: int) -> "PathBatch":
         """Exact restriction of every path to every stride-th grid point."""
         return PathBatch(self.grid.coarsen(stride), self.values[:, ::stride, :], dict(self.provenance))
-
-    def validate_driver(self, initial_value: float = 0.0) -> None:
-        """Driver-batch invariants: finite everywhere, prescribed start value."""
-        if not np.isfinite(self.values).all():
-            raise DomainError("driver batch contains non-finite values")
-        if not np.all(self.values[:, 0, :] == initial_value):
-            raise DomainError(f"driver paths must start at {initial_value}")

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import DomainError, GridMismatchError
 from .fbm import generate_drivers
 from .grids import TimeGrid
-from .models import CoupledModelSpec, ModelSpec
+from .models import CoupledModelSpec, ModelSpec, model_zoo
 from .paths import DiscretePath, PathBatch
 
 __all__ = [
@@ -28,7 +29,8 @@ __all__ = [
     "euler_coupled",
     "solve_model",
     "solve_coupled",
-    "coupled_drivers",
+    "stage_drivers",
+    "check_levels",
     "closed_form_geometric",
     "closed_form_geometric_batch",
     "geometric_convergence_study",
@@ -159,7 +161,7 @@ def solve_model(
     path_offset: int = 0,
 ) -> SolveOutput:
     """Generate the model's drivers from the seed, then run the Euler scheme."""
-    w, z = generate_drivers(model.driver, grid, count, seed, stage="x", method=method, path_offset=path_offset)
+    w, z, _, _ = stage_drivers(model, None, grid, count, seed, method, path_offset)
     return euler_mixed(model, grid, w, z)
 
 
@@ -203,27 +205,41 @@ def euler_coupled(
     )
 
 
-def coupled_drivers(
+def stage_drivers(
     model_x: ModelSpec,
-    model_y: CoupledModelSpec,
-    out_x: SolveOutput,
+    model_y: CoupledModelSpec | None,
     grid: TimeGrid,
     count: int,
     seed: int,
-    method: str = "auto",
-    path_offset: int = 0,
-) -> tuple[PathBatch | None, PathBatch | None]:
-    """Second-stage drivers: the primary ones when shared, fresh ones otherwise."""
-    if model_y.share_drivers:
-        if (model_y.driver.wiener_dim, model_y.driver.rough_dim) != (
-            model_x.driver.wiener_dim,
-            model_x.driver.rough_dim,
-        ) or model_y.driver.rough_hurst != model_x.driver.rough_hurst:
+    method: str,
+    path_offset: int,
+) -> tuple[PathBatch | None, PathBatch | None, PathBatch | None, PathBatch | None]:
+    """(w, z, w_y, z_y): primary drivers, then the coupled stage's.
+
+    The coupled stage reuses the primary batches when it shares drivers and
+    draws independent ones otherwise; without a coupled stage w_y and z_y
+    are None.
+    """
+    if model_y is not None:
+        if model_y.base_dim != model_x.state_dim:
+            raise DomainError(
+                f"coupled model reads a base state of dim {model_y.base_dim}, "
+                f"primary model has dim {model_x.state_dim}"
+            )
+        if model_y.share_drivers and (
+            (model_y.driver.wiener_dim, model_y.driver.rough_dim, model_y.driver.rough_hurst)
+            != (model_x.driver.wiener_dim, model_x.driver.rough_dim, model_x.driver.rough_hurst)
+        ):
             raise DomainError("shared drivers require identical driver specs on both stages")
-        return out_x.wiener, out_x.rough
-    return generate_drivers(
+    w, z = generate_drivers(model_x.driver, grid, count, seed, stage="x", method=method, path_offset=path_offset)
+    if model_y is None:
+        return w, z, None, None
+    if model_y.share_drivers:
+        return w, z, w, z
+    w_y, z_y = generate_drivers(
         model_y.driver, grid, count, seed, stage="y", method=method, path_offset=path_offset
     )
+    return w, z, w_y, z_y
 
 
 def solve_coupled(
@@ -242,13 +258,8 @@ def solve_coupled(
     of the first unless the coupled model requests shared ones (the
     linearized sensitivity equation does).
     """
-    if model_y.base_dim != model_x.state_dim:
-        raise DomainError(
-            f"coupled model reads a base state of dim {model_y.base_dim}, "
-            f"primary model has dim {model_x.state_dim}"
-        )
-    out_x = solve_model(model_x, grid, count, seed, method=method, path_offset=path_offset)
-    w_y, z_y = coupled_drivers(model_x, model_y, out_x, grid, count, seed, method, path_offset)
+    w, z, w_y, z_y = stage_drivers(model_x, model_y, grid, count, seed, method, path_offset)
+    out_x = euler_mixed(model_x, grid, w, z)
     out_y = euler_coupled(model_y, grid, out_x.paths, w_y, z_y)
     return out_x, out_y
 
@@ -300,6 +311,19 @@ def closed_form_geometric(
     return batch.path(0)
 
 
+def check_levels(levels) -> tuple[int, ...]:
+    """Grid levels as a strictly increasing tuple of powers of two."""
+    levels = tuple(int(n) for n in levels)
+    if len(levels) < 1:
+        raise DomainError("need at least one grid level")
+    if list(levels) != sorted(set(levels)):
+        raise DomainError(f"levels must be strictly increasing, got {levels}")
+    for n in levels:
+        if n < 1 or n & (n - 1):
+            raise DomainError(f"levels must be dyadic (powers of two), got {n}")
+    return levels
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     step_count: int
@@ -324,15 +348,7 @@ def geometric_convergence_study(
     error from sampling noise. The closed-form reference is evaluated on the
     finest grid.
     """
-    from . import parallel
-    from .models import model_zoo
-
-    levels = [int(n) for n in levels]
-    if levels != sorted(levels) or len(set(levels)) != len(levels):
-        raise DomainError("levels must be strictly increasing")
-    for n in levels:
-        if n < 1 or n & (n - 1):
-            raise DomainError(f"levels must be powers of two, got {n}")
+    levels = check_levels(levels)
     model = model_zoo(
         "geometric_mixed",
         mu=params.drift,
@@ -345,9 +361,7 @@ def geometric_convergence_study(
     grid_finest = TimeGrid(horizon, levels[-1])
 
     def job(lo, hi):
-        w, z = generate_drivers(
-            model.driver, grid_finest, hi - lo, seed, stage="x", method=method, path_offset=lo
-        )
+        w, z, _, _ = stage_drivers(model, None, grid_finest, hi - lo, seed, method, lo)
         exact_terminal = closed_form_geometric_batch(params, w, z).values[:, -1, 0]
         errors = {}
         for n in levels:
@@ -356,8 +370,7 @@ def geometric_convergence_study(
             errors[n] = np.abs(out.paths.values[:, -1, 0] - exact_terminal)
         return errors, np.abs(exact_terminal)
 
-    chunks = parallel.chunk_ranges(paths)
-    results = parallel.run_jobs([lambda lo=lo, hi=hi: job(lo, hi) for lo, hi in chunks], workers)
+    results = parallel.map_paths(job, paths, workers)
     abs_exact = np.concatenate([r[1] for r in results])
     rows = []
     for n in levels:

@@ -193,6 +193,16 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+def test_bad_model_value_exits_2_naming_the_key(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "badval.cfg", "model: bounded_trig\nset: B\nseed: 3\nmodel.hurst: abc\n"
+    )
+    assert main(["check-conditions", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "model.hurst" in err and "abc" in err
+
+
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # cholesky synthesis above its size cap is a runtime resource failure
     cfg = write_config(

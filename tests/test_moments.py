@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mixedsde import (
     DomainError,
+    DriverSpec,
     EstimationError,
     MomentTarget,
     TimeGrid,
@@ -13,6 +15,7 @@ from mixedsde import (
     fernique_tail_check,
     grid_stability_study,
     model_zoo,
+    solve_coupled,
     solve_model,
     sup_moment_estimate,
     exp_moment_exponent_bound,
@@ -258,3 +261,18 @@ def test_boundary_requires_sorted_gammas():
         exponent_boundary_study(
             model_zoo("bounded_trig"), [2.0, 1.0], 1.0, TimeGrid(1.0, 128), 500, seed=1
         )
+
+
+# --------------------------------------------------------------- coupled drivers
+
+
+def test_shared_drivers_with_different_hurst_rejected_everywhere():
+    base, sens = model_zoo("malliavin_linearized")
+    bad = dataclasses.replace(sens, driver=DriverSpec(1, 1, (0.9,)))
+    assert bad.share_drivers
+    with pytest.raises(DomainError, match="shared drivers"):
+        solve_coupled(base, bad, TimeGrid(1.0, 8), seed=1, count=4)
+    with pytest.raises(DomainError, match="shared drivers"):
+        grid_stability_study((base, bad), MomentTarget("sup", p=2.0), [8, 16], 4, seed=1)
+    with pytest.raises(DomainError, match="shared drivers"):
+        exponent_boundary_study((base, bad), [1.0], 0.5, TimeGrid(1.0, 8), 4, seed=1)
