@@ -228,6 +228,10 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
         raise ConfigError("seed must be a u64", path=path)
     if config["workers"] < 1:
         raise ConfigError("workers must be >= 1", path=path)
+    if "paths" in config and config["paths"] < 1:
+        raise ConfigError(
+            f"key 'paths': must be >= 1, got {config['paths']}", path=path, line=entries["paths"][1]
+        )
     return config
 
 

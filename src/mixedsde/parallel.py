@@ -12,6 +12,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
+from .errors import DomainError
+
 CHUNK_PATHS = 2048
 
 
@@ -26,5 +28,7 @@ def run_jobs(jobs: Sequence[Callable[[], object]], workers: int = 1) -> list:
 
 def map_paths(job: Callable[[int, int], object], paths: int, workers: int) -> list:
     """``job(lo, hi)`` on each ``CHUNK_PATHS`` range of paths; results in path order."""
+    if paths < 1:
+        raise DomainError(f"need at least one path, got {paths}")
     ranges = [(lo, min(paths, lo + CHUNK_PATHS)) for lo in range(0, paths, CHUNK_PATHS)]
     return run_jobs([lambda lo=lo, hi=hi: job(lo, hi) for lo, hi in ranges], workers)

@@ -64,9 +64,10 @@ def normal_matrix(seed: int, tag: int, draws: int, count: int, offset: int = 0) 
     """(count, draws) standard normals; row i comes from path stream offset+i.
 
     Uniform draws happen per path (stream alignment), the inverse CDF is
-    applied to the whole block at once.
+    applied to the whole block at once, in place.
     """
     u = np.empty((count, draws))
     for i in range(count):
-        u[i] = path_stream(seed, offset + i, tag).random(draws)
-    return ndtri(np.clip(u, _TINY, None))
+        path_stream(seed, offset + i, tag).random(out=u[i])
+    np.maximum(u, _TINY, out=u)
+    return ndtri(u, out=u)

@@ -10,6 +10,7 @@ studies can count and exclude it honestly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,32 @@ def _check_driver_batch(batch: PathBatch | None, dim: int, grid: TimeGrid, count
     return batch.count
 
 
+# Steps per time-major block of the Euler loop. Outputs do not depend on it;
+# 16 and 256 timed the same as 64, within noise, on the coupled study's
+# Euler phase.
+_BLOCK_STEPS = 64
+
+
+def _time_major_increments(values, k0, k1):
+    """(k1 - k0, count, dim) contiguous driver increments over steps k0..k1-1."""
+    if values is None:
+        return None
+    ahead, behind = values[:, k0 + 1 : k1 + 1], values[:, k0:k1]
+    out = np.empty((k1 - k0, values.shape[0], values.shape[2]))
+    return np.subtract(ahead.transpose(1, 0, 2), behind.transpose(1, 0, 2), out=out)
+
+
 def _euler_loop(grid, x0, count, drift, wiener_field, rough_field, w_values, z_values, x_states=None):
+    """Left-point Euler over the grid in time-major blocks of ``_BLOCK_STEPS``.
+
+    Each block copies its driver increments and base states into contiguous
+    (steps, count, dim) arrays, writes its states into one such array and
+    moves them into ``out`` with one strided copy, so a step makes no
+    strided gathers or writes. A finite sum proves the whole state finite,
+    so the per-path check runs only when the sum is not; a blown path stays
+    NaN and keeps it so. Coefficient outputs are never written into: a
+    field may return its input.
+    """
     n = grid.step_count
     dt = grid.dt
     dim = len(x0)
@@ -92,28 +118,28 @@ def _euler_loop(grid, x0, count, drift, wiener_field, rough_field, w_values, z_v
     first_bad = np.full(count, -1, dtype=np.int64)
     state = np.repeat(x0[None, :], count, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            t = k * dt
-            xk = x_states[:, k, :] if x_states is not None else None
-            if x_states is None:
-                step = drift(t, state) * dt
-            else:
-                step = drift(t, xk, state) * dt
-            if wiener_field is not None:
-                dw = w_values[:, k + 1, :] - w_values[:, k, :]
-                bval = wiener_field(t, state) if x_states is None else wiener_field(t, xk, state)
-                step += np.einsum("pdc,pc->pd", bval, dw)
-            if rough_field is not None:
-                dz = z_values[:, k + 1, :] - z_values[:, k, :]
-                cval = rough_field(t, state) if x_states is None else rough_field(t, xk, state)
-                step += np.einsum("pdc,pc->pd", cval, dz)
-            state = state + step
-            newly_bad = ~blown & ~np.isfinite(state).all(axis=1)
-            if newly_bad.any():
-                first_bad[newly_bad] = k + 1
-                blown |= newly_bad
-                state[blown] = np.nan
-            out[:, k + 1, :] = state
+        for k0 in range(0, n, _BLOCK_STEPS):
+            k1 = min(n, k0 + _BLOCK_STEPS)
+            dw = _time_major_increments(w_values, k0, k1)
+            dz = _time_major_increments(z_values, k0, k1)
+            xs = None if x_states is None else np.ascontiguousarray(x_states[:, k0:k1].transpose(1, 0, 2))
+            states = np.empty((k1 - k0, count, dim))
+            for j in range(k1 - k0):
+                t = (k0 + j) * dt
+                args = (t, state) if xs is None else (t, xs[j], state)
+                step = drift(*args) * dt
+                if wiener_field is not None:
+                    step += np.einsum("pdc,pc->pd", wiener_field(*args), dw[j])
+                if rough_field is not None:
+                    step += np.einsum("pdc,pc->pd", rough_field(*args), dz[j])
+                state = np.add(state, step, out=states[j])
+                if not math.isfinite(state.sum()):
+                    newly_bad = ~blown & ~np.isfinite(state).all(axis=1)
+                    if newly_bad.any():
+                        first_bad[newly_bad] = k0 + j + 1
+                        blown |= newly_bad
+                        state[blown] = np.nan
+            out[:, k0 + 1 : k1 + 1, :] = states.transpose(1, 0, 2)
     return out, blown, first_bad
 
 

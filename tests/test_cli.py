@@ -203,6 +203,37 @@ def test_bad_model_value_exits_2_naming_the_key(tmp_path, capsys):
     assert "model.hurst" in err and "abc" in err
 
 
+PATHS_BODIES = {
+    "fbm": "hurst: [0.75]\nn: 4\nseed: 1\npaths: {paths}\n",
+    "integrate": "n: 8\nseed: 1\npaths: {paths}\n",
+    "solve": "levels: [8]\nseed: 1\npaths: {paths}\n",
+    "moments": "model: stochvol\nstatistic: sup\np: [2]\nlevels: [8]\nseed: 1\npaths: {paths}\n",
+    "fernique": "hurst: 0.75\nmu: 0.6\nn: 16\nseed: 1\npaths: {paths}\n",
+    "boundary": "model: bounded_trig\ngamma: [1.0]\nc: 1.0\nn: 16\nseed: 1\npaths: {paths}\n",
+}
+
+
+@pytest.mark.parametrize("paths", [0, -3])
+@pytest.mark.parametrize("command", sorted(PATHS_BODIES))
+def test_nonpositive_paths_exit_2_naming_the_line(tmp_path, capsys, command, paths):
+    body = PATHS_BODIES[command].format(paths=paths)
+    line = body.splitlines().index(f"paths: {paths}") + 1
+    cfg = write_config(tmp_path, "paths.cfg", body)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"paths.cfg:{line}:" in err and "'paths'" in err
+    assert not out.exists()
+
+
+def test_every_command_with_paths_is_covered():
+    from mixedsde.cli import _SCHEMAS
+
+    with_paths = {name for name, keys in _SCHEMAS.items() if any(k.name == "paths" for k in keys)}
+    assert with_paths == set(PATHS_BODIES)
+
+
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # cholesky synthesis above its size cap is a runtime resource failure
     cfg = write_config(
