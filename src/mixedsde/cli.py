@@ -1,13 +1,17 @@
 """Experiment runner: every study as a reproducible command.
 
-Configs are flat ``key: value`` text files (one key per line, full-line
-``#`` comments, YAML-typed scalar values; model parameters use dotted
-``model.<name>`` keys). Every run writes one CSV plus a JSON manifest next
-to it; each CSV row carries the manifest's result hash, which covers the
-command, the resolved config, the seed and the package version - but not
-the worker count or output location, because results are invariant to
-both. Identical config and seed therefore give bit-identical CSVs at any
-worker count.
+Configs are flat ``key: value`` text files: one key per line, ``#``
+comments (a whole line, or after whitespace), and model parameters under
+dotted ``model.<name>`` keys. A value is an int (``-3``), a float (``0.5``,
+``.5``, ``1e-3``), a flat list of those (``[1, 2.5]``) or else a bare
+string; quotes, braces, nested lists and empty values are errors.
+
+Every run writes one CSV, whose columns are the keys of its rows, plus a
+JSON manifest next to it; each CSV row carries the manifest's result hash,
+which covers the command, the resolved config, the seed and the package
+version - but not the worker count or output location, because results
+are invariant to both. Identical config and seed therefore give
+bit-identical CSVs at any worker count.
 
 Exit codes: 0 success, 2 invalid config (message is line-addressed),
 3 runtime estimation failure.
@@ -19,12 +23,12 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__, parallel
 from .analysis import holder_seminorm_batch
@@ -51,7 +55,7 @@ COMMANDS = ("fbm", "integrate", "solve", "moments", "check-conditions", "ferniqu
 @dataclass(frozen=True)
 class _Key:
     name: str
-    kind: str  # int | float | str | bool | int_list | float_list
+    kind: str  # int | float | str | int_list | float_list
     required: bool = False
     default: object = None
     choices: tuple | None = None
@@ -123,6 +127,24 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
 
 _MODEL_PARAM_COMMANDS = ("moments", "check-conditions", "boundary")
 
+_INT = re.compile(r"[-+]?[0-9]+")
+_FLOAT = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+_COMMENT = re.compile(r"\s#")
+
+
+def _literal(text: str, in_list=False):
+    """Int, float, bare string or, at top level, a flat ``[a, b]`` list of them."""
+    if not text:
+        raise ValueError("empty value")
+    if text[0] == "[" and text[-1] == "]" and not in_list:
+        inner = text[1:-1].strip()
+        return [_literal(item.strip(), in_list=True) for item in inner.split(",")] if inner else []
+    if text[0] in "\"'{[":
+        raise ValueError(f"unsupported value {text!r}: strings are bare and lists are flat, as in [1, 2]")
+    if _INT.fullmatch(text):
+        return int(text)
+    return float(text) if _FLOAT.fullmatch(text) else text
+
 
 def parse_config_file(path: str) -> dict[str, tuple[object, int]]:
     """Flat key/value config; returns {key: (parsed value, line number)}."""
@@ -144,9 +166,9 @@ def parse_config_file(path: str) -> dict[str, tuple[object, int]]:
         if key in entries:
             raise ConfigError(f"duplicate key {key!r} (first on line {entries[key][1]})", path=path, line=lineno)
         try:
-            value = yaml.safe_load(value_text.strip())
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"unparseable value for {key!r}: {exc}", path=path, line=lineno)
+            value = _literal(_COMMENT.split(value_text, maxsplit=1)[0].strip())
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}", path=path, line=lineno)
         entries[key] = (value, lineno)
     return entries
 
@@ -157,20 +179,16 @@ def _coerce(key: _Key, value, path, line):
 
     def scalar(kind, v):
         if kind == "int":
-            if isinstance(v, bool) or not isinstance(v, int):
+            if not isinstance(v, int):
                 fail(f"expected an integer, got {v!r}")
             return v
         if kind == "float":
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if not isinstance(v, (int, float)):
                 fail(f"expected a number, got {v!r}")
             return float(v)
         if kind == "str":
             if not isinstance(v, str):
                 fail(f"expected a string, got {v!r}")
-            return v
-        if kind == "bool":
-            if not isinstance(v, bool):
-                fail(f"expected true/false, got {v!r}")
             return v
         fail(f"unhandled kind {kind}")
 
@@ -224,14 +242,18 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
             raise ConfigError("statistic 'sup' needs key 'p'", path=path)
         if config["statistic"] == "exp" and ("c" not in config or "gamma" not in config):
             raise ConfigError("statistic 'exp' needs keys 'c' and 'gamma'", path=path)
-    if not 0 <= config["seed"] < 2**64:
-        raise ConfigError("seed must be a u64", path=path)
-    if config["workers"] < 1:
-        raise ConfigError("workers must be >= 1", path=path)
-    if "paths" in config and config["paths"] < 1:
-        raise ConfigError(
-            f"key 'paths': must be >= 1, got {config['paths']}", path=path, line=entries["paths"][1]
-        )
+
+    def check(ok, name, message):
+        if not ok:
+            from_file = name in entries and overrides.get(name) is None
+            raise ConfigError(message, path=path, line=entries[name][1] if from_file else None)
+
+    check(0 <= config["seed"] < 2**64, "seed", "seed must be a u64")
+    check(config["workers"] >= 1, "workers", "workers must be >= 1")
+    if "paths" in config:
+        check(config["paths"] >= 1, "paths", f"key 'paths': must be >= 1, got {config['paths']}")
+    if command == "integrate":
+        check(not config["n"] & (config["n"] - 1), "n", "key 'n' must be a power of two")
     return config
 
 
@@ -251,7 +273,7 @@ def _manifest_hash(identity: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _write_outputs(command: str, config: dict, header: list[str], rows: list[dict], out_dir: Path):
+def _write_outputs(command: str, config: dict, rows: list[dict], out_dir: Path):
     identity = _result_identity(command, config)
     digest = _manifest_hash(identity)
     manifest = dict(identity)
@@ -263,7 +285,7 @@ def _write_outputs(command: str, config: dict, header: list[str], rows: list[dic
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     csv_path = out_dir / f"{stem}.csv"
     with open(csv_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=header + ["manifest_hash"])
+        writer = csv.DictWriter(handle, fieldnames=[*rows[0], "manifest_hash"])
         writer.writeheader()
         for row in rows:
             row = {k: _csv_cell(v) for k, v in row.items()}
@@ -286,7 +308,7 @@ def _csv_cell(value):
 # command implementations
 
 
-def _run_fbm(config: dict) -> tuple[list[str], list[dict]]:
+def _run_fbm(config: dict) -> list[dict]:
     grid = TimeGrid(config["horizon"], config["n"])
     methods = ("cholesky", "circulant") if config["method"] == "both" else (config["method"],)
     rows = []
@@ -315,18 +337,15 @@ def _run_fbm(config: dict) -> tuple[list[str], list[dict]]:
                         "standard_error": se[i, j],
                         "dev_over_se": dev / se[i, j],
                     })
-    header = ["hurst", "method", "t_row", "t_col", "exact_cov", "sample_cov",
-              "abs_deviation", "standard_error", "dev_over_se"]
-    return header, rows
+    return rows
 
 
-def _run_integrate(config: dict) -> tuple[list[str], list[dict]]:
-    n = config["n"]
-    if n & (n - 1):
-        raise ConfigError("key 'n' must be a power of two")
+def _run_integrate(config: dict) -> list[dict]:
     hurst = config["hurst"]
-    mu = config.get("holder_order") or hurst - 0.01
-    grid = TimeGrid(config["horizon"], n)
+    mu = config.get("holder_order")
+    if mu is None:
+        mu = hurst - 0.01
+    grid = TimeGrid(config["horizon"], config["n"])
     seed, paths, workers = config["seed"], config["paths"], config["workers"]
     width = config["horizon"]
 
@@ -354,13 +373,10 @@ def _run_integrate(config: dict) -> tuple[list[str], list[dict]]:
         return out
 
     results = parallel.map_paths(job, paths, workers)
-    rows = [row for piece in results for row in piece]
-    header = ["path", "value", "oracle", "abs_error", "rel_error", "converged",
-              "error_estimate", "young_love_bound", "young_love_ok"]
-    return header, rows
+    return [row for piece in results for row in piece]
 
 
-def _run_solve(config: dict) -> tuple[list[str], list[dict]]:
+def _run_solve(config: dict) -> list[dict]:
     params = GeometricParams(
         initial_value=config["s0"],
         drift=config["mu"],
@@ -379,15 +395,10 @@ def _run_solve(config: dict) -> tuple[list[str], list[dict]]:
     rows = []
     prev = None
     for row in study:
-        rows.append({
-            "step_count": row.step_count,
-            "mean_abs_terminal_error": row.mean_abs_terminal_error,
-            "mean_rel_terminal_error": row.mean_rel_terminal_error,
-            "error_ratio_vs_prev": row.mean_abs_terminal_error / prev if prev else float("nan"),
-        })
+        ratio = row.mean_abs_terminal_error / prev if prev else float("nan")
+        rows.append({**asdict(row), "error_ratio_vs_prev": ratio})
         prev = row.mean_abs_terminal_error
-    header = ["step_count", "mean_abs_terminal_error", "mean_rel_terminal_error", "error_ratio_vs_prev"]
-    return header, rows
+    return rows
 
 
 def _build_model(config: dict):
@@ -399,7 +410,7 @@ def _build_model(config: dict):
         raise ConfigError(f"bad model parameters for {config['model']!r} ({given}): {exc}")
 
 
-def _run_moments(config: dict) -> tuple[list[str], list[dict]]:
+def _run_moments(config: dict) -> list[dict]:
     model = _build_model(config)
     if config["statistic"] == "sup":
         targets = [MomentTarget("sup", p=p) for p in config["p"]]
@@ -413,28 +424,15 @@ def _run_moments(config: dict) -> tuple[list[str], list[dict]]:
     for table in tables:
         prev = None
         for level, est in table.rows:
-            rows.append({
-                "statistic": table.target,
-                "step_count": level,
-                "estimate": est.estimate,
-                "standard_error": est.standard_error,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "sample_count": est.sample_count,
-                "blowup_count": est.blowup_count,
-                "tail_dominance": est.tail_dominance,
-                "overflow_count": est.overflow_count,
-                "unstable": est.unstable,
-                "ratio_vs_prev": est.estimate / prev if prev else float("nan"),
-            })
+            fields = asdict(est)
+            del fields["target"]
+            ratio = est.estimate / prev if prev else float("nan")
+            rows.append({"statistic": table.target, "step_count": level, **fields, "ratio_vs_prev": ratio})
             prev = est.estimate
-    header = ["statistic", "step_count", "estimate", "standard_error", "ci_low", "ci_high",
-              "sample_count", "blowup_count", "tail_dominance", "overflow_count",
-              "unstable", "ratio_vs_prev"]
-    return header, rows
+    return rows
 
 
-def _run_check_conditions(config: dict) -> tuple[list[str], list[dict]]:
+def _run_check_conditions(config: dict) -> list[dict]:
     model = _build_model(config)
     set_id = config["set"]
     if isinstance(model, tuple):
@@ -456,11 +454,10 @@ def _run_check_conditions(config: dict) -> tuple[list[str], list[dict]]:
             "witness": json.dumps(witness, sort_keys=True),
             "verdict": report.verdict,
         })
-    header = ["condition", "estimate", "raw_estimate", "claimed", "violated", "witness", "verdict"]
-    return header, rows
+    return rows
 
 
-def _run_fernique(config: dict) -> tuple[list[str], list[dict]]:
+def _run_fernique(config: dict) -> list[dict]:
     report = fernique_tail_check(
         config["hurst"],
         config["mu"],
@@ -469,23 +466,10 @@ def _run_fernique(config: dict) -> tuple[list[str], list[dict]]:
         config["seed"],
         workers=config["workers"],
     )
-    row = {
-        "mode": report.mode,
-        "hurst": report.hurst,
-        "holder_order": report.holder_order,
-        "step_count": report.step_count,
-        "paths": report.paths,
-        "slope": report.slope,
-        "r_squared": report.r_squared,
-        "tail_start": report.tail_start,
-        "seminorm_median": report.seminorm_median,
-        "coarse_median": report.coarse_median,
-        "growth_ratio": report.growth_ratio,
-    }
-    return list(row.keys()), [row]
+    return [asdict(report)]
 
 
-def _run_boundary(config: dict) -> tuple[list[str], list[dict]]:
+def _run_boundary(config: dict) -> list[dict]:
     model = _build_model(config)
     horizon = (model[0] if isinstance(model, tuple) else model).horizon
     report = exponent_boundary_study(
@@ -509,9 +493,7 @@ def _run_boundary(config: dict) -> tuple[list[str], list[dict]]:
             "threshold_gamma": report.threshold_gamma,
             "first_unstable_gamma": "" if report.first_unstable_gamma is None else report.first_unstable_gamma,
         })
-    header = ["gamma", "estimate", "standard_error", "tail_dominance", "overflow_count",
-              "unstable", "threshold_gamma", "first_unstable_gamma"]
-    return header, rows
+    return rows
 
 
 _RUNNERS = {
@@ -550,23 +532,14 @@ def main(argv=None) -> int:
     try:
         entries = parse_config_file(args.config)
         config = resolve_config(args.command, entries, args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        header, rows = _RUNNERS[args.command](config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+        rows = _RUNNERS[args.command](config)
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MixedSdeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
-    csv_path, manifest_path = _write_outputs(
-        args.command, config, header, rows, Path(config["out"])
-    )
+    csv_path, manifest_path = _write_outputs(args.command, config, rows, Path(config["out"]))
     print(f"wrote {csv_path} and {manifest_path}")
     return 0
 

@@ -303,8 +303,8 @@ class FerniqueTailReport:
     mode: str
     hurst: float
     holder_order: float
-    paths: int
     step_count: int
+    paths: int
     slope: float
     r_squared: float
     tail_start: float
@@ -349,8 +349,8 @@ def fernique_tail_check(
             mode="growth",
             hurst=hurst,
             holder_order=holder_order,
-            paths=paths,
             step_count=grid.step_count,
+            paths=paths,
             slope=float("nan"),
             r_squared=float("nan"),
             tail_start=float("nan"),
@@ -379,8 +379,8 @@ def fernique_tail_check(
         mode="fit",
         hurst=hurst,
         holder_order=holder_order,
-        paths=paths,
         step_count=grid.step_count,
+        paths=paths,
         slope=float(coef[0]),
         r_squared=1.0 - ss_res / ss_tot,
         tail_start=float(order[start]),

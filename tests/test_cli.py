@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,36 @@ def read_rows(path):
 
 # --------------------------------------------------------------- config files
 
+# One config line each, on line 2 of a file: its parsed value, type included.
+GRAMMAR_VALUES = {
+    "tol: 1e-3": 0.001,
+    "horizon: .5": 0.5,
+    "c: -2.5E+1": -25.0,
+    "n: 8  # steps": 8,
+    "seed: +007": 7,
+    "out: results#1": "results#1",
+    "model: bounded trig": "bounded trig",
+    "gamma: [1, 1.5e0]  # sweep": [1, 1.5],
+    "p: [ 2 ]": [2],
+}
+
+# One config line each, on line 2 of a ``moments`` config: the error it gives.
+GRAMMAR_ERRORS = {
+    "seed: yes": "expected an integer, got 'yes'",
+    "seed: 0x10": "expected an integer, got '0x10'",
+    "paths: 1_000": "expected an integer, got '1_000'",
+    "c: .nan": "expected a number, got '.nan'",
+    'out: "x"': "unsupported value",
+    "statistic: 'sup'": "unsupported value",
+    "model: {a: 1}": "unsupported value",
+    "hurst: [[1]]": "unsupported value",
+    "levels: [8, 16": "unsupported value",
+    "levels: [8, , 16]": "empty value",
+    "n:": "empty value",
+    "n:   # none": "empty value",
+    "p: []": "list must not be empty",
+}
+
 
 def test_parse_flat_config(tmp_path):
     path = write_config(
@@ -33,6 +64,19 @@ def test_parse_flat_config(tmp_path):
     config = resolve_config("fbm", entries, path, {"seed": None, "out": None, "workers": None})
     assert config["paths"] == 100
     assert config["horizon"] == 1.0  # default applied
+
+    for line, expected in GRAMMAR_VALUES.items():
+        path = write_config(tmp_path, "v.cfg", f"# case\n{line}\n")
+        (value, lineno), = parse_config_file(path).values()
+        assert (value, type(value), lineno) == (expected, type(expected), 2), line
+        if isinstance(expected, list):
+            assert [type(v) for v in value] == [type(v) for v in expected], line
+    for line, message in GRAMMAR_ERRORS.items():
+        path = write_config(tmp_path, "x.cfg", f"# case\n{line}\n")
+        with pytest.raises(ConfigError) as err:
+            resolve_config("moments", parse_config_file(path), path, {})
+        assert f"x.cfg:2: key '{line.partition(':')[0]}'" in str(err.value), line
+        assert message in str(err.value), line
 
 
 def test_unknown_key_error_is_line_addressed(tmp_path):
@@ -225,6 +269,69 @@ def test_nonpositive_paths_exit_2_naming_the_line(tmp_path, capsys, command, pat
     assert err.startswith("config error:")
     assert f"paths.cfg:{line}:" in err and "'paths'" in err
     assert not out.exists()
+
+
+BAD_VALUE_CASES = {
+    "seed-negative": ("fbm", "hurst: [0.75]\nn: 4\npaths: 2\nseed: -1\n", 4, "seed must be a u64"),
+    "seed-2^64": ("fernique", "hurst: 0.75\nmu: 0.6\nseed: 18446744073709551616\nn: 16\npaths: 2\n", 3,
+                  "seed must be a u64"),
+    "workers-0": ("solve", "levels: [8]\nworkers: 0\nseed: 1\npaths: 2\n", 2, "workers must be >= 1"),
+    "integrate-n-12": ("integrate", "seed: 1\nn: 12\npaths: 2\n", 2, "key 'n' must be a power of two"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUE_CASES))
+def test_bad_value_exits_2_naming_the_line(tmp_path, capsys, case):
+    command, body, line, message = BAD_VALUE_CASES[case]
+    cfg = write_config(tmp_path, "bad.cfg", body)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"bad.cfg:{line}: {message}" in err
+    assert not out.exists()
+
+
+def test_bad_override_exits_2_naming_only_the_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, "ok.cfg", "hurst: [0.75]\nn: 4\npaths: 2\nseed: 1\nworkers: 1\n")
+    for flag, value, message in (("--seed", "-1", "seed must be a u64"),
+                                 ("--workers", "0", "workers must be >= 1")):
+        assert main(["fbm", "--config", cfg, "--out", str(tmp_path / "o"), flag, value]) == 2
+        assert f"ok.cfg: {message}" in capsys.readouterr().err
+
+
+def test_integrate_holder_order_zero_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "h0.cfg", "n: 8\npaths: 2\nseed: 1\nholder_order: 0\n")
+    out = tmp_path / "o"
+    assert main(["integrate", "--config", cfg, "--out", str(out)]) == 2
+    assert "Holder exponent must lie in (0, 1], got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Computed from the parsed example configs before the config grammar changed:
+# the hash covers every parsed value and its type, so equal hashes mean each
+# example run keeps its identity.
+EXAMPLE_MANIFEST_HASHES = {
+    "boundary.cfg": ("boundary", "2821b3dfdf6c22a9"),
+    "check_conditions.cfg": ("check-conditions", "2e2096ba03883c59"),
+    "exp_moments.cfg": ("moments", "8d044fa7b10d3cbb"),
+    "fbm.cfg": ("fbm", "757f19d8e83afab4"),
+    "fernique.cfg": ("fernique", "317fce698150cd2d"),
+    "integrate.cfg": ("integrate", "23ade60caa7ff350"),
+    "moments.cfg": ("moments", "f1883ab58400f01b"),
+    "solve.cfg": ("solve", "72e9dcb88e067b1a"),
+}
+
+
+def test_example_config_manifest_hashes_are_pinned():
+    from mixedsde.cli import _manifest_hash, _result_identity
+
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    assert sorted(p.name for p in configs.glob("*.cfg")) == sorted(EXAMPLE_MANIFEST_HASHES)
+    for name, (command, expected) in EXAMPLE_MANIFEST_HASHES.items():
+        path = str(configs / name)
+        config = resolve_config(command, parse_config_file(path), path, {})
+        assert _manifest_hash(_result_identity(command, config)) == expected, name
 
 
 def test_every_command_with_paths_is_covered():
