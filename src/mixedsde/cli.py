@@ -35,7 +35,7 @@ from .analysis import holder_seminorm_batch
 from .errors import ConfigError, DomainError, MixedSdeError
 from .fbm import fbm_covariance_matrix, generate_fbm
 from .grids import TimeGrid
-from .models import CoupledModelSpec, model_zoo, validate_assumptions, ZOO_MODELS
+from .models import VALIDATOR_MIN_SAMPLES, CoupledModelSpec, model_zoo, validate_assumptions, ZOO_MODELS
 from .moments import (
     MomentTarget,
     exponent_boundary_study,
@@ -250,8 +250,12 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
 
     check(0 <= config["seed"] < 2**64, "seed", "seed must be a u64")
     check(config["workers"] >= 1, "workers", "workers must be >= 1")
-    if "paths" in config:
-        check(config["paths"] >= 1, "paths", f"key 'paths': must be >= 1, got {config['paths']}")
+    for name, low in (("paths", 1), ("n", 1), ("samples", VALIDATOR_MIN_SAMPLES)):
+        if name in config:
+            check(config[name] >= low, name, f"key {name!r}: must be >= {low}, got {config[name]}")
+    for name in ("horizon", "radius"):
+        if name in config:
+            check(config[name] > 0, name, f"key {name!r}: must be positive, got {config[name]}")
     if command == "integrate":
         check(not config["n"] & (config["n"] - 1), "n", "key 'n' must be a power of two")
     return config
@@ -422,13 +426,10 @@ def _run_moments(config: dict) -> list[dict]:
     )
     rows = []
     for table in tables:
-        prev = None
-        for level, est in table.rows:
+        for (level, est), ratio in zip(table.rows, (float("nan"), *table.ratios)):
             fields = asdict(est)
             del fields["target"]
-            ratio = est.estimate / prev if prev else float("nan")
             rows.append({"statistic": table.target, "step_count": level, **fields, "ratio_vs_prev": ratio})
-            prev = est.estimate
     return rows
 
 

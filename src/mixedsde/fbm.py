@@ -38,6 +38,7 @@ CHOLESKY_CAP = 4096
 CIRCULANT_THRESHOLD = 512
 _EIG_TOLERANCE = -1e-9
 _CHUNK_VALUES = 2**22  # cap scratch blocks at ~32 MB of float64
+_CHOLESKY_ROWS = 64
 
 
 def fbm_covariance(t: float, s: float, hurst: float) -> float:
@@ -81,11 +82,19 @@ def _fbm_cholesky(grid, hurst, count, seed, tag, offset):
         raise ResourceError(
             f"cholesky synthesis is capped at n={CHOLESKY_CAP} (requested {n}); use method='circulant'"
         )
-    factor = np.linalg.cholesky(fbm_covariance_matrix(grid, hurst))
+    factor_t = np.linalg.cholesky(fbm_covariance_matrix(grid, hurst)).T
     out = np.zeros((count, n + 1))
-    for lo, hi in _chunks(count, n):
-        z = rnd.normal_matrix(seed, tag, n, hi - lo, offset=offset + lo)
-        out[lo:hi, 1:] = z @ factor.T
+    # BLAS may round a row differently in products of different heights, so
+    # every product has _CHOLESKY_ROWS rows, aligned to the absolute path
+    # index and zero-padded at the edges: a row's bits depend only on
+    # (seed, path index), never on how the paths were partitioned.
+    block = np.zeros((_CHOLESKY_ROWS, n))
+    for b0 in range(offset - offset % _CHOLESKY_ROWS, offset + count, _CHOLESKY_ROWS):
+        lo, hi = max(b0, offset), min(b0 + _CHOLESKY_ROWS, offset + count)
+        if hi - lo < _CHOLESKY_ROWS:
+            block[:] = 0.0
+        block[lo - b0 : hi - b0] = rnd.normal_matrix(seed, tag, n, hi - lo, offset=lo)
+        out[lo - offset : hi - offset, 1:] = (block @ factor_t)[lo - b0 : hi - b0]
     return out
 
 
@@ -143,19 +152,7 @@ def generate_fbm(
         values = _fbm_circulant(grid, hurst, count, seed, tag, path_offset)
     else:
         raise DomainError(f"unknown synthesis method {method!r}")
-    return PathBatch(
-        grid,
-        values,
-        provenance={
-            "kind": "fbm",
-            "hurst": float(hurst),
-            "seed": int(seed),
-            "method": method,
-            "stream_role": stream_role,
-            "component": component,
-            "path_offset": path_offset,
-        },
-    )
+    return PathBatch(grid, values)
 
 
 def generate_wiener(
@@ -180,17 +177,7 @@ def generate_wiener(
         for lo, hi in _chunks(count, n):
             z = rnd.normal_matrix(seed, tag, n, hi - lo, offset=path_offset + lo)
             np.cumsum(z * root_dt, axis=1, out=values[lo:hi, 1:, component])
-    return PathBatch(
-        grid,
-        values,
-        provenance={
-            "kind": "wiener",
-            "seed": int(seed),
-            "dim": dim,
-            "stream_role": stream_role,
-            "path_offset": path_offset,
-        },
-    )
+    return PathBatch(grid, values)
 
 
 def generate_drivers(
@@ -235,16 +222,5 @@ def generate_drivers(
             ).values[:, :, 0]
             for j, h in enumerate(spec.rough_hurst)
         ]
-        rough = PathBatch(
-            grid,
-            np.stack(columns, axis=2),
-            provenance={
-                "kind": "fbm",
-                "hurst": list(spec.rough_hurst),
-                "seed": int(seed),
-                "method": method,
-                "stream_role": rough_role,
-                "path_offset": path_offset,
-            },
-        )
+        rough = PathBatch(grid, np.stack(columns, axis=2))
     return wiener, rough

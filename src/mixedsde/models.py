@@ -14,8 +14,8 @@ claimed constant, never certify it; the verdict wording reflects that.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -90,6 +90,22 @@ class CoefficientField:
         return np.stack(cols, axis=-1)
 
 
+def _check_stage(spec) -> None:
+    """Checks shared by both stage specs; stores the initial value as a vector."""
+    x0 = np.atleast_1d(np.asarray(spec.initial_value, dtype=float))
+    if x0.shape != (spec.state_dim,) or not np.isfinite(x0).all():
+        raise DomainError(
+            f"initial value must be a finite vector of length {spec.state_dim}, got {x0}"
+        )
+    object.__setattr__(spec, "initial_value", x0)
+    if not spec.horizon > 0:
+        raise DomainError("horizon must be positive")
+    if (spec.wiener is None) != (spec.driver.wiener_dim == 0):
+        raise DomainError("wiener coefficient and wiener_dim must agree")
+    if (spec.rough is None) != (spec.driver.rough_dim == 0):
+        raise DomainError("rough coefficient and rough_dim must agree")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A mixed equation: drift a, Wiener block b, rough block c, and drivers."""
@@ -105,21 +121,9 @@ class ModelSpec:
     claimed_set: str | None = None
     claimed_constants: Mapping[str, float] = field(default_factory=dict)
     holder_beta: float | None = None
-    params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.initial_value, dtype=float))
-        if x0.shape != (self.state_dim,) or not np.isfinite(x0).all():
-            raise DomainError(
-                f"initial value must be a finite vector of length {self.state_dim}, got {x0}"
-            )
-        object.__setattr__(self, "initial_value", x0)
-        if self.horizon <= 0:
-            raise DomainError("horizon must be positive")
-        if (self.wiener is None) != (self.driver.wiener_dim == 0):
-            raise DomainError("wiener coefficient and wiener_dim must agree")
-        if (self.rough is None) != (self.driver.rough_dim == 0):
-            raise DomainError("rough coefficient and rough_dim must agree")
+        _check_stage(self)
         if self.holder_beta is not None and self.driver.rough_dim > 0:
             mu = self.driver.holder_order
             if not (1 - mu) < self.holder_beta < 0.5:
@@ -167,21 +171,11 @@ class CoupledModelSpec:
     claimed_set: str | None = None
     claimed_constants: Mapping[str, float] = field(default_factory=dict)
     holder_beta: float | None = None
-    params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        y0 = np.atleast_1d(np.asarray(self.initial_value, dtype=float))
-        if y0.shape != (self.state_dim,) or not np.isfinite(y0).all():
-            raise DomainError(
-                f"initial value must be a finite vector of length {self.state_dim}, got {y0}"
-            )
-        object.__setattr__(self, "initial_value", y0)
+        _check_stage(self)
         if not 0.0 <= self.declared_rho < 2.0 / 3.0:
             raise DomainError(f"growth power rho must lie in [0, 2/3), got {self.declared_rho}")
-        if (self.wiener is None) != (self.driver.wiener_dim == 0):
-            raise DomainError("wiener coefficient and wiener_dim must agree")
-        if (self.rough is None) != (self.driver.rough_dim == 0):
-            raise DomainError("rough coefficient and rough_dim must agree")
         if self.driver.rough_dim > 0:
             # rho = 0 only strengthens the growth conditions; warn above the bound.
             bound = coupled_growth_power_bound(self.driver.holder_order)
@@ -352,6 +346,7 @@ def _conditions(model, set_id: str):
     raise DomainError(f"unknown assumption set {set_id!r}")
 
 
+VALIDATOR_MIN_SAMPLES = 1000
 _STATE_NAMES = ("x", "x1", "x2", "y", "y1", "y2")
 _TIME_SAMPLES = 33
 _REFINE_ROUNDS = 4
@@ -373,8 +368,10 @@ def validate_assumptions(
     flagged violated only when its claimed constant is exceeded by more than
     a factor 1.01, or when an evaluator returns a non-finite value.
     """
-    if samples < 1000:
-        raise DomainError(f"validators need at least 1000 samples, got {samples}")
+    if samples < VALIDATOR_MIN_SAMPLES:
+        raise DomainError(f"validators need at least {VALIDATOR_MIN_SAMPLES} samples, got {samples}")
+    if not box_radius > 0:
+        raise DomainError(f"box_radius must be positive, got {box_radius}")
     set_id = set_id.upper()
     coupled = set_id == "C"
     if coupled and not isinstance(model, CoupledModelSpec):
@@ -560,11 +557,6 @@ def _linear_mixed(
             "A4-c": 0.0,
             "A4-cx": 0.0,
         },
-        params={
-            "state_dim": d, "wiener_dim": m, "rough_dim": l, "hurst": hs,
-            "initial_value": float(np.atleast_1d(initial_value).ravel()[0]),
-            "horizon": horizon,
-        },
     )
 
 
@@ -639,16 +631,11 @@ def _bounded_trig(
             "B4-cx": float(rough_amp * rough_rate * np.sqrt(l) * horizon ** (1 - beta)),
         },
         holder_beta=holder_beta,
-        params={
-            "state_dim": d, "wiener_dim": m, "rough_dim": l, "hurst": hs,
-            "drift_amp": drift_amp, "wiener_amp": wiener_amp, "rough_amp": rough_amp,
-            "horizon": horizon,
-        },
     )
 
 
 def _geometric_mixed(mu=0.1, sigma_w=0.2, sigma_b=0.3, initial_value=1.0, hurst=0.75, horizon=1.0, holder_order=None):
-    spec = _linear_mixed(
+    linear = _linear_mixed(
         state_dim=1,
         wiener_dim=1,
         rough_dim=1,
@@ -663,23 +650,7 @@ def _geometric_mixed(mu=0.1, sigma_w=0.2, sigma_b=0.3, initial_value=1.0, hurst=
         horizon=horizon,
         holder_order=holder_order,
     )
-    params = {
-        "mu": mu, "sigma_w": sigma_w, "sigma_b": sigma_b,
-        "initial_value": initial_value, "hurst": hurst, "horizon": horizon,
-    }
-    return ModelSpec(
-        name="geometric_mixed",
-        state_dim=1,
-        initial_value=spec.initial_value,
-        horizon=horizon,
-        drift=spec.drift,
-        wiener=spec.wiener,
-        rough=spec.rough,
-        driver=spec.driver,
-        claimed_set="A",
-        claimed_constants=spec.claimed_constants,
-        params=params,
-    )
+    return replace(linear, name="geometric_mixed")
 
 
 def _power_envelope_lipschitz(rho: float) -> float:
@@ -752,11 +723,6 @@ def _stochvol(
             "C6-c": 0.0,
             "C6-cy": 0.0,
         },
-        params={
-            "rho_power": rho, "price_drift": mu_p, "wiener_price_vol": s_w,
-            "rough_price_vol": s_b, "initial_price": initial_price,
-            "hurst": hurst, "horizon": horizon,
-        },
     )
     return vol_model, coupled
 
@@ -818,7 +784,6 @@ def _malliavin_linearized(base: ModelSpec | None = None, initial_value=1.0, **ba
         share_drivers=True,
         declared_rho=0.0,
         claimed_set=None,
-        params={"base": base.name, **dict(base.params)},
     )
     return base, coupled
 

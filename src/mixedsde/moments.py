@@ -256,6 +256,13 @@ def grid_stability_study(
     return grid_stability_tables(model, [target], levels, paths, seed, method, workers)[0]
 
 
+def _level_ratio(prev: float, nxt: float) -> float:
+    """nxt / prev; inf when only prev is 0 (escaping), nan when both are (no move)."""
+    if prev != 0:
+        return nxt / prev
+    return float("nan") if nxt == 0 else float("inf")
+
+
 def grid_stability_tables(
     model,
     targets,
@@ -273,12 +280,7 @@ def grid_stability_tables(
         estimates = tuple(
             _estimate_from_sups(per_level[n][0], per_level[n][1], target) for n in levels
         )
-        ratios = tuple(
-            estimates[i + 1].estimate / estimates[i].estimate
-            if estimates[i].estimate != 0
-            else float("inf")
-            for i in range(len(estimates) - 1)
-        )
+        ratios = tuple(_level_ratio(a.estimate, b.estimate) for a, b in zip(estimates, estimates[1:]))
         tables.append(
             StabilityTable(target=target.label, levels=levels, estimates=estimates, ratios=ratios)
         )

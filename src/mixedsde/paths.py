@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,15 +48,10 @@ class DiscretePath:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """``count`` independent path realizations; values shape (count, n+1, dim).
-
-    ``provenance`` records how the batch was produced (seed, stream role,
-    synthesis method) so run manifests can reproduce it.
-    """
+    """``count`` independent path realizations; values shape (count, n+1, dim)."""
 
     grid: TimeGrid
     values: np.ndarray
-    provenance: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -82,4 +76,4 @@ class PathBatch:
 
     def restrict(self, stride: int) -> "PathBatch":
         """Exact restriction of every path to every stride-th grid point."""
-        return PathBatch(self.grid.coarsen(stride), self.values[:, ::stride, :], dict(self.provenance))
+        return PathBatch(self.grid.coarsen(stride), self.values[:, ::stride, :])

@@ -98,7 +98,7 @@ def _time_major_increments(values, k0, k1):
     return np.subtract(ahead.transpose(1, 0, 2), behind.transpose(1, 0, 2), out=out)
 
 
-def _euler_loop(grid, x0, count, drift, wiener_field, rough_field, w_values, z_values, x_states=None):
+def _euler_loop(model, grid, count, w_values, z_values, x_states=None):
     """Left-point Euler over the grid in time-major blocks of ``_BLOCK_STEPS``.
 
     Each block copies its driver increments and base states into contiguous
@@ -111,6 +111,7 @@ def _euler_loop(grid, x0, count, drift, wiener_field, rough_field, w_values, z_v
     """
     n = grid.step_count
     dt = grid.dt
+    x0, drift, wiener_field, rough_field = model.initial_value, model.drift, model.wiener, model.rough
     dim = len(x0)
     out = np.empty((count, n + 1, dim))
     out[:, 0, :] = x0
@@ -143,6 +144,18 @@ def _euler_loop(grid, x0, count, drift, wiener_field, rough_field, w_values, z_v
     return out, blown, first_bad
 
 
+def _euler_stage(model, grid, count, wiener, rough, x_states=None) -> SolveOutput:
+    """Check a stage's driver batches, run the Euler loop, wrap the result."""
+    count = _check_driver_batch(wiener, model.driver.wiener_dim, grid, count, "wiener")
+    count = _check_driver_batch(rough, model.driver.rough_dim, grid, count, "rough")
+    if count is None:
+        raise DomainError("at least one driver batch is required")
+    w_values = wiener.values if wiener is not None else None
+    z_values = rough.values if rough is not None else None
+    values, blown, first_bad = _euler_loop(model, grid, count, w_values, z_values, x_states)
+    return SolveOutput(PathBatch(grid, values), blown, first_bad, wiener, rough)
+
+
 def euler_mixed(
     model: ModelSpec,
     grid: TimeGrid,
@@ -155,27 +168,7 @@ def euler_mixed(
     evaluated at the left endpoint of every cell for both noise terms.
     """
     model.probe()
-    count = _check_driver_batch(wiener, model.driver.wiener_dim, grid, None, "wiener")
-    count = _check_driver_batch(rough, model.driver.rough_dim, grid, count, "rough")
-    if count is None:
-        raise DomainError("at least one driver batch is required")
-    values, blown, first_bad = _euler_loop(
-        grid,
-        model.initial_value,
-        count,
-        model.drift,
-        model.wiener,
-        model.rough,
-        wiener.values if wiener is not None else None,
-        rough.values if rough is not None else None,
-    )
-    return SolveOutput(
-        paths=PathBatch(grid, values, provenance={"kind": "solution", "model": model.name}),
-        blown=blown,
-        first_nonfinite_index=first_bad,
-        wiener=wiener,
-        rough=rough,
-    )
+    return _euler_stage(model, grid, None, wiener, rough)
 
 
 def solve_model(
@@ -209,26 +202,7 @@ def euler_coupled(
         raise DomainError(
             f"coupled model reads a base state of dim {model_y.base_dim}, got {base_states.dim}"
         )
-    count = _check_driver_batch(wiener, model_y.driver.wiener_dim, grid, base_states.count, "wiener")
-    count = _check_driver_batch(rough, model_y.driver.rough_dim, grid, count, "rough")
-    values, blown, first_bad = _euler_loop(
-        grid,
-        model_y.initial_value,
-        count,
-        model_y.drift,
-        model_y.wiener,
-        model_y.rough,
-        wiener.values if wiener is not None else None,
-        rough.values if rough is not None else None,
-        x_states=base_states.values,
-    )
-    return SolveOutput(
-        paths=PathBatch(grid, values, provenance={"kind": "solution", "model": model_y.name}),
-        blown=blown,
-        first_nonfinite_index=first_bad,
-        wiener=wiener,
-        rough=rough,
-    )
+    return _euler_stage(model_y, grid, base_states.count, wiener, rough, base_states.values)
 
 
 def stage_drivers(
@@ -318,11 +292,7 @@ def closed_form_geometric_batch(
         + params.wiener_vol * wiener.values[:, :, 0]
         + params.rough_vol * rough.values[:, :, 0]
     )
-    return PathBatch(
-        wiener.grid,
-        params.initial_value * np.exp(log_s),
-        provenance={"kind": "closed-form-geometric"},
-    )
+    return PathBatch(wiener.grid, params.initial_value * np.exp(log_s))
 
 
 def closed_form_geometric(

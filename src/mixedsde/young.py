@@ -53,13 +53,12 @@ def _integrand_window(g: DiscretePath, h: DiscretePath, a, b) -> tuple[np.ndarra
 
 
 def _cell_sum(gv: np.ndarray, hv: np.ndarray, stride: int, rule: str) -> np.ndarray:
-    left = gv[:-stride:stride] if stride > 1 else gv[:-1]
-    dh = hv[stride::stride] - hv[:-stride:stride] if stride > 1 else np.diff(hv)
+    left = gv[:-stride:stride]
+    dh = hv[stride::stride] - hv[:-stride:stride]
     if rule == "left":
         weights = left
     elif rule == "trapezoid":
-        right = gv[stride::stride] if stride > 1 else gv[1:]
-        weights = 0.5 * (left + right)
+        weights = 0.5 * (left + gv[stride::stride])
     else:
         raise DomainError(f"unknown evaluation rule {rule!r}")
     return weights.T @ dh
@@ -116,12 +115,10 @@ def young_integrate(
         history.append(float(value[0]) if g.dim == 1 else value)
     if g.dim == 1:
         gap = abs(history[-1] - history[-2])
-        final = history[-1]
     else:
         gap = float(np.linalg.norm(history[-1] - history[-2]))
-        final = history[-1]
     return YoungResult(
-        value=final,
+        value=history[-1],
         refinement_level=max_level,
         error_estimate=float(gap),
         converged=bool(gap < tol),

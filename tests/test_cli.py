@@ -1,11 +1,14 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from mixedsde import model_zoo
 from mixedsde.cli import main, parse_config_file, resolve_config
 from mixedsde.errors import ConfigError
+from mixedsde.moments import MomentTarget, grid_stability_study
 
 
 def write_config(tmp_path, name, body):
@@ -194,6 +197,27 @@ def test_moments_command_constant_model_is_exact(tmp_path):
     assert row["blowup_count"] == "0"
 
 
+def test_moments_ratio_column_is_the_tables_ratio_rule(tmp_path):
+    # Every coefficient and the initial value are 0, so every estimate is 0:
+    # the estimate did not move, which is nan, not an escaping inf.
+    zero = {f"{k}_{part}": 0 for k in ("drift", "wiener", "rough") for part in ("matrix", "offset")}
+    model = model_zoo("linear_mixed", initial_value=0.0, **zero)
+    target = MomentTarget("sup", p=2.0)
+    table = grid_stability_study(model, target, [8, 16], 20, seed=1)
+    assert [e.estimate for e in table.estimates] == [0.0, 0.0]
+    assert len(table.ratios) == 1 and math.isnan(table.ratios[0])
+    body = "".join(f"model.{k}: 0\n" for k in zero)
+    cfg = write_config(
+        tmp_path, "zero.cfg",
+        "model: linear_mixed\nmodel.initial_value: 0\n" + body
+        + "statistic: sup\np: [2]\nlevels: [8, 16]\npaths: 20\nseed: 1\n",
+    )
+    out = tmp_path / "run"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+    ratios = [row["ratio_vs_prev"] for row in read_rows(out / "moments.csv")]
+    assert ratios == ["nan", repr(table.ratios[0])]
+
+
 def test_check_conditions_command(tmp_path):
     cfg = write_config(
         tmp_path, "cc.cfg", "model: bounded_trig\nset: B\nsamples: 2000\nseed: 3\n"
@@ -277,6 +301,22 @@ BAD_VALUE_CASES = {
                   "seed must be a u64"),
     "workers-0": ("solve", "levels: [8]\nworkers: 0\nseed: 1\npaths: 2\n", 2, "workers must be >= 1"),
     "integrate-n-12": ("integrate", "seed: 1\nn: 12\npaths: 2\n", 2, "key 'n' must be a power of two"),
+    "integrate-n-0": ("integrate", "seed: 1\nn: 0\npaths: 2\n", 2, "key 'n': must be >= 1, got 0"),
+    "fbm-n-negative": ("fbm", "hurst: [0.75]\nn: -4\npaths: 2\nseed: 1\n", 2, "key 'n': must be >= 1, got -4"),
+    "boundary-n-0": ("boundary", "model: bounded_trig\ngamma: [1.0]\nc: 1.0\nn: 0\nseed: 1\npaths: 2\n", 4,
+                     "key 'n': must be >= 1, got 0"),
+    "solve-horizon-negative": ("solve", "levels: [8]\nhorizon: -1\nseed: 1\npaths: 2\n", 2,
+                               "key 'horizon': must be positive, got -1.0"),
+    "fernique-horizon-0": ("fernique", "hurst: 0.75\nmu: 0.6\nn: 16\nhorizon: 0\nseed: 1\npaths: 2\n", 4,
+                           "key 'horizon': must be positive, got 0.0"),
+    "samples-0": ("check-conditions", "model: bounded_trig\nset: B\nsamples: 0\nseed: 1\n", 3,
+                  "key 'samples': must be >= 1000, got 0"),
+    "samples-999": ("check-conditions", "model: bounded_trig\nset: B\nsamples: 999\nseed: 1\n", 3,
+                    "key 'samples': must be >= 1000, got 999"),
+    "radius-0": ("check-conditions", "model: bounded_trig\nset: B\nradius: 0\nseed: 1\n", 3,
+                 "key 'radius': must be positive, got 0.0"),
+    "radius-negative": ("check-conditions", "model: bounded_trig\nset: B\nradius: -2\nseed: 1\n", 3,
+                        "key 'radius': must be positive, got -2.0"),
 }
 
 

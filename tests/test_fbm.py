@@ -220,10 +220,12 @@ def test_cholesky_cap_enforced():
 
 
 def test_auto_method_switches_at_threshold():
-    small = generate_fbm(TimeGrid(1.0, 64), 0.75, 1, seed=1, method="auto")
-    large = generate_fbm(TimeGrid(1.0, 512), 0.75, 1, seed=1, method="auto")
-    assert small.provenance["method"] == "cholesky"
-    assert large.provenance["method"] == "circulant"
+    for n, method, other in ((64, "cholesky", "circulant"), (511, "cholesky", "circulant"),
+                             (512, "circulant", "cholesky")):
+        grid = TimeGrid(1.0, n)
+        auto = generate_fbm(grid, 0.75, 3, seed=1, method="auto").values
+        assert np.array_equal(auto, generate_fbm(grid, 0.75, 3, seed=1, method=method).values)
+        assert not np.array_equal(auto, generate_fbm(grid, 0.75, 3, seed=1, method=other).values)
 
 
 def test_unknown_method_rejected():

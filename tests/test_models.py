@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,12 @@ def test_validator_rejects_low_sample_budget_and_wrong_arity():
         validate_assumptions(model_zoo("stochvol")[1], "B", samples=2000)
 
 
+@pytest.mark.parametrize("radius", [0.0, -2.0, float("nan")])
+def test_validator_rejects_a_box_without_size(radius):
+    with pytest.raises(DomainError, match="box_radius must be positive"):
+        validate_assumptions(model_zoo("bounded_trig"), "B", box_radius=radius, samples=1000)
+
+
 # ------------------------------------------------------------------- the zoo
 
 
@@ -244,6 +252,23 @@ def test_model_spec_validation():
             driver=DriverSpec(0, 1, (0.75,), holder_order=0.74),
             holder_beta=0.1,
         )
+
+
+@pytest.mark.parametrize("stage", ["primary", "coupled"])
+def test_both_stage_specs_run_the_same_stage_checks(stage):
+    spec = model_zoo("stochvol")[0 if stage == "primary" else 1]
+    bad = {
+        "horizon": {"horizon": -1.0},
+        "nan horizon": {"horizon": float("nan")},
+        "initial value": {"initial_value": np.full(spec.state_dim, np.inf)},
+        "initial length": {"initial_value": np.zeros(spec.state_dim + 1)},
+        "wiener": {"wiener": None},
+        "rough": {"rough": None},
+    }
+    for label, change in bad.items():
+        with pytest.raises(DomainError):
+            dataclasses.replace(spec, **change)
+            pytest.fail(f"accepted a bad {label}")
 
 
 def test_probe_catches_shape_bugs():

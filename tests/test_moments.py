@@ -20,7 +20,7 @@ from mixedsde import (
     sup_moment_estimate,
     exp_moment_exponent_bound,
 )
-from mixedsde.moments import grid_stability_tables
+from mixedsde.moments import _level_ratio, grid_stability_tables
 
 
 def constant_model(value=2.0):
@@ -148,6 +148,13 @@ def test_moment_target_validation():
 
 
 # ------------------------------------------------------------ stability study
+
+
+def test_level_ratio_zero_rule():
+    assert _level_ratio(2.0, 1.0) == 0.5
+    assert _level_ratio(0.0, 1.0) == math.inf  # escaping from zero
+    assert math.isnan(_level_ratio(0.0, 0.0))  # the estimate did not move
+    assert math.isnan(_level_ratio(math.nan, 1.0))
 
 
 def test_constant_model_stability_ratios_exactly_one():
