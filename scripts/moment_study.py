@@ -51,12 +51,9 @@ def main():
     for table in tables:
         print(f"\n{table.target}")
         print(f"{'n':>6} {'estimate':>14} {'std err':>12} {'blowups':>8} {'ratio':>8}")
-        prev = None
-        for level, est in table.rows:
-            ratio = "" if prev is None else f"{est.estimate / prev:8.4f}"
+        for (level, est), ratio in zip(table.rows, ("", *(f"{r:8.4f}" for r in table.ratios))):
             print(f"{level:>6} {est.estimate:>14.6g} {est.standard_error:>12.4g} "
                   f"{est.blowup_count:>8} {ratio:>8}")
-            prev = est.estimate
         in_band = all(0.8 <= r <= 1.25 for r in table.ratios)
         print(f"ratios within [0.8, 1.25]: {in_band}; total blowups: {table.total_blowups}")
 

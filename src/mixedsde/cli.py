@@ -38,11 +38,12 @@ from .grids import TimeGrid
 from .models import VALIDATOR_MIN_SAMPLES, CoupledModelSpec, model_zoo, validate_assumptions, ZOO_MODELS
 from .moments import (
     MomentTarget,
+    _level_ratio,
     exponent_boundary_study,
     fernique_tail_check,
     grid_stability_tables,
 )
-from .solver import GeometricParams, geometric_convergence_study
+from .solver import GeometricParams, check_levels, geometric_convergence_study
 from .young import young_integrate, young_love_rhs
 
 COMMANDS = ("fbm", "integrate", "solve", "moments", "check-conditions", "fernique", "boundary")
@@ -256,8 +257,13 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
     for name in ("horizon", "radius"):
         if name in config:
             check(config[name] > 0, name, f"key {name!r}: must be positive, got {config[name]}")
-    if command == "integrate":
+    if command in ("integrate", "boundary"):
         check(not config["n"] & (config["n"] - 1), "n", "key 'n' must be a power of two")
+    if "levels" in config:
+        try:
+            check_levels(config["levels"])
+        except DomainError as exc:
+            check(False, "levels", f"key 'levels': {exc}")
     return config
 
 
@@ -396,13 +402,9 @@ def _run_solve(config: dict) -> list[dict]:
         horizon=config["horizon"],
         workers=config["workers"],
     )
-    rows = []
-    prev = None
-    for row in study:
-        ratio = row.mean_abs_terminal_error / prev if prev else float("nan")
-        rows.append({**asdict(row), "error_ratio_vs_prev": ratio})
-        prev = row.mean_abs_terminal_error
-    return rows
+    errors = [row.mean_abs_terminal_error for row in study]
+    ratios = (float("nan"), *(_level_ratio(a, b) for a, b in zip(errors, errors[1:])))
+    return [{**asdict(row), "error_ratio_vs_prev": ratio} for row, ratio in zip(study, ratios)]
 
 
 def _build_model(config: dict):

@@ -187,7 +187,6 @@ def generate_drivers(
     seed: int,
     *,
     stage: str = "x",
-    method: str = "auto",
     path_offset: int = 0,
 ) -> tuple[PathBatch | None, PathBatch | None]:
     """(Wiener, rough) batches for one equation stage.
@@ -215,7 +214,6 @@ def generate_drivers(
                 h,
                 count,
                 seed,
-                method,
                 stream_role=rough_role,
                 component=j,
                 path_offset=path_offset,

@@ -40,6 +40,9 @@ __all__ = [
 # coefficient fields and model specs
 
 
+_JACOBIAN_STEP = 1e-6  # central-difference step when a field has no analytic derivative
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """One evaluatable coefficient of a mixed equation.
@@ -70,7 +73,7 @@ class CoefficientField:
             raise DomainError(f"coupled field {self.name!r} needs the y argument")
         return np.asarray(self.evaluate(t, x, y), dtype=float)
 
-    def jacobian(self, t, x, y=None, step: float = 1e-6) -> np.ndarray:
+    def jacobian(self, t, x, y=None) -> np.ndarray:
         """State Jacobian, analytic when supplied, else central differences."""
         if self.derivative is not None:
             if self.arity == "state":
@@ -81,12 +84,12 @@ class CoefficientField:
         cols = []
         for axis in range(target.shape[1]):
             bump = np.zeros_like(target)
-            bump[:, axis] = step
+            bump[:, axis] = _JACOBIAN_STEP
             if self.arity == "state":
                 hi, lo = self(t, x + bump), self(t, x - bump)
             else:
                 hi, lo = self(t, x, target + bump), self(t, x, target - bump)
-            cols.append((hi - lo) / (2 * step))
+            cols.append((hi - lo) / (2 * _JACOBIAN_STEP))
         return np.stack(cols, axis=-1)
 
 
@@ -612,8 +615,7 @@ def _bounded_trig(
         drift_amp * np.sqrt(d) + wiener_amp * np.sqrt(d * m) + rough_amp * np.sqrt(d * l)
     )
     lipschitz = drift_amp + wiener_amp * np.sqrt(m) + rough_amp * np.sqrt(l)
-    time_const = rough_amp * rough_rate * np.sqrt(d * l) * horizon ** (1 - beta)
-    return ModelSpec(
+    spec = ModelSpec(
         name="bounded_trig",
         state_dim=d,
         initial_value=_as_vector_stack(initial_value, 0, d),
@@ -623,15 +625,16 @@ def _bounded_trig(
         rough=_trig_diffusion(d, l, rough_amp, rough_rate, 0.9, "sin", "trig-rough") if l else None,
         driver=driver,
         claimed_set="B",
-        claimed_constants={
-            "B1": float(bound),
-            "B2": float(rough_amp * np.sqrt(l)),
-            "B3": float(lipschitz),
-            "B4-c": float(time_const),
-            "B4-cx": float(rough_amp * rough_rate * np.sqrt(l) * horizon ** (1 - beta)),
-        },
         holder_beta=holder_beta,
     )
+    # Only now is the horizon known positive, so horizon ** (1 - beta) is real.
+    return replace(spec, claimed_constants={
+        "B1": float(bound),
+        "B2": float(rough_amp * np.sqrt(l)),
+        "B3": float(lipschitz),
+        "B4-c": float(rough_amp * rough_rate * np.sqrt(d * l) * horizon ** (1 - beta)),
+        "B4-cx": float(rough_amp * rough_rate * np.sqrt(l) * horizon ** (1 - beta)),
+    })
 
 
 def _geometric_mixed(mu=0.1, sigma_w=0.2, sigma_b=0.3, initial_value=1.0, hurst=0.75, horizon=1.0, holder_order=None):

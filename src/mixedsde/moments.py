@@ -24,7 +24,7 @@ from .errors import DomainError, EstimationError
 from .fbm import generate_fbm
 from .grids import TimeGrid
 from .models import CoupledModelSpec
-from .solver import SolveOutput, check_levels, euler_coupled, euler_mixed, stage_drivers
+from .solver import SolveOutput, check_levels, solve_levels, stage_drivers
 
 __all__ = [
     "MomentTarget",
@@ -190,51 +190,27 @@ def _unpack_model(model):
     return model, None
 
 
-def _sups_by_level(model, levels, paths, seed, method, workers):
-    """Per-level (sup norms, blown mask), common random numbers across levels.
+def _sups_by_level(model, levels, paths, seed, workers):
+    """{level: (survivor sup norms, blowup count)} under common random numbers.
 
-    Drivers are generated once per path chunk on the finest grid; each level
-    solves on the exact restriction of those paths, so level-to-level
-    differences carry no fresh sampling noise.
+    Drivers are generated once per path chunk on the finest grid and every
+    level solves on their restriction, so level-to-level differences carry
+    no fresh sampling noise.
     """
+    levels = check_levels(levels)
     model_x, model_y = _unpack_model(model)
-    finest = levels[-1]
-    grid_finest = TimeGrid(model_x.horizon, finest)
+    grid_finest = TimeGrid(model_x.horizon, levels[-1])
 
     def job(lo, hi):
-        count = hi - lo
-        w, z, w_y, z_y = stage_drivers(model_x, model_y, grid_finest, count, seed, method, lo)
-        per_level = {}
-        for n in levels:
-            stride = finest // n
-            grid_n = grid_finest.coarsen(stride)
-            out = euler_mixed(
-                model_x,
-                grid_n,
-                w.restrict(stride) if w is not None else None,
-                z.restrict(stride) if z is not None else None,
-            )
-            if model_y is not None:
-                out = euler_coupled(
-                    model_y,
-                    grid_n,
-                    out.paths,
-                    w_y.restrict(stride) if w_y is not None else None,
-                    z_y.restrict(stride) if z_y is not None else None,
-                )
-            sups = np.full(count, np.nan)
-            if (~out.blown).any():
-                sups[~out.blown] = out.survivor_sup_norms()
-            per_level[n] = (sups, out.blown)
-        return per_level
+        drivers = stage_drivers(model_x, model_y, grid_finest, hi - lo, seed, lo)
+        return solve_levels(
+            model_x, model_y, drivers, levels, lambda out: (out.survivor_sup_norms(), out.blowup_count)
+        )
 
     results = parallel.map_paths(job, paths, workers)
-    merged = {}
-    for n in levels:
-        sups = np.concatenate([r[n][0] for r in results])
-        blown = np.concatenate([r[n][1] for r in results])
-        merged[n] = (sups[~blown], int(blown.sum()))
-    return merged
+    return {
+        n: (np.concatenate([r[n][0] for r in results]), sum(r[n][1] for r in results)) for n in levels
+    }
 
 
 def grid_stability_study(
@@ -243,7 +219,6 @@ def grid_stability_study(
     levels,
     paths: int,
     seed: int,
-    method: str = "auto",
     workers: int = 1,
 ) -> StabilityTable:
     """Moment estimates across dyadic levels with common random numbers.
@@ -253,7 +228,7 @@ def grid_stability_study(
     r_n = estimate(2n)/estimate(n) should hover near 1 for a model whose
     moments are finite; blowups or escaping ratios are the failure signal.
     """
-    return grid_stability_tables(model, [target], levels, paths, seed, method, workers)[0]
+    return grid_stability_tables(model, [target], levels, paths, seed, workers)[0]
 
 
 def _level_ratio(prev: float, nxt: float) -> float:
@@ -269,12 +244,11 @@ def grid_stability_tables(
     levels,
     paths: int,
     seed: int,
-    method: str = "auto",
     workers: int = 1,
 ) -> list[StabilityTable]:
     """One stability table per target, all sharing the same solved paths."""
-    levels = check_levels(levels)
-    per_level = _sups_by_level(model, levels, paths, seed, method, workers)
+    per_level = _sups_by_level(model, levels, paths, seed, workers)
+    levels = tuple(per_level)
     tables = []
     for target in targets:
         estimates = tuple(
@@ -321,7 +295,6 @@ def fernique_tail_check(
     grid: TimeGrid,
     paths: int,
     seed: int,
-    method: str = "auto",
     workers: int = 1,
 ) -> FerniqueTailReport:
     """Empirical exp-square tail check for the fBm Holder seminorm."""
@@ -332,7 +305,7 @@ def fernique_tail_check(
     fit_mode = holder_order < hurst
 
     def job(lo, hi):
-        batch = generate_fbm(grid, hurst, hi - lo, seed, method, path_offset=lo)
+        batch = generate_fbm(grid, hurst, hi - lo, seed, path_offset=lo)
         fine = holder_seminorm_batch(batch.values, grid.dt, holder_order)
         if fit_mode:
             return fine, None
@@ -418,7 +391,6 @@ def exponent_boundary_study(
     grid: TimeGrid,
     paths: int,
     seed: int,
-    method: str = "auto",
     workers: int = 1,
 ) -> ExponentBoundaryReport:
     """exp_moment_estimate per gamma on one solved batch, sorted gammas."""
@@ -431,10 +403,7 @@ def exponent_boundary_study(
             f"study grid horizon {grid.horizon} does not match model horizon {model_x.horizon}"
         )
     n = grid.step_count
-    if n & (n - 1):
-        raise DomainError("the study grid must be dyadic")
-    per_level = _sups_by_level(model, (n,), paths, seed, method, workers)
-    sups, blowups = per_level[n]
+    sups, blowups = _sups_by_level(model, (n,), paths, seed, workers)[n]
     estimates = tuple(
         _estimate_from_sups(sups, blowups, MomentTarget("exp", c=c, gamma=g)) for g in gammas
     )

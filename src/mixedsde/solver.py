@@ -32,6 +32,7 @@ __all__ = [
     "solve_coupled",
     "stage_drivers",
     "check_levels",
+    "solve_levels",
     "closed_form_geometric",
     "closed_form_geometric_batch",
     "geometric_convergence_study",
@@ -47,10 +48,6 @@ class SolveOutput:
     first_nonfinite_index: np.ndarray
     wiener: PathBatch | None
     rough: PathBatch | None
-
-    @property
-    def count(self) -> int:
-        return self.paths.count
 
     @property
     def blowup_count(self) -> int:
@@ -171,16 +168,9 @@ def euler_mixed(
     return _euler_stage(model, grid, None, wiener, rough)
 
 
-def solve_model(
-    model: ModelSpec,
-    grid: TimeGrid,
-    count: int,
-    seed: int,
-    method: str = "auto",
-    path_offset: int = 0,
-) -> SolveOutput:
+def solve_model(model: ModelSpec, grid: TimeGrid, count: int, seed: int) -> SolveOutput:
     """Generate the model's drivers from the seed, then run the Euler scheme."""
-    w, z, _, _ = stage_drivers(model, None, grid, count, seed, method, path_offset)
+    w, z, _, _ = stage_drivers(model, None, grid, count, seed, 0)
     return euler_mixed(model, grid, w, z)
 
 
@@ -211,7 +201,6 @@ def stage_drivers(
     grid: TimeGrid,
     count: int,
     seed: int,
-    method: str,
     path_offset: int,
 ) -> tuple[PathBatch | None, PathBatch | None, PathBatch | None, PathBatch | None]:
     """(w, z, w_y, z_y): primary drivers, then the coupled stage's.
@@ -231,14 +220,12 @@ def stage_drivers(
             != (model_x.driver.wiener_dim, model_x.driver.rough_dim, model_x.driver.rough_hurst)
         ):
             raise DomainError("shared drivers require identical driver specs on both stages")
-    w, z = generate_drivers(model_x.driver, grid, count, seed, stage="x", method=method, path_offset=path_offset)
+    w, z = generate_drivers(model_x.driver, grid, count, seed, stage="x", path_offset=path_offset)
     if model_y is None:
         return w, z, None, None
     if model_y.share_drivers:
         return w, z, w, z
-    w_y, z_y = generate_drivers(
-        model_y.driver, grid, count, seed, stage="y", method=method, path_offset=path_offset
-    )
+    w_y, z_y = generate_drivers(model_y.driver, grid, count, seed, stage="y", path_offset=path_offset)
     return w, z, w_y, z_y
 
 
@@ -248,8 +235,6 @@ def solve_coupled(
     grid: TimeGrid,
     seed: int,
     count: int,
-    method: str = "auto",
-    path_offset: int = 0,
 ) -> tuple[SolveOutput, SolveOutput]:
     """Solve the primary stage, then the coupled stage along its state.
 
@@ -258,7 +243,7 @@ def solve_coupled(
     of the first unless the coupled model requests shared ones (the
     linearized sensitivity equation does).
     """
-    w, z, w_y, z_y = stage_drivers(model_x, model_y, grid, count, seed, method, path_offset)
+    w, z, w_y, z_y = stage_drivers(model_x, model_y, grid, count, seed, 0)
     out_x = euler_mixed(model_x, grid, w, z)
     out_y = euler_coupled(model_y, grid, out_x.paths, w_y, z_y)
     return out_x, out_y
@@ -320,6 +305,27 @@ def check_levels(levels) -> tuple[int, ...]:
     return levels
 
 
+def solve_levels(model_x, model_y, drivers, levels, reduce) -> dict:
+    """{level: reduce(output)} over dyadic grid levels on common drivers.
+
+    ``drivers`` is the (w, z, w_y, z_y) tuple :func:`stage_drivers` draws on
+    the finest level's grid. Each level solves on their exact restriction,
+    then runs the coupled stage when ``model_y`` is given, and reduces the
+    last stage's output before the next level is solved: only the
+    reductions are kept.
+    """
+    results = {}
+    for n in levels:
+        stride = levels[-1] // n
+        w, z, w_y, z_y = (None if d is None else d.restrict(stride) for d in drivers)
+        grid = TimeGrid(model_x.horizon, n)
+        out = euler_mixed(model_x, grid, w, z)
+        if model_y is not None:
+            out = euler_coupled(model_y, grid, out.paths, w_y, z_y)
+        results[n] = reduce(out)
+    return results
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     step_count: int
@@ -334,7 +340,6 @@ def geometric_convergence_study(
     paths: int,
     seed: int,
     horizon: float = 1.0,
-    method: str = "auto",
     workers: int = 1,
 ) -> list[ConvergenceRow]:
     """Euler terminal error against the closed form over dyadic grid levels.
@@ -357,13 +362,11 @@ def geometric_convergence_study(
     grid_finest = TimeGrid(horizon, levels[-1])
 
     def job(lo, hi):
-        w, z, _, _ = stage_drivers(model, None, grid_finest, hi - lo, seed, method, lo)
-        exact_terminal = closed_form_geometric_batch(params, w, z).values[:, -1, 0]
-        errors = {}
-        for n in levels:
-            stride = levels[-1] // n
-            out = euler_mixed(model, grid_finest.coarsen(stride), w.restrict(stride), z.restrict(stride))
-            errors[n] = np.abs(out.paths.values[:, -1, 0] - exact_terminal)
+        drivers = stage_drivers(model, None, grid_finest, hi - lo, seed, lo)
+        exact_terminal = closed_form_geometric_batch(params, *drivers[:2]).values[:, -1, 0]
+        errors = solve_levels(
+            model, None, drivers, levels, lambda out: np.abs(out.paths.values[:, -1, 0] - exact_terminal)
+        )
         return errors, np.abs(exact_terminal)
 
     results = parallel.map_paths(job, paths, workers)

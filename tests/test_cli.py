@@ -8,7 +8,7 @@ import pytest
 from mixedsde import model_zoo
 from mixedsde.cli import main, parse_config_file, resolve_config
 from mixedsde.errors import ConfigError
-from mixedsde.moments import MomentTarget, grid_stability_study
+from mixedsde.moments import MomentTarget, _level_ratio, grid_stability_study
 
 
 def write_config(tmp_path, name, body):
@@ -218,6 +218,16 @@ def test_moments_ratio_column_is_the_tables_ratio_rule(tmp_path):
     assert ratios == ["nan", repr(table.ratios[0])]
 
 
+def test_solve_ratio_column_is_the_tables_ratio_rule(tmp_path):
+    cfg = write_config(tmp_path, "solve.cfg", "levels: [8, 16, 32]\npaths: 50\nseed: 2\n")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "solve.csv")
+    errors = [float(row["mean_abs_terminal_error"]) for row in rows]
+    expected = ["nan", *(repr(_level_ratio(a, b)) for a, b in zip(errors, errors[1:]))]
+    assert [row["error_ratio_vs_prev"] for row in rows] == expected
+
+
 def test_check_conditions_command(tmp_path):
     cfg = write_config(
         tmp_path, "cc.cfg", "model: bounded_trig\nset: B\nsamples: 2000\nseed: 3\n"
@@ -303,6 +313,13 @@ BAD_VALUE_CASES = {
     "integrate-n-12": ("integrate", "seed: 1\nn: 12\npaths: 2\n", 2, "key 'n' must be a power of two"),
     "integrate-n-0": ("integrate", "seed: 1\nn: 0\npaths: 2\n", 2, "key 'n': must be >= 1, got 0"),
     "fbm-n-negative": ("fbm", "hurst: [0.75]\nn: -4\npaths: 2\nseed: 1\n", 2, "key 'n': must be >= 1, got -4"),
+    "boundary-n-12": ("boundary", "model: bounded_trig\ngamma: [1.0]\nc: 1.0\nn: 12\nseed: 1\npaths: 2\n", 4,
+                      "key 'n' must be a power of two"),
+    "solve-levels-non-dyadic": ("solve", "seed: 1\nlevels: [8, 12]\npaths: 2\n", 2,
+                                "key 'levels': levels must be dyadic (powers of two), got 12"),
+    "moments-levels-decreasing": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\nlevels: [16, 8]\n"
+                                  "seed: 1\npaths: 2\n", 4,
+                                  "key 'levels': levels must be strictly increasing, got (16, 8)"),
     "boundary-n-0": ("boundary", "model: bounded_trig\ngamma: [1.0]\nc: 1.0\nn: 0\nseed: 1\npaths: 2\n", 4,
                      "key 'n': must be >= 1, got 0"),
     "solve-horizon-negative": ("solve", "levels: [8]\nhorizon: -1\nseed: 1\npaths: 2\n", 2,

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,14 @@ def test_both_stage_specs_run_the_same_stage_checks(stage):
         with pytest.raises(DomainError):
             dataclasses.replace(spec, **change)
             pytest.fail(f"accepted a bad {label}")
+
+
+@pytest.mark.parametrize("name", ["bounded_trig", "stochvol"])
+def test_zoo_rejects_a_negative_horizon_without_warning(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="horizon must be positive"):
+            model_zoo(name, horizon=-1)
 
 
 def test_probe_catches_shape_bugs():

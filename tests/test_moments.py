@@ -263,6 +263,11 @@ def test_boundary_single_gamma_degenerate_input():
     assert len(report.estimates) == 1
 
 
+def test_boundary_rejects_a_non_dyadic_grid():
+    with pytest.raises(DomainError, match="dyadic"):
+        exponent_boundary_study(model_zoo("bounded_trig"), [1.0], 1.0, TimeGrid(1.0, 12), 100, seed=1)
+
+
 def test_boundary_requires_sorted_gammas():
     with pytest.raises(DomainError):
         exponent_boundary_study(

@@ -80,6 +80,7 @@ _STUDIES = {
         model_zoo("bounded_trig"), [0.6, 1.5], 1.0, TimeGrid(1.0, 64), 700, seed=4
     ),
     "fernique": lambda: fernique_tail_check(0.75, 0.6, TimeGrid(1.0, 64), 700, seed=5),
+    "convergence": lambda: geometric_convergence_study(GeometricParams(), 0.75, [16, 64], 700, seed=6),
 }
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from mixedsde import (
     solve_coupled,
     solve_model,
 )
+from mixedsde.solver import euler_coupled, solve_levels, stage_drivers
 
 
 def constant_field(value, dim=1, columns=0):
@@ -155,6 +158,29 @@ def test_grid_halving_errors_shrink():
     errors = [r.mean_abs_terminal_error for r in rows]
     for a, b in zip(errors, errors[1:]):
         assert b < 1.1 * a  # monotone within a 10% noise allowance
+
+
+@pytest.mark.parametrize("name", ["linear_mixed", "stochvol"])
+def test_solve_levels_reduces_each_level_before_solving_the_next(name):
+    model = model_zoo(name)
+    model_x, model_y = model if isinstance(model, tuple) else (model, None)
+    levels = (8, 16, 32)
+    drivers = stage_drivers(model_x, model_y, TimeGrid(1.0, 32), 6, 3, 0)
+    outputs = []
+
+    def reduce(out):
+        assert all(ref() is None for ref in outputs), "the previous level's output is still alive"
+        outputs.append(weakref.ref(out))
+        return out.paths.values.copy()
+
+    got = solve_levels(model_x, model_y, drivers, levels, reduce)
+    assert list(got) == list(levels)
+    for n in levels:
+        w, z, w_y, z_y = (None if d is None else d.restrict(32 // n) for d in drivers)
+        direct = euler_mixed(model_x, TimeGrid(1.0, n), w, z)
+        if model_y is not None:
+            direct = euler_coupled(model_y, TimeGrid(1.0, n), direct.paths, w_y, z_y)
+        assert np.array_equal(got[n], direct.paths.values, equal_nan=True)
 
 
 def test_positivity_of_geometric_paths():
