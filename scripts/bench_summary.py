@@ -1,0 +1,79 @@
+"""Summarise paired benchmark result files into one committed BENCH_*.json.
+
+Each ``perfbench/run.py --trace 0`` invocation writes one result file under
+``.perfbench/results/``. Run the parent and the change alternately, each
+from its own checkout, then pass both sets of files:
+
+    python scripts/bench_summary.py --out BENCH_8.json \\
+        --parent ../parent/.perfbench/results/*.json \\
+        --change .perfbench/results/*.json
+
+Per workload, seed and side, the summary holds the median and quartiles of each
+end-to-end metric over the invocations, the invocation and study-run
+counts, the CSV sha256, the environment, and the source file names.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+from pathlib import Path
+
+import numpy as np
+
+# end-to-end metric -> +1 when higher is better, -1 when lower is better
+METRICS = {"paths_per_s": 1, "setup_s": -1, "peak_rss_mb": -1}
+
+
+def _side(files: list[Path]) -> dict:
+    by_workload: dict[str, list[dict]] = {}
+    for path in sorted(files):
+        record = json.loads(path.read_text())
+        if "end_to_end" in record:
+            key = f"{record['workload']}-seed{record['seed']}"
+            by_workload.setdefault(key, []).append({**record, "file": path.name})
+    out = {}
+    for workload, records in by_workload.items():
+        env = records[0]["environment"]
+        metrics = {}
+        for name in METRICS:
+            values = [r["end_to_end"][name] for r in records]
+            q1, median, q3 = np.percentile(values, [25, 50, 75])
+            metrics[name] = {"median": median, "q1": q1, "q3": q3, "values": values}
+        out[workload] = {
+            "metrics": metrics,
+            "invocations": len(records),
+            "study_runs": sum(r["samples"]["runs"] for r in records),
+            "failed_runs": sum(r["failed"] for r in records),
+            "csv_sha256": sorted({r["csv_sha256"] for r in records}),
+            "environment": {k: env.get(k) for k in ("python", "numpy", "scipy", "nproc", "workers",
+                                                     "blas_threads", "cpu_model", "git_commit")},
+            "files": [r["file"] for r in records],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--parent", nargs="+", required=True, type=Path)
+    parser.add_argument("--change", nargs="+", required=True, type=Path)
+    args = parser.parse_args(argv)
+    parent, change = _side(args.parent), _side(args.change)
+    summary = {}
+    for workload in sorted(parent.keys() & change.keys()):
+        before, after = parent[workload]["metrics"], change[workload]["metrics"]
+        ratios = {name: after[name]["median"] / before[name]["median"] for name in METRICS}
+        # the i-th invocations of both sides (in file-name, hence time, order) form pair i
+        wins = {
+            name: sum(sign * (b - a) > 0 for a, b in zip(before[name]["values"], after[name]["values"]))
+            for name, sign in METRICS.items()
+        }
+        summary[workload] = {"parent": parent[workload], "change": change[workload],
+                             "change_over_parent_median": ratios, "pairs_change_better": wins}
+    args.out.write_text(json.dumps(summary, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -30,6 +30,7 @@ SEMINORM_CAP = 8192
 
 _LAG_GROUP = 16  # consecutive lags that share one pruning bound
 _PATH_BLOCK = 256  # paths per block while the lag-group bounds are built
+_SCAN_VALUES = 2**17  # values per row block of the lag scan (1 MB of float64)
 # Relative headroom on a bound before it may skip a group: far above the few
 # ulps by which pow, or the norm's sum in another memory order, can break
 # monotonicity, and far below any gap worth pruning.
@@ -166,22 +167,27 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
         raise ResourceError(f"seminorm scan capped at {SEMINORM_CAP} steps, got {n}")
     best = np.zeros(values.shape[0])
     bounds = _lag_group_bounds(values, dt, exponent)
+    block = max(1, _SCAN_VALUES // values[0].size)
+    scratch = np.empty((min(block, values.shape[0]), n) + values.shape[2:])
     for g in np.argsort(-bounds.max(axis=0, initial=-np.inf), kind="stable"):
         bound = bounds[:, g]
         settled = (bound < np.inf) & (bound * _SLACK <= best)
         rows = np.flatnonzero(~settled & ~np.isnan(best))
         if not rows.size:
             continue
-        sub = values[rows]
-        group_best = best[rows]
-        for lag in range(_LAG_GROUP * g + 1, min(_LAG_GROUP * (g + 1), n) + 1):
-            diff = sub[:, lag:] - sub[:, :-lag]
-            if diff.ndim == 3:
-                inc = np.linalg.norm(diff, axis=-1).max(axis=1)
-            else:
-                inc = np.abs(diff, out=diff).max(axis=1)
-            np.maximum(group_best, inc / (lag * dt) ** exponent, out=group_best)
-        best[rows] = group_best
+        lags = range(_LAG_GROUP * g + 1, min(_LAG_GROUP * (g + 1), n) + 1)
+        for start in range(0, rows.size, block):
+            chunk = rows[start : start + block]
+            sub = values[chunk]
+            group_best = best[chunk]
+            for lag in lags:
+                diff = np.subtract(sub[:, lag:], sub[:, :-lag], out=scratch[: chunk.size, : n + 1 - lag])
+                if diff.ndim == 3:
+                    inc = np.linalg.norm(diff, axis=-1).max(axis=1)
+                else:
+                    inc = np.abs(diff, out=diff).max(axis=1)
+                np.maximum(group_best, inc / (lag * dt) ** exponent, out=group_best)
+            best[chunk] = group_best
     return best
 
 

@@ -407,13 +407,22 @@ def _run_solve(config: dict) -> list[dict]:
     return [{**asdict(row), "error_ratio_vs_prev": ratio} for row, ratio in zip(study, ratios)]
 
 
+class _ModelParamsError(ConfigError):
+    """The zoo builder refused the config's ``model`` and ``model.*`` entries."""
+
+
+def _model_line(entries) -> int:
+    """Line of the first ``model.*`` key, or of ``model:`` when there is none."""
+    return next((line for key, (_, line) in entries.items() if key.startswith("model.")), entries["model"][1])
+
+
 def _build_model(config: dict):
     params = config.get("model_params", {})
     try:
         return model_zoo(config["model"], **params)
     except (TypeError, ValueError) as exc:
         given = ", ".join(f"model.{k}: {v!r}" for k, v in params.items())
-        raise ConfigError(f"bad model parameters for {config['model']!r} ({given}): {exc}")
+        raise _ModelParamsError(f"bad model parameters for {config['model']!r} ({given}): {exc}")
 
 
 def _run_moments(config: dict) -> list[dict]:
@@ -535,7 +544,10 @@ def main(argv=None) -> int:
     try:
         entries = parse_config_file(args.config)
         config = resolve_config(args.command, entries, args.config, overrides)
-        rows = _RUNNERS[args.command](config)
+        try:
+            rows = _RUNNERS[args.command](config)
+        except _ModelParamsError as exc:
+            raise ConfigError(str(exc), path=args.config, line=_model_line(entries)) from None
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -37,8 +37,10 @@ __all__ = [
 CHOLESKY_CAP = 4096
 CIRCULANT_THRESHOLD = 512
 _EIG_TOLERANCE = -1e-9
-_CHUNK_VALUES = 2**22  # cap scratch blocks at ~32 MB of float64
-_CHOLESKY_ROWS = 64
+# Paths per synthesis block. Blocks are aligned to the absolute path index,
+# so scratch stays a few MB whatever the batch size, and a path's bits do
+# not depend on how a batch was partitioned.
+_BLOCK_ROWS = 64
 
 
 def fbm_covariance(t: float, s: float, hurst: float) -> float:
@@ -70,10 +72,10 @@ def fgn_circulant_eigenvalues(step_count: int, hurst: float) -> np.ndarray:
     return np.fft.fft(first_row).real
 
 
-def _chunks(count: int, row_width: int):
-    size = max(1, _CHUNK_VALUES // max(1, row_width))
-    for lo in range(0, count, size):
-        yield lo, min(count, lo + size)
+def _blocks(count: int, offset: int):
+    """(lo, hi) path-index ranges covering offset..offset+count, cut at multiples of _BLOCK_ROWS."""
+    for b0 in range(offset - offset % _BLOCK_ROWS, offset + count, _BLOCK_ROWS):
+        yield max(b0, offset), min(b0 + _BLOCK_ROWS, offset + count)
 
 
 def _fbm_cholesky(grid, hurst, count, seed, tag, offset):
@@ -85,16 +87,14 @@ def _fbm_cholesky(grid, hurst, count, seed, tag, offset):
     factor_t = np.linalg.cholesky(fbm_covariance_matrix(grid, hurst)).T
     out = np.zeros((count, n + 1))
     # BLAS may round a row differently in products of different heights, so
-    # every product has _CHOLESKY_ROWS rows, aligned to the absolute path
-    # index and zero-padded at the edges: a row's bits depend only on
-    # (seed, path index), never on how the paths were partitioned.
-    block = np.zeros((_CHOLESKY_ROWS, n))
-    for b0 in range(offset - offset % _CHOLESKY_ROWS, offset + count, _CHOLESKY_ROWS):
-        lo, hi = max(b0, offset), min(b0 + _CHOLESKY_ROWS, offset + count)
-        if hi - lo < _CHOLESKY_ROWS:
+    # every product has _BLOCK_ROWS rows, zero-padded at the batch edges.
+    block = np.zeros((_BLOCK_ROWS, n))
+    for lo, hi in _blocks(count, offset):
+        pad = lo % _BLOCK_ROWS
+        if hi - lo < _BLOCK_ROWS:
             block[:] = 0.0
-        block[lo - b0 : hi - b0] = rnd.normal_matrix(seed, tag, n, hi - lo, offset=lo)
-        out[lo - offset : hi - offset, 1:] = (block @ factor_t)[lo - b0 : hi - b0]
+        block[pad : pad + hi - lo] = rnd.normal_matrix(seed, tag, n, hi - lo, offset=lo)
+        out[lo - offset : hi - offset, 1:] = (block @ factor_t)[pad : pad + hi - lo]
     return out
 
 
@@ -109,17 +109,25 @@ def _fbm_circulant(grid, hurst, count, seed, tag, offset):
     weights = np.sqrt(np.clip(lam, 0.0, None) / (2 * (2 * n)))
     scale = grid.dt ** check_hurst(hurst)
     out = np.zeros((count, n + 1))
-    for lo, hi in _chunks(count, 4 * n):
-        z = rnd.normal_matrix(seed, tag, 2 * n, hi - lo, offset=offset + lo)
-        spectrum = np.empty((hi - lo, 2 * n), dtype=np.complex128)
-        spectrum[:, 0] = z[:, 0] * np.sqrt(2.0)
-        spectrum[:, n] = z[:, 1] * np.sqrt(2.0)
-        spectrum[:, 1:n] = z[:, 2::2] + 1j * z[:, 3::2]
-        spectrum[:, n + 1:] = np.conj(spectrum[:, 1:n][:, ::-1])
+    # Hermitian spectrum of each path, built in place: column 0 and n are real,
+    # columns n+1.. mirror 1..n-1 with the imaginary part negated.
+    buffer = np.zeros((_BLOCK_ROWS, 2 * n), dtype=np.complex128)
+    for lo, hi in _blocks(count, offset):
+        z = rnd.normal_matrix(seed, tag, 2 * n, hi - lo, offset=lo)
+        spectrum = buffer[: hi - lo]
+        re, im = spectrum.real, spectrum.imag
+        np.multiply(z[:, 0], np.sqrt(2.0), out=re[:, 0])
+        np.multiply(z[:, 1], np.sqrt(2.0), out=re[:, n])
+        im[:, 0] = im[:, n] = 0.0
+        re[:, 1:n] = z[:, 2::2]
+        im[:, 1:n] = z[:, 3::2]
+        re[:, n + 1 :] = z[:, -2:1:-2]
+        np.negative(z[:, -1:2:-2], out=im[:, n + 1 :])
         spectrum *= weights[None, :]
         fgn = np.fft.fft(spectrum, axis=1).real[:, :n]
-        np.cumsum(fgn, axis=1, out=out[lo:hi, 1:])
-    out[:, 1:] *= scale
+        rows = out[lo - offset : hi - offset, 1:]
+        np.cumsum(fgn, axis=1, out=rows)
+        rows *= scale
     return out
 
 
@@ -174,9 +182,10 @@ def generate_wiener(
     values = np.zeros((count, n + 1, dim))
     for component in range(dim):
         tag = rnd.stream_tag(stream_role, component)
-        for lo, hi in _chunks(count, n):
-            z = rnd.normal_matrix(seed, tag, n, hi - lo, offset=path_offset + lo)
-            np.cumsum(z * root_dt, axis=1, out=values[lo:hi, 1:, component])
+        for lo, hi in _blocks(count, path_offset):
+            z = rnd.normal_matrix(seed, tag, n, hi - lo, offset=lo)
+            z *= root_dt
+            np.cumsum(z, axis=1, out=values[lo - path_offset : hi - path_offset, 1:, component])
     return PathBatch(grid, values)
 
 
@@ -206,19 +215,17 @@ def generate_drivers(
         wiener = generate_wiener(
             grid, spec.wiener_dim, count, seed, stream_role=wiener_role, path_offset=path_offset
         )
+
+    def component(j):
+        return generate_fbm(
+            grid, spec.rough_hurst[j], count, seed, stream_role=rough_role, component=j, path_offset=path_offset
+        )
+
     rough = None
-    if spec.rough_dim > 0:
-        columns = [
-            generate_fbm(
-                grid,
-                h,
-                count,
-                seed,
-                stream_role=rough_role,
-                component=j,
-                path_offset=path_offset,
-            ).values[:, :, 0]
-            for j, h in enumerate(spec.rough_hurst)
-        ]
-        rough = PathBatch(grid, np.stack(columns, axis=2))
+    if spec.rough_dim == 1:
+        rough = component(0)
+    elif spec.rough_dim > 1:
+        rough = PathBatch(grid, np.empty((count, grid.step_count + 1, spec.rough_dim)))
+        for j in range(spec.rough_dim):
+            rough.values[:, :, j] = component(j).values[:, :, 0]
     return wiener, rough

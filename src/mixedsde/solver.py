@@ -55,7 +55,9 @@ class SolveOutput:
 
     def survivor_sup_norms(self) -> np.ndarray:
         """Sup of the Euclidean norm over the grid, survivors only."""
-        alive = self.paths.values[~self.blown]
+        alive = self.paths.values
+        if self.blown.any():
+            alive = alive[~self.blown]
         if alive.shape[0] == 0:
             return np.empty(0)
         if alive.shape[2] == 1:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from mixedsde import (
     norm_report,
     sup_norm,
 )
+from mixedsde import analysis
 from mixedsde.analysis import holder_seminorm_batch
 
 
@@ -326,3 +329,38 @@ def test_exponent_estimate_wiener_ensemble_median():
 def test_exponent_estimate_fbm_ensemble_median(fbm_750_1024):
     slopes = [holder_exponent_estimate(fbm_750_1024.path(i)) for i in range(fbm_750_1024.count)]
     assert abs(float(np.median(slopes)) - 0.75) < 0.05
+
+
+# ------------------------------------------------- row blocks of the lag scan
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_seminorm_batch_exact_at_row_block_edges(dim):
+    n = 32
+    block = analysis._SCAN_VALUES // ((n + 1) * dim)  # rows per scan block
+    rng = np.random.default_rng(dim)
+    walks = np.cumsum(rng.standard_normal((2 * block + 3, n + 1, dim)), axis=1)
+    walks[0, 5] = np.nan  # first block
+    walks[block, 9] = np.inf  # second block
+    walks[2 * block + 1, 20] = -np.inf  # third block
+    for count in (1, block - 1, block, block + 1, 2 * block + 3):
+        for gamma in (0.3, 0.65, 1.0):
+            got = assert_exact(walks[:count], 1.0 / n, gamma)
+            assert np.isnan(got[0])
+    got = holder_seminorm_batch(walks, 1.0 / n, 0.65)
+    assert got[block] == np.inf and got[2 * block + 1] == np.inf
+
+
+def test_seminorm_scratch_does_not_grow_with_the_batch():
+    rng = np.random.default_rng(3)
+    walks = np.cumsum(rng.standard_normal((2048, 513)), axis=1)
+    peaks = []
+    for count in (512, 2048):
+        values = walks[:count]
+        tracemalloc.start()
+        try:
+            best = holder_seminorm_batch(values, 1.0 / 512, 0.65)
+            peaks.append(tracemalloc.get_traced_memory()[1] - best.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * 2**20

@@ -334,6 +334,12 @@ BAD_VALUE_CASES = {
                  "key 'radius': must be positive, got 0.0"),
     "radius-negative": ("check-conditions", "model: bounded_trig\nset: B\nradius: -2\nseed: 1\n", 3,
                         "key 'radius': must be positive, got -2.0"),
+    "model-horizon-negative": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\nlevels: [8]\nseed: 1\n"
+                               "paths: 2\nmodel.drift_amp: 0.2\nmodel.horizon: -1\n", 7,
+                               "bad model parameters for 'bounded_trig' (model.drift_amp: 0.2, model.horizon: -1): "
+                               "horizon must be positive"),
+    "model-unknown-parameter": ("check-conditions", "seed: 1\nset: B\nmodel: bounded_trig\nmodel.nonsense: 1\n",
+                                4, "bad model parameters for 'bounded_trig' (model.nonsense: 1):"),
 }
 
 
@@ -347,6 +353,14 @@ def test_bad_value_exits_2_naming_the_line(tmp_path, capsys, case):
     assert err.startswith("config error:")
     assert f"bad.cfg:{line}: {message}" in err
     assert not out.exists()
+
+
+def test_model_errors_name_the_first_model_key_else_the_model_line():
+    from mixedsde.cli import _model_line
+
+    entries = {"model": ("bounded_trig", 2), "seed": (1, 3), "model.hurst": (0.7, 5), "model.horizon": (-1, 6)}
+    assert _model_line(entries) == 5
+    assert _model_line({"seed": (1, 1), "model": ("stochvol", 4)}) == 4
 
 
 def test_bad_override_exits_2_naming_only_the_file(tmp_path, capsys):

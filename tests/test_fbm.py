@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,3 +273,64 @@ def test_rough_components_follow_their_own_hurst():
         mid = z.values[:, 16, j].var()
         expected = 0.5 ** (2 * hurst)
         assert abs(mid - expected) < 4 * expected * np.sqrt(2.0 / 6000)
+
+
+# ------------------------------------------------------- blocks and scratch
+
+# (path_offset, count) slices that start, end or straddle the 64-path blocks
+BLOCK_SLICES = [(0, 1), (63, 1), (63, 2), (1, 64), (64, 64), (60, 70), (127, 73), (5, 195)]
+
+
+@pytest.mark.parametrize("method", ["circulant", "cholesky"])
+def test_fbm_slices_across_blocks_equal_rows_of_one_batch(method):
+    grid = TimeGrid(1.0, 64)
+    whole = generate_fbm(grid, 0.7, 200, seed=8, method=method).values
+    for offset, count in BLOCK_SLICES:
+        part = generate_fbm(grid, 0.7, count, seed=8, method=method, path_offset=offset).values
+        assert np.array_equal(part, whole[offset : offset + count]), (offset, count)
+
+
+def test_wiener_slices_across_blocks_equal_rows_of_one_batch():
+    grid = TimeGrid(1.0, 32)
+    whole = generate_wiener(grid, 2, 200, seed=8).values
+    for offset, count in BLOCK_SLICES:
+        part = generate_wiener(grid, 2, count, seed=8, path_offset=offset).values
+        assert np.array_equal(part, whole[offset : offset + count]), (offset, count)
+
+
+def test_multi_component_drivers_equal_their_single_components():
+    grid = TimeGrid(1.0, 32)
+    _, z = generate_drivers(DriverSpec(0, 2, (0.6, 0.9)), grid, 70, seed=4, path_offset=3)
+    for j, hurst in enumerate((0.6, 0.9)):
+        alone = generate_fbm(grid, hurst, 70, seed=4, component=j, path_offset=3).values[:, :, 0]
+        assert np.array_equal(z.values[:, :, j], alone)
+
+
+MB = 2**20
+
+
+def scratch_bytes(make):
+    """Traced peak allocation of ``make()`` minus the bytes of what it returns."""
+    tracemalloc.start()
+    try:
+        batch = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - batch.values.nbytes
+
+
+def test_circulant_scratch_does_not_grow_with_the_batch():
+    grid = TimeGrid(1.0, 512)
+    small, large = (
+        scratch_bytes(lambda: generate_fbm(grid, 0.75, count, seed=1, method="circulant")) for count in (512, 2048)
+    )
+    assert large - small < 2 * MB
+    assert large < 8 * MB
+
+
+def test_wiener_scratch_does_not_grow_with_the_batch():
+    grid = TimeGrid(1.0, 512)
+    small, large = (scratch_bytes(lambda: generate_wiener(grid, 1, count, seed=1)) for count in (512, 2048))
+    assert large - small < 2 * MB
+    assert large < 4 * MB

@@ -1,5 +1,6 @@
-"""Smoke runs of the research scripts and the README quick start at tiny scale: each must exit 0."""
+"""Smoke runs of the scripts and the README quick start at tiny scale: each must exit 0."""
 
+import json
 import os
 import subprocess
 import sys
@@ -45,3 +46,32 @@ def test_readme_quick_start_runs():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_bench_summary_pairs_parent_and_change_results(tmp_path):
+    def result(side, i, rss):
+        record = {
+            "workload": "fernique_tail", "seed": 5, "failed": 0, "csv_sha256": "abc", "samples": {"runs": 3},
+            "environment": {"python": "3", "numpy": "2", "scipy": "1", "nproc": 2, "workers": 2},
+            "end_to_end": {"paths_per_s": 100.0 + i, "setup_s": 0.5, "peak_rss_mb": rss},
+        }
+        path = tmp_path / f"{side}-{i}.json"
+        path.write_text(json.dumps(record))
+        return str(path)
+
+    parent = [result("parent", i, 300.0 + i) for i in range(4)]
+    change = [result("change", i, 100.0 + i) for i in range(4)]
+    out = tmp_path / "BENCH.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_summary.py"), "--out", str(out),
+         "--parent", *parent, "--change", *change],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(out.read_text())["fernique_tail-seed5"]
+    assert summary["parent"]["metrics"]["peak_rss_mb"]["median"] == 301.5
+    assert summary["change"]["metrics"]["peak_rss_mb"]["q1"] == 100.75
+    assert summary["change"]["invocations"] == 4 and summary["change"]["study_runs"] == 12
+    assert summary["change_over_parent_median"]["peak_rss_mb"] == 101.5 / 301.5
+    assert summary["pairs_change_better"] == {"paths_per_s": 0, "setup_s": 0, "peak_rss_mb": 4}
+    assert summary["change"]["files"] == [f"change-{i}.json" for i in range(4)]
