@@ -4,13 +4,17 @@ Each ``perfbench/run.py --trace 0`` invocation writes one result file under
 ``.perfbench/results/``. Run the parent and the change alternately, each
 from its own checkout, then pass both sets of files:
 
-    python scripts/bench_summary.py --out BENCH_8.json \\
+    python scripts/bench_summary.py --out BENCH_9.json \\
         --parent ../parent/.perfbench/results/*.json \\
         --change .perfbench/results/*.json
 
 Per workload, seed and side, the summary holds the median and quartiles of each
 end-to-end metric over the invocations, the invocation and study-run
 counts, the CSV sha256, the environment, and the source file names.
+Result files of ``--trace 1`` invocations, passed in the same lists, are
+folded into a ``per_layer`` block per side: the medians and the
+[min, max] ranges of their ``per_layer`` metrics, and the medians of their
+``self_s_by_layer`` times.
 """
 
 from __future__ import annotations
@@ -25,15 +29,27 @@ import numpy as np
 METRICS = {"paths_per_s": 1, "setup_s": -1, "peak_rss_mb": -1}
 
 
+def _medians(records: list[dict], field: str) -> dict:
+    return {name: float(np.median([r[field][name] for r in records])) for name in records[0][field]}
+
+
+def _ranges(records: list[dict], field: str) -> dict:
+    return {name: [min(r[field][name] for r in records), max(r[field][name] for r in records)]
+            for name in records[0][field]}
+
+
 def _side(files: list[Path]) -> dict:
-    by_workload: dict[str, list[dict]] = {}
+    untraced: dict[str, list[dict]] = {}
+    traced: dict[str, list[dict]] = {}
     for path in sorted(files):
         record = json.loads(path.read_text())
+        key = f"{record['workload']}-seed{record['seed']}"
         if "end_to_end" in record:
-            key = f"{record['workload']}-seed{record['seed']}"
-            by_workload.setdefault(key, []).append({**record, "file": path.name})
-    out = {}
-    for workload, records in by_workload.items():
+            untraced.setdefault(key, []).append({**record, "file": path.name})
+        elif "per_layer" in record:
+            traced.setdefault(key, []).append({**record, "file": path.name})
+    out: dict[str, dict] = {}
+    for workload, records in untraced.items():
         env = records[0]["environment"]
         metrics = {}
         for name in METRICS:
@@ -50,6 +66,14 @@ def _side(files: list[Path]) -> dict:
                                                      "blas_threads", "cpu_model", "git_commit")},
             "files": [r["file"] for r in records],
         }
+    for workload, records in traced.items():
+        out.setdefault(workload, {})["per_layer"] = {
+            "medians": _medians(records, "per_layer"),
+            "ranges": _ranges(records, "per_layer"),
+            "self_s_by_layer": _medians(records, "self_s_by_layer"),
+            "invocations": len(records),
+            "files": [r["file"] for r in records],
+        }
     return out
 
 
@@ -62,15 +86,18 @@ def main(argv=None) -> int:
     parent, change = _side(args.parent), _side(args.change)
     summary = {}
     for workload in sorted(parent.keys() & change.keys()):
+        summary[workload] = {"parent": parent[workload], "change": change[workload]}
+        if "metrics" not in parent[workload] or "metrics" not in change[workload]:
+            continue  # traced files only: per-layer medians, nothing to pair
         before, after = parent[workload]["metrics"], change[workload]["metrics"]
-        ratios = {name: after[name]["median"] / before[name]["median"] for name in METRICS}
+        summary[workload]["change_over_parent_median"] = {
+            name: after[name]["median"] / before[name]["median"] for name in METRICS
+        }
         # the i-th invocations of both sides (in file-name, hence time, order) form pair i
-        wins = {
+        summary[workload]["pairs_change_better"] = {
             name: sum(sign * (b - a) > 0 for a, b in zip(before[name]["values"], after[name]["values"]))
             for name, sign in METRICS.items()
         }
-        summary[workload] = {"parent": parent[workload], "change": change[workload],
-                             "change_over_parent_median": ratios, "pairs_change_better": wins}
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     return 0
 

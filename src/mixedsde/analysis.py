@@ -29,6 +29,7 @@ __all__ = [
 SEMINORM_CAP = 8192
 
 _LAG_GROUP = 16  # consecutive lags that share one pruning bound
+_BLOCK_RATIO = 32  # bounds read blocks of b points, the largest power of two <= window // 32
 _PATH_BLOCK = 256  # paths per block while the lag-group bounds are built
 _SCAN_VALUES = 2**17  # values per row block of the lag scan (1 MB of float64)
 # Relative headroom on a bound before it may skip a group: far above the few
@@ -105,13 +106,24 @@ def _lag_group_bounds(values: np.ndarray, dt: float, exponent: float) -> np.ndar
     """(count, groups) upper bounds on the lag ratios of each lag group.
 
     Group g holds the lags lo..hi = 16g+1..min(16g+16, n). Every pair at a
-    lag <= hi lies inside some window of hi+1 consecutive grid points, so
-    each coordinate of its increment is at most that coordinate's largest
-    range (max - min) over those windows, and its norm at most the norm of
+    lag <= hi lies inside some window of s = hi+1 consecutive grid points,
+    so each coordinate of its increment is at most that coordinate's largest
+    range (max - min) over such windows, and its norm at most the norm of
     those ranges; dividing by (lo*dt)^gamma bounds the ratios at every lag
-    of the group. Window extrema come from doubling windows as in
-    a sparse table, keeping only the current level, one block of paths at
-    a time so the levels stay small.
+    of the group.
+
+    The ranges are taken over blocks rather than points. The group reads
+    the extrema of aligned b-point blocks (the last block may be shorter),
+    where b is the largest power of two with b <= s // _BLOCK_RATIO (and
+    at least 1), so b = 1 up to s = 63. A window of s points starts inside some block and
+    touches at most k = ceil((s-1)/b) + 1 consecutive blocks, so the
+    largest range over runs of k blocks is still an upper bound, and it is
+    at most the exact range over windows of hi + 2b points. The range over
+    k blocks comes from doubling windows over the block extrema as in a
+    sparse table, so a group costs about n/b values instead of n. Block
+    extrema are merged pairwise as b grows, the doubling levels of the
+    previous b are dropped first, and paths go one block of 256 at a time,
+    so the scratch stays small.
     """
     count, points = values.shape[:2]
     n = points - 1
@@ -119,16 +131,28 @@ def _lag_group_bounds(values: np.ndarray, dt: float, exponent: float) -> np.ndar
     bounds = np.empty((count, len(his)))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, _PATH_BLOCK):
-            top = bottom = values[start : start + _PATH_BLOCK]
-            width = 1  # grid points per window at the current level
+            block_top = block_bottom = values[start : start + _PATH_BLOCK]
+            size = 1  # grid points per block
+            top = bottom = block_top
+            width = 1  # blocks per window at the current doubling level
             for g, hi in enumerate(his):
                 span = int(hi) + 1
-                while 2 * width <= span:
+                b = 1 << max(0, (span // _BLOCK_RATIO).bit_length() - 1)
+                if b > size:
+                    top = bottom = None
+                    while size < b:
+                        block_top = _merge_pairs(np.maximum, block_top)
+                        block_bottom = _merge_pairs(np.minimum, block_bottom)
+                        size *= 2
+                    top, bottom, width = block_top, block_bottom, 1
+                blocks = block_top.shape[1]
+                k = min(-(-(span - 1) // b) + 1, blocks)
+                while 2 * width <= k:
                     top = np.maximum(top[:, :-width], top[:, width:])
                     bottom = np.minimum(bottom[:, :-width], bottom[:, width:])
                     width *= 2
-                # window [i, i+span) is covered by the level windows at i and i+shift
-                shift, last = span - width, points - span + 1
+                # the run of k blocks from j is covered by the level windows at j and j+shift
+                shift, last = k - width, blocks - k + 1
                 highs = np.maximum(top[:, :last], top[:, shift:])
                 widest = (highs - np.minimum(bottom[:, :last], bottom[:, shift:])).max(axis=1)
                 if widest.ndim == 2:
@@ -136,6 +160,31 @@ def _lag_group_bounds(values: np.ndarray, dt: float, exponent: float) -> np.ndar
                 lo = _LAG_GROUP * g + 1
                 bounds[start : start + _PATH_BLOCK, g] = widest / (lo * dt) ** exponent
     return bounds
+
+
+def _merge_pairs(reduce, blocks: np.ndarray) -> np.ndarray:
+    """Extrema of adjacent pairs of blocks along axis 1; an odd last block stays alone."""
+    pairs = blocks.shape[1] // 2
+    merged = np.empty((blocks.shape[0], -(-blocks.shape[1] // 2)) + blocks.shape[2:])
+    reduce(blocks[:, 0 : 2 * pairs : 2], blocks[:, 1 : 2 * pairs : 2], out=merged[:, :pairs])
+    merged[:, pairs:] = blocks[:, 2 * pairs :]
+    return merged
+
+
+def _groups_to_scan(bounds: np.ndarray, best: np.ndarray):
+    """Yield (group, rows) for each lag group with rows left to scan.
+
+    Groups go in decreasing order of their largest bound. A row is settled
+    in a group when its finite bound, with _SLACK headroom, cannot raise
+    its best ratio, and a nan best is final. ``best`` is read afresh at
+    each group, so the caller raises it in place between yields.
+    """
+    for g in np.argsort(-bounds.max(axis=0, initial=-np.inf), kind="stable"):
+        bound = bounds[:, g]
+        settled = (bound < np.inf) & (bound * _SLACK <= best)
+        rows = np.flatnonzero(~settled & ~np.isnan(best))
+        if rows.size:
+            yield g, rows
 
 
 def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.ndarray:
@@ -157,6 +206,15 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
     unless the path's maximum is already nan, so non-finite inputs return
     what the full scan returns (nan for a nan, inf for a lone inf). The
     worst case, when no bound prunes, is still O(n^2) per path.
+
+    For scalar paths a lag's largest ``|x_j - x_i|`` is read from the
+    difference buffer as ``max(max d, -min d)``, so the buffer is never
+    rewritten. That is the largest ``abs`` bit for bit except on an
+    all-zero row, where ``-min d`` is -0.0, and ``np.maximum`` on x86
+    returns its second argument on a tie of zeros, so the -0.0 can survive
+    into the path's maximum (a subnormal path with dt > 2 shows it). Adding
+    +0.0 turns it into the +0.0 that ``abs`` gives and changes no other
+    value; nan and inf pass through max and min as through ``abs``.
     """
     if not 0.0 < exponent <= 1.0:
         raise DomainError(f"Holder exponent must lie in (0, 1], got {exponent}")
@@ -169,12 +227,7 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
     bounds = _lag_group_bounds(values, dt, exponent)
     block = max(1, _SCAN_VALUES // values[0].size)
     scratch = np.empty((min(block, values.shape[0]), n) + values.shape[2:])
-    for g in np.argsort(-bounds.max(axis=0, initial=-np.inf), kind="stable"):
-        bound = bounds[:, g]
-        settled = (bound < np.inf) & (bound * _SLACK <= best)
-        rows = np.flatnonzero(~settled & ~np.isnan(best))
-        if not rows.size:
-            continue
+    for g, rows in _groups_to_scan(bounds, best):
         lags = range(_LAG_GROUP * g + 1, min(_LAG_GROUP * (g + 1), n) + 1)
         for start in range(0, rows.size, block):
             chunk = rows[start : start + block]
@@ -184,8 +237,8 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
                 diff = np.subtract(sub[:, lag:], sub[:, :-lag], out=scratch[: chunk.size, : n + 1 - lag])
                 if diff.ndim == 3:
                     inc = np.linalg.norm(diff, axis=-1).max(axis=1)
-                else:
-                    inc = np.abs(diff, out=diff).max(axis=1)
+                else:  # max |d| without writing |d|; + 0.0 as in the docstring
+                    inc = np.maximum(diff.max(axis=1), -diff.min(axis=1)) + 0.0
                 np.maximum(group_best, inc / (lag * dt) ** exponent, out=group_best)
             best[chunk] = group_best
     return best

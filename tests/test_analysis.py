@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from mixedsde import (
     DiscretePath,
     DomainError,
     ResourceError,
     TimeGrid,
+    generate_fbm,
     grr_functional,
     holder_exponent_estimate,
     holder_seminorm,
@@ -364,3 +366,103 @@ def test_seminorm_scratch_does_not_grow_with_the_batch():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2 * 2**20
+
+
+# ------------------------------------------------------ block-level bounds
+
+BOUND_NS = [63, 64, 65, 127, 128, 129, 255, 257, 1024]
+
+
+def group_max_ratios(values, dt, gamma):
+    """(count, groups) largest computed ratio over each lag group's lags."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[1] - 1
+    out = np.zeros((values.shape[0], -(-n // analysis._LAG_GROUP)))
+    for lag in range(1, n + 1):
+        diff = values[:, lag:] - values[:, :-lag]
+        inc = np.linalg.norm(diff, axis=-1) if diff.ndim == 3 else np.abs(diff)
+        g = (lag - 1) // analysis._LAG_GROUP
+        np.maximum(out[:, g], inc.max(axis=1) / (lag * dt) ** gamma, out=out[:, g])
+    return out
+
+
+def window_range_bounds(values, dt, gamma, extra=lambda span: 0):
+    """Each group's widest exact range over windows of span + extra(span) points, / (lo*dt)^gamma."""
+    n = values.shape[1] - 1
+    out = np.empty((values.shape[0], -(-n // analysis._LAG_GROUP)))
+    for g in range(out.shape[1]):
+        lo, hi = analysis._LAG_GROUP * g + 1, min(analysis._LAG_GROUP * (g + 1), n)
+        width = min(hi + 1 + extra(hi + 1), n + 1)
+        # edge windows are clipped to the path, so they add no wider range
+        highs = maximum_filter1d(values, width, axis=1, mode="nearest")
+        widest = (highs - minimum_filter1d(values, width, axis=1, mode="nearest")).max(axis=1)
+        if widest.ndim == 2:
+            widest = np.linalg.norm(widest, axis=-1)
+        out[:, g] = widest / (lo * dt) ** gamma
+    return out
+
+
+def promised_block(span):
+    """The block size the bounds promise: the largest power of two <= span // 32."""
+    b = 1
+    while 2 * b <= span // 32:
+        b *= 2
+    return b
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", BOUND_NS)
+def test_lag_group_bounds_cover_every_ratio_and_stay_within_two_blocks(n, dim):
+    rng = np.random.default_rng(n + dim)
+    values = np.cumsum(rng.standard_normal((6, n + 1, dim)), axis=1)
+    if dim == 1:
+        values = values[:, :, 0]
+    dt, gamma = 1.0 / n, 0.65
+    bounds = analysis._lag_group_bounds(values, dt, gamma)
+    assert np.all(bounds >= group_max_ratios(values, dt, gamma))
+    # a run of ceil((s-1)/b) + 1 blocks of b points spans fewer than s + 2b points
+    looser = window_range_bounds(values, dt, gamma, extra=lambda span: 2 * promised_block(span) - 1)
+    assert np.all(bounds <= looser)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_seminorm_batch_exact_with_non_finite_rows_across_path_blocks(dim):
+    block = analysis._PATH_BLOCK
+    # the reference norm scan takes over 10 s at n = 1,024 in dim 2
+    for n in BOUND_NS if dim == 1 else BOUND_NS[:-1]:
+        rng = np.random.default_rng(n)
+        walks = np.cumsum(rng.standard_normal((2 * block + 1, n + 1, dim)), axis=1)
+        walks[3, n // 2] = np.nan  # first block of paths
+        walks[block + 4, n // 3] = np.inf  # second block
+        walks[2 * block, 1:] = -np.inf  # third block: -inf - -inf at every lag but n
+        with np.errstate(invalid="ignore"):
+            got = assert_exact(walks, 1.0 / n, 0.65)
+        assert np.isnan(got[3]) and got[block + 4] == np.inf and np.isnan(got[2 * block])
+        assert np.isfinite(np.delete(got, [3, block + 4, 2 * block])).all()
+
+
+def test_lag_group_bounds_prune_almost_as_well_as_exact_window_ranges():
+    # Exactness tests cannot see a bound that stops pruning; this counts the
+    # path-groups the scan's own settle rule leaves to scan under each bound.
+    values = generate_fbm(TimeGrid(1.0, 512), 0.75, 256, seed=5).values[:, :, 0]
+    dt, gamma = 1.0 / 512, 0.65
+    group_max = group_max_ratios(values, dt, gamma)
+
+    def scanned(bounds):
+        best, count = np.zeros(values.shape[0]), 0
+        for g, rows in analysis._groups_to_scan(bounds, best):
+            count += rows.size
+            best[rows] = np.maximum(best[rows], group_max[rows, g])
+        return count
+
+    exact = scanned(window_range_bounds(values, dt, gamma))
+    assert scanned(analysis._lag_group_bounds(values, dt, gamma)) <= 1.10 * exact
+
+
+def test_seminorm_batch_zero_ratios_stay_positive_zeros():
+    # Subnormal steps with dt = 3: every ratio underflows to zero, and lags
+    # 4, 8, ..., 16 see an all-zero difference row, where max(max d, -min d)
+    # is -0.0 while |d| is +0.0; the result must be the full scan's +0.0.
+    values = np.array([[0.0, 1.0, 2.0, 1.0] * 8 + [0.0]]) * 5e-324
+    got = assert_exact(values, 3.0, 1.0)
+    assert got[0] == 0.0 and not np.signbit(got[0])

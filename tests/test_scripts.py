@@ -59,8 +59,18 @@ def test_bench_summary_pairs_parent_and_change_results(tmp_path):
         path.write_text(json.dumps(record))
         return str(path)
 
-    parent = [result("parent", i, 300.0 + i) for i in range(4)]
-    change = [result("change", i, 100.0 + i) for i in range(4)]
+    def traced(side, i, seconds):
+        record = {
+            "workload": "fernique_tail", "seed": 5, "failed": 0, "csv_sha256": "abc",
+            "per_layer": {"analysis.seminorm.s": seconds, "fbm.generate_fbm.s": 1.0},
+            "self_s_by_layer": {"analysis": seconds, "fbm": 1.0},
+        }
+        path = tmp_path / f"{side}-traced-{i}.json"
+        path.write_text(json.dumps(record))
+        return str(path)
+
+    parent = [result("parent", i, 300.0 + i) for i in range(4)] + [traced("parent", 0, 3.0)]
+    change = [result("change", i, 100.0 + i) for i in range(4)] + [traced("change", i, 2.0 - i) for i in range(3)]
     out = tmp_path / "BENCH.json"
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_summary.py"), "--out", str(out),
@@ -75,3 +85,9 @@ def test_bench_summary_pairs_parent_and_change_results(tmp_path):
     assert summary["change_over_parent_median"]["peak_rss_mb"] == 101.5 / 301.5
     assert summary["pairs_change_better"] == {"paths_per_s": 0, "setup_s": 0, "peak_rss_mb": 4}
     assert summary["change"]["files"] == [f"change-{i}.json" for i in range(4)]
+    assert summary["parent"]["per_layer"]["medians"] == {"analysis.seminorm.s": 3.0, "fbm.generate_fbm.s": 1.0}
+    assert summary["change"]["per_layer"]["medians"]["analysis.seminorm.s"] == 1.0
+    assert summary["change"]["per_layer"]["ranges"]["analysis.seminorm.s"] == [0.0, 2.0]
+    assert summary["change"]["per_layer"]["self_s_by_layer"] == {"analysis": 1.0, "fbm": 1.0}
+    assert summary["change"]["per_layer"]["invocations"] == 3
+    assert summary["change"]["per_layer"]["files"] == [f"change-traced-{i}.json" for i in range(3)]
