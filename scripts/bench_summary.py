@@ -15,6 +15,12 @@ Result files of ``--trace 1`` invocations, passed in the same lists, are
 folded into a ``per_layer`` block per side: the medians and the
 [min, max] ranges of their ``per_layer`` metrics, and the medians of their
 ``self_s_by_layer`` times.
+
+``--parent-importtime`` and ``--change-importtime`` take the stderr logs of
+``python -X importtime -c "import mixedsde.cli"``, one file per run, and add
+an ``import_mixedsde_cli`` block: per side, the cumulative microseconds of
+the ``mixedsde.cli`` import and of all top-level imports of each run, and
+which ``scipy`` subpackages were imported.
 """
 
 from __future__ import annotations
@@ -77,11 +83,31 @@ def _side(files: list[Path]) -> dict:
     return out
 
 
+def _importtime(files: list[Path]) -> dict:
+    """Totals of ``-X importtime`` logs: lines are 'import time: self | cumulative | name'."""
+    cli_us, total_us, scipy_packages = [], [], set()
+    for path in sorted(files):
+        rows = [line.split("|") for line in path.read_text().splitlines() if line.startswith("import time:")]
+        rows = [(int(cumulative), name.rstrip()) for _, cumulative, name in rows[1:]]
+        cli_us.append(next(us for us, name in rows if name.strip() == "mixedsde.cli"))
+        total_us.append(sum(us for us, name in rows if not name.startswith("  ")))
+        names = [name.strip() for _, name in rows]
+        scipy_packages |= {".".join(name.split(".")[:2]) for name in names if name.partition(".")[0] == "scipy"}
+    return {
+        "mixedsde_cli_us": {"median": float(np.median(cli_us)), "values": cli_us},
+        "top_level_total_us": {"median": float(np.median(total_us)), "values": total_us},
+        "scipy_packages": sorted(scipy_packages),
+        "files": [path.name for path in sorted(files)],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--parent", nargs="+", required=True, type=Path)
     parser.add_argument("--change", nargs="+", required=True, type=Path)
+    parser.add_argument("--parent-importtime", nargs="+", default=[], type=Path)
+    parser.add_argument("--change-importtime", nargs="+", default=[], type=Path)
     args = parser.parse_args(argv)
     parent, change = _side(args.parent), _side(args.change)
     summary = {}
@@ -97,6 +123,11 @@ def main(argv=None) -> int:
         summary[workload]["pairs_change_better"] = {
             name: sum(sign * (b - a) > 0 for a, b in zip(before[name]["values"], after[name]["values"]))
             for name, sign in METRICS.items()
+        }
+    if args.parent_importtime and args.change_importtime:
+        summary["import_mixedsde_cli"] = {
+            "parent": _importtime(args.parent_importtime),
+            "change": _importtime(args.change_importtime),
         }
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     return 0

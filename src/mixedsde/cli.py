@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy  # noqa: F401  unused here; perfbench/child.py reads sys.modules['scipy'].__version__
 
 from . import __version__, parallel
 from .analysis import holder_seminorm_batch

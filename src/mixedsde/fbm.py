@@ -3,9 +3,12 @@
 Two synthesis routes with identical distributions on the grid:
 
 * ``cholesky`` — factor the exact grid covariance; O(n^2) memory, O(n^3)
-  setup. The correctness oracle for small n.
+  setup. The correctness oracle for small n. Factor and product are
+  ``np.einsum`` loops, not BLAS, so the bits do not depend on the BLAS
+  thread count.
 * ``circulant`` — Davies–Harte-style circulant embedding of fractional
-  Gaussian noise; O(n log n) per path. The production route for large n.
+  Gaussian noise; O(n log n) per path through a half-spectrum ``hfft``. The
+  production route for large n.
   The embedding eigenvalues are non-negative for fGn; this is still
   verified at runtime and a failure raises rather than silently clipping
   anything beyond rounding noise.
@@ -78,23 +81,37 @@ def _blocks(count: int, offset: int):
         yield max(b0, offset), min(b0 + _BLOCK_ROWS, offset + count)
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``a``, column by column.
+
+    Every dot product is an ``np.einsum``, which runs no BLAS, so the factor
+    has the same bits at any BLAS thread count.
+    """
+    n = a.shape[0]
+    low = np.zeros_like(a)
+    for j in range(n):
+        row = low[j, :j]
+        pivot = a[j, j] - np.einsum("k,k->", row, row)
+        if not pivot > 0.0:
+            raise SynthesisError(f"covariance is not positive definite: pivot {pivot:.3e} at column {j}")
+        low[j, j] = np.sqrt(pivot)
+        low[j + 1 :, j] = (a[j + 1 :, j] - np.einsum("ik,k->i", low[j + 1 :, :j], row)) / low[j, j]
+    return low
+
+
 def _fbm_cholesky(grid, hurst, count, seed, tag, offset):
     n = grid.step_count
     if n > CHOLESKY_CAP:
         raise ResourceError(
             f"cholesky synthesis is capped at n={CHOLESKY_CAP} (requested {n}); use method='circulant'"
         )
-    factor_t = np.linalg.cholesky(fbm_covariance_matrix(grid, hurst)).T
+    factor_t = _cholesky(fbm_covariance_matrix(grid, hurst)).T
     out = np.zeros((count, n + 1))
-    # BLAS may round a row differently in products of different heights, so
-    # every product has _BLOCK_ROWS rows, zero-padded at the batch edges.
-    block = np.zeros((_BLOCK_ROWS, n))
     for lo, hi in _blocks(count, offset):
-        pad = lo % _BLOCK_ROWS
-        if hi - lo < _BLOCK_ROWS:
-            block[:] = 0.0
-        block[pad : pad + hi - lo] = rnd.normal_matrix(seed, tag, n, hi - lo, offset=lo)
-        out[lo - offset : hi - offset, 1:] = (block @ factor_t)[pad : pad + hi - lo]
+        z = rnd.normal_matrix(seed, tag, n, hi - lo, offset=lo)
+        # einsum, not BLAS: a row's bits depend neither on the thread count
+        # nor on how many rows share the product
+        np.einsum("pk,kj->pj", z, factor_t, out=out[lo - offset : hi - offset, 1:])
     return out
 
 
@@ -109,22 +126,18 @@ def _fbm_circulant(grid, hurst, count, seed, tag, offset):
     weights = np.sqrt(np.clip(lam, 0.0, None) / (2 * (2 * n)))
     scale = grid.dt ** check_hurst(hurst)
     out = np.zeros((count, n + 1))
-    # Hermitian spectrum of each path, built in place: column 0 and n are real,
-    # columns n+1.. mirror 1..n-1 with the imaginary part negated.
-    buffer = np.zeros((_BLOCK_ROWS, 2 * n), dtype=np.complex128)
+    # First half (0..n) of each path's Hermitian spectrum: columns 0 and n are
+    # real, columns 1..n-1 take the normals in (re, im) pairs. hfft supplies
+    # the conjugate half, so it is never written.
+    buffer = np.empty((_BLOCK_ROWS, n + 1), dtype=np.complex128)
     for lo, hi in _blocks(count, offset):
         z = rnd.normal_matrix(seed, tag, 2 * n, hi - lo, offset=lo)
         spectrum = buffer[: hi - lo]
-        re, im = spectrum.real, spectrum.imag
-        np.multiply(z[:, 0], np.sqrt(2.0), out=re[:, 0])
-        np.multiply(z[:, 1], np.sqrt(2.0), out=re[:, n])
-        im[:, 0] = im[:, n] = 0.0
-        re[:, 1:n] = z[:, 2::2]
-        im[:, 1:n] = z[:, 3::2]
-        re[:, n + 1 :] = z[:, -2:1:-2]
-        np.negative(z[:, -1:2:-2], out=im[:, n + 1 :])
-        spectrum *= weights[None, :]
-        fgn = np.fft.fft(spectrum, axis=1).real[:, :n]
+        spectrum[:, 0] = z[:, 0] * np.sqrt(2.0)
+        spectrum[:, n] = z[:, 1] * np.sqrt(2.0)
+        spectrum[:, 1:n] = z[:, 2:].view(np.complex128)
+        spectrum *= weights[: n + 1]
+        fgn = np.fft.hfft(spectrum, n=2 * n, axis=1)[:, :n]
         rows = out[lo - offset : hi - offset, 1:]
         np.cumsum(fgn, axis=1, out=rows)
         rows *= scale

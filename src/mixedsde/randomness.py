@@ -3,16 +3,16 @@
 Each (seed, stream tag, path index) triple owns an independent Philox
 stream, so path i's randomness depends only on the seed and its own index:
 batches can be generated in any partition, by any worker count, and still
-come out bit-identical. Gaussians are produced by inverse-CDF of the
-uniform stream, which consumes a deterministic number of draws per path
-and keeps streams aligned across methods.
+come out bit-identical. Gaussians are numpy's ziggurat normals
+(Marsaglia & Tsang 2000) drawn from each path's own stream. The ziggurat
+takes a varying number of raw draws per normal, so the position of a
+path's stream after k normals is not fixed; no caller relies on it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import DomainError
 
@@ -34,8 +34,6 @@ ROUGH_X = 2
 WIENER_Y = 3
 ROUGH_Y = 4
 VALIDATOR = 5
-
-_TINY = 2.0 ** -53  # smallest positive value Generator.random() can return
 
 
 def stream_tag(role: int, component: int = 0) -> int:
@@ -63,11 +61,10 @@ def path_stream(seed: int, path_index: int, tag: int) -> Generator:
 def normal_matrix(seed: int, tag: int, draws: int, count: int, offset: int = 0) -> np.ndarray:
     """(count, draws) standard normals; row i comes from path stream offset+i.
 
-    Uniform draws happen per path (stream alignment), the inverse CDF is
-    applied to the whole block at once, in place.
+    Row i equals ``path_stream(seed, offset + i, tag).standard_normal(draws)``,
+    written straight into the block.
     """
-    u = np.empty((count, draws))
+    z = np.empty((count, draws))
     for i in range(count):
-        path_stream(seed, offset + i, tag).random(out=u[i])
-    np.maximum(u, _TINY, out=u)
-    return ndtri(u, out=u)
+        path_stream(seed, offset + i, tag).standard_normal(out=z[i])
+    return z

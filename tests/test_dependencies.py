@@ -50,3 +50,12 @@ def test_cli_study_runs_with_yaml_blocked(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "o" / "integrate.csv").is_file()
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    code = "import sys\nimport mixedsde.cli\nprint('scipy.special' in sys.modules)\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

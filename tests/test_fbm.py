@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from mixedsde import (
     DomainError,
     DriverSpec,
     ResourceError,
+    SynthesisError,
     TimeGrid,
     fbm_covariance,
     fbm_covariance_matrix,
@@ -16,7 +21,8 @@ from mixedsde import (
     generate_fbm,
     generate_wiener,
 )
-from mixedsde.fbm import fgn_circulant_eigenvalues
+from mixedsde import randomness as rnd
+from mixedsde.fbm import _cholesky, fgn_circulant_eigenvalues
 
 from conftest import sample_cov_se
 
@@ -334,3 +340,68 @@ def test_wiener_scratch_does_not_grow_with_the_batch():
     small, large = (scratch_bytes(lambda: generate_wiener(grid, 1, count, seed=1)) for count in (512, 2048))
     assert large - small < 2 * MB
     assert large < 4 * MB
+
+
+# ------------------------------------ streams, half spectrum, BLAS-free factor
+
+
+def test_normal_matrix_rows_are_the_paths_own_ziggurat_streams():
+    tag = rnd.stream_tag(rnd.ROUGH_Y, 1)
+    for offset, count in BLOCK_SLICES:
+        block = rnd.normal_matrix(9, tag, 37, count, offset=offset)
+        for i in range(count):
+            assert np.array_equal(block[i], rnd.path_stream(9, offset + i, tag).standard_normal(37)), (offset, i)
+
+
+def _full_spectrum_fbm(grid, hurst, count, seed, tag):
+    """Circulant synthesis through the whole 2n Hermitian spectrum and a complex FFT."""
+    n = grid.step_count
+    weights = np.sqrt(np.clip(fgn_circulant_eigenvalues(n, hurst), 0.0, None) / (4 * n))
+    z = rnd.normal_matrix(seed, tag, 2 * n, count)
+    spectrum = np.zeros((count, 2 * n), dtype=np.complex128)
+    spectrum[:, 0] = np.sqrt(2.0) * z[:, 0]
+    spectrum[:, n] = np.sqrt(2.0) * z[:, 1]
+    spectrum[:, 1:n] = z[:, 2::2] + 1j * z[:, 3::2]
+    spectrum[:, n + 1 :] = np.conj(spectrum[:, n - 1 : 0 : -1])
+    fgn = np.fft.fft(spectrum * weights, axis=1).real[:, :n]
+    return np.cumsum(fgn, axis=1) * grid.dt**hurst
+
+
+@pytest.mark.parametrize("n", [512, 300])
+def test_circulant_half_spectrum_equals_the_full_fft(n):
+    # the zero-frequency and Nyquist terms are real and scaled by sqrt 2;
+    # the golden sums pin bits, and only this test pins that layout
+    grid = TimeGrid(1.0, n)
+    got = generate_fbm(grid, 0.7, 70, seed=6, method="circulant").values[:, 1:, 0]
+    reference = _full_spectrum_fbm(grid, 0.7, 70, 6, rnd.stream_tag(rnd.ROUGH_X))
+    assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("n", [1, 31, 200])
+def test_einsum_cholesky_matches_lapack(n):
+    a = fbm_covariance_matrix(TimeGrid(1.0, n), 0.75)
+    np.testing.assert_allclose(_cholesky(a), np.linalg.cholesky(a), rtol=0, atol=1e-11)
+
+
+def test_einsum_cholesky_rejects_an_indefinite_matrix():
+    with pytest.raises(SynthesisError):
+        _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_cholesky_bits_do_not_depend_on_the_blas_thread_count():
+    code = (
+        "import hashlib\n"
+        "from mixedsde import TimeGrid, generate_fbm\n"
+        "for n in (100, 200, 511):\n"
+        "    values = generate_fbm(TimeGrid(1.0, n), 0.75, 70, seed=3, method='cholesky').values\n"
+        "    print(n, hashlib.sha256(values.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    sums = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        sums.append(done.stdout)
+    assert sums[0] == sums[1]

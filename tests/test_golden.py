@@ -1,9 +1,11 @@
 """Golden SHA-256 sums of small fixed-seed CLI CSVs.
 
-The output bits depend on the package and also on numpy's FFT and linear
-algebra and scipy's ``ndtri``. Pinning the CSV bytes makes any change to a
-random stream, a study's arithmetic or a library an explicit event: update
-the sums only for a change that alters the outputs on purpose.
+The output bits depend on the package and also on numpy's Philox ziggurat
+normals and its pocketfft FFT, not on scipy. fBm synthesis runs no BLAS,
+and the sums hold under one and two OpenBLAS threads. Pinning the CSV
+bytes makes any change to a random stream, a study's arithmetic or a
+library an explicit event: update the sums only for a change that alters
+the outputs on purpose.
 
 Path counts above ``parallel.CHUNK_PATHS`` put two chunks in every sampled
 study, so workers 1 and 2 exercise both the serial and the pooled merge.
@@ -36,38 +38,38 @@ CASES = {
     "moments-stochvol": (
         "moments",
         "model: stochvol\nstatistic: sup\np: [1, 2]\nlevels: [8, 16]\npaths: 2100\nseed: 11\n",
-        "26fdf304c51f12150fdcacfe523e29bc29b232b46fd7f59a046f6c5139bdceba",
+        "a898aba0dac2402ff5e7967912bdbb9f049a99ee82277939c2bec61d246fd2d1",
     ),
     "moments-malliavin": (
         "moments",
         "model: malliavin_linearized\nstatistic: exp\nc: 0.5\ngamma: [1.0, 1.5]\n"
         "levels: [8, 16]\npaths: 2100\nseed: 12\n",
-        "4164a8f17e6a8ba07c636ade3efe49879dcfbbd4ff5ccf1b96a9881fb2222b71",
+        "43b956db96780606f0ec5c6b710fc5f41bf5639ea6569e528d422ee2cc8ec4c1",
     ),
     "boundary": (
         "boundary",
         "model: bounded_trig\ngamma: [0.6, 1.5]\nc: 1.0\nn: 16\npaths: 2100\nseed: 13\n",
-        "a2ec596cbab76ad03cf8ef37392862035ed933ac102ba0739ecc71e647b345fe",
+        "5c98814211347e1569b08cce32bcd93307c850cd62859d6a5d757a3ab28c17bf",
     ),
     "fbm": (
         "fbm",
         "hurst: [0.6, 0.8]\nn: 4\npaths: 2100\nmethod: both\nseed: 15\n",
-        "ec45a705fc1b8f37aead96b08e8b476cb62f1a7a30b460a37079638e5a576c60",
+        "f35f34e29e87469a1994e2a02a7cba8a6e1791e6fa3d225163c9aae474bde680",
     ),
     "integrate": (
         "integrate",
         "n: 8\npaths: 2100\nseed: 16\n",
-        "b62b07711e0a39f3668c1e4d8cb507e34f032bdb00fb5fdc1a7077130a16b9cb",
+        "801e0604a1d63bbbcee3161e4b0a025ee38e24845433c21b359fab27170a24a1",
     ),
     "fernique": (
         "fernique",
         "hurst: 0.75\nmu: 0.6\nn: 16\npaths: 2100\nseed: 17\n",
-        "cc021d0d801283a51b7c9aa2ccb8e40f33123b000d8711c4b75af74804ac287f",
+        "c5e6e5a10b421ee1229d55478549cb820026600b1a06a7bf0651da8caac4acb5",
     ),
     "solve": (
         "solve",
         "levels: [8, 16]\npaths: 2100\nseed: 14\n",
-        "45060053708a32ba75ef39b1a8182977b7811d0fa3674ee987c716c868fcd973",
+        "ccd831b6bae0b7511cd206d3f1e0528552d2973969170e74695023cd64bf9228",
     ),
 }
 

@@ -3,9 +3,10 @@
 ``tests/test_golden.py`` pins whole CLI CSVs; these sums pin the arrays
 underneath them: both fBm synthesis methods, Wiener synthesis, and the
 Euler scheme for a mixed and a coupled stage, blowup bookkeeping included.
-A failure names the layer whose bits moved. The bits depend on numpy's FFT
-and linear algebra and on scipy's ``ndtri``, so update a sum only for a
-change that alters that layer's output on purpose.
+A failure names the layer whose bits moved. The bits depend on numpy's
+Philox ziggurat normals and its pocketfft FFT, not on scipy. fBm synthesis
+runs no BLAS, and the sums hold under one and two OpenBLAS threads. Update
+a sum only for a change that alters that layer's output on purpose.
 
 The Euler grids have 200 steps, which is not a multiple of the solver's
 block length, so the sums also cover a partial last block.
@@ -56,11 +57,11 @@ def _euler_stochvol():
 
 
 CASES = {
-    "fbm-cholesky": (_fbm_cholesky, "c603ff857820c971c9bf37b91a56f09e347ca17382d6d3c96c02f473b2f92e5b"),
-    "fbm-circulant": (_fbm_circulant, "2ae8662a29d3dcb0d7314c4d0dadfc54e2857946a0f15de087c1024633a64f33"),
-    "wiener": (_wiener, "10fe4d9d5442168064edcca732bf043cb8859bcf3f2b48f34f49903a68fa5cf5"),
-    "euler-bounded_trig-d2": (_euler_bounded_trig, "7d0e27f8f2d662070b11289e028fd2d4767f217dd2a7a752bab092b6bac869e7"),
-    "euler-stochvol-coupled": (_euler_stochvol, "c4936f0f60c530ddd39aa0f3df966b13c95b95c5e0bcb97c731169e0c750ff77"),
+    "fbm-cholesky": (_fbm_cholesky, "8518df1cb235af75499f03247c811a37b55e3d62607a7b1d1f76ff27189cc245"),
+    "fbm-circulant": (_fbm_circulant, "192a5cef4921c05c7fcc994b8606a10b3ab6a788c3b1804c56eb7ecbcaf31ae9"),
+    "wiener": (_wiener, "fc7ffe93b02819896a0858322627136874f27a8b7b1481a6b6372a8f463a3dcb"),
+    "euler-bounded_trig-d2": (_euler_bounded_trig, "af4db01fa924ec46c90db74d6424c39117924b8ae77d0e52007b9d75efd7751f"),
+    "euler-stochvol-coupled": (_euler_stochvol, "3c8186477dd3d6484f9230bcea755bfd5f601a719bbc516a1901a0bac42686ca"),
 }
 
 

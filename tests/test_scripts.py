@@ -91,3 +91,37 @@ def test_bench_summary_pairs_parent_and_change_results(tmp_path):
     assert summary["change"]["per_layer"]["self_s_by_layer"] == {"analysis": 1.0, "fbm": 1.0}
     assert summary["change"]["per_layer"]["invocations"] == 3
     assert summary["change"]["per_layer"]["files"] == [f"change-traced-{i}.json" for i in range(3)]
+
+
+def test_bench_summary_reads_importtime_logs(tmp_path):
+    def log(name, cli_us, extra):
+        lines = ["import time: self [us] | cumulative | imported package",
+                 "import time:       100 |        200 | site",
+                 *extra,
+                 f"import time:       900 | {cli_us:>10} | mixedsde.cli"]
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    special = ["import time:       700 |      30000 |     scipy.special._ufuncs",
+               "import time:       500 |      31000 |   scipy.special", "import time:       500 |      31000 |   scipy"]
+    result = tmp_path / "r.json"
+    result.write_text(json.dumps({
+        "workload": "fernique_tail", "seed": 5, "failed": 0, "csv_sha256": "abc", "samples": {"runs": 1},
+        "environment": {}, "end_to_end": {"paths_per_s": 1.0, "setup_s": 1.0, "peak_rss_mb": 1.0},
+    }))
+    out = tmp_path / "BENCH.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_summary.py"), "--out", str(out),
+         "--parent", str(result), "--change", str(result),
+         "--parent-importtime", log("p1", 50000, special), log("p2", 70000, special),
+         "--change-importtime", log("c1", 20000, ["import time:       400 |       2000 |   scipy"])],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    block = json.loads(out.read_text())["import_mixedsde_cli"]
+    assert block["parent"]["mixedsde_cli_us"] == {"median": 60000.0, "values": [50000, 70000]}
+    assert block["parent"]["top_level_total_us"]["values"] == [50200, 70200]
+    assert block["parent"]["scipy_packages"] == ["scipy", "scipy.special"]
+    assert block["change"]["scipy_packages"] == ["scipy"]
+    assert block["change"]["files"] == ["c1"]
