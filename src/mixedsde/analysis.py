@@ -207,6 +207,10 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
     what the full scan returns (nan for a nan, inf for a lone inf). The
     worst case, when no bound prunes, is still O(n^2) per path.
 
+    For vector paths each lag squares its differences in the scratch
+    buffer, sums the squares in coordinate order as ``np.linalg.norm``
+    does, and takes one square root of each row's largest sum; ``sqrt`` is
+    monotone and correctly rounded, so that is the largest norm bit for bit.
     For scalar paths a lag's largest ``|x_j - x_i|`` is read from the
     difference buffer as ``max(max d, -min d)``, so the buffer is never
     rewritten. That is the largest ``abs`` bit for bit except on an
@@ -227,6 +231,7 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
     bounds = _lag_group_bounds(values, dt, exponent)
     block = max(1, _SCAN_VALUES // values[0].size)
     scratch = np.empty((min(block, values.shape[0]), n) + values.shape[2:])
+    squares = np.empty(scratch.shape[:2]) if values.ndim == 3 else None
     for g, rows in _groups_to_scan(bounds, best):
         lags = range(_LAG_GROUP * g + 1, min(_LAG_GROUP * (g + 1), n) + 1)
         for start in range(0, rows.size, block):
@@ -235,8 +240,12 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
             group_best = best[chunk]
             for lag in lags:
                 diff = np.subtract(sub[:, lag:], sub[:, :-lag], out=scratch[: chunk.size, : n + 1 - lag])
-                if diff.ndim == 3:
-                    inc = np.linalg.norm(diff, axis=-1).max(axis=1)
+                if diff.ndim == 3:  # squared norms summed in coordinate order, root of the max
+                    np.multiply(diff, diff, out=diff)
+                    total = np.add(diff[:, :, 0], diff[:, :, 1], out=squares[: chunk.size, : n + 1 - lag])
+                    for c in range(2, diff.shape[2]):
+                        total += diff[:, :, c]
+                    inc = np.sqrt(total.max(axis=1))
                 else:  # max |d| without writing |d|; + 0.0 as in the docstring
                     inc = np.maximum(diff.max(axis=1), -diff.min(axis=1)) + 0.0
                 np.maximum(group_best, inc / (lag * dt) ** exponent, out=group_best)

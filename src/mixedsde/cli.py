@@ -36,7 +36,7 @@ from .analysis import holder_seminorm_batch
 from .errors import ConfigError, DomainError, MixedSdeError
 from .fbm import fbm_covariance_matrix, generate_fbm
 from .grids import TimeGrid
-from .models import VALIDATOR_MIN_SAMPLES, CoupledModelSpec, model_zoo, validate_assumptions, ZOO_MODELS
+from .models import VALIDATOR_MIN_SAMPLES, CoupledModelSpec, model_zoo, validate_assumptions, zoo_defaults, ZOO_MODELS
 from .moments import (
     MomentTarget,
     _level_ratio,
@@ -207,6 +207,36 @@ def _coerce(key: _Key, value, path, line):
     return out
 
 
+def _given(model: str, params: dict) -> str:
+    listed = ", ".join(f"model.{k}: {v!r}" for k, v in params.items())
+    return f"bad model parameters for {model!r} ({listed})"
+
+
+def _check_model_params(model: str, params: dict, entries, path) -> None:
+    """Type-check each ``model.*`` value on its own line, against the builder's default.
+
+    An int default takes an integer; any other default takes a number or a
+    flat list of numbers (a vector or matrix parameter). Values pass on as
+    parsed, so an accepted config keeps its result hash.
+    """
+    defaults = zoo_defaults(model)
+    for param, value in params.items():
+        line = entries[f"model.{param}"][1]
+        if param not in defaults:
+            raise ConfigError(
+                f"{_given(model, params)}: unknown parameter {param!r}; choose from {sorted(defaults)}",
+                path=path, line=line,
+            )
+        if isinstance(defaults[param], int):
+            ok, wanted = isinstance(value, int), "an integer"
+        else:
+            items = value if isinstance(value, list) else [value]
+            ok = bool(items) and all(isinstance(v, (int, float)) for v in items)
+            wanted = "a number or a flat list of numbers"
+        if not ok:
+            raise ConfigError(f"key 'model.{param}': expected {wanted}, got {value!r}", path=path, line=line)
+
+
 def resolve_config(command: str, entries, path, overrides) -> dict:
     """Validate raw entries against the command schema, apply CLI overrides."""
     schema = {k.name: k for k in _COMMON_KEYS + _SCHEMAS[command]}
@@ -239,6 +269,8 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
                 raise ConfigError(f"missing required key {k.name!r}", path=path)
             if k.default is not None:
                 config[k.name] = k.default
+    if allow_model_params:
+        _check_model_params(config["model"], config["model_params"], entries, path)
     if command == "moments":
         if config["statistic"] == "sup" and "p" not in config:
             raise ConfigError("statistic 'sup' needs key 'p'", path=path)
@@ -422,8 +454,7 @@ def _build_model(config: dict):
     try:
         return model_zoo(config["model"], **params)
     except (TypeError, ValueError) as exc:
-        given = ", ".join(f"model.{k}: {v!r}" for k, v in params.items())
-        raise _ModelParamsError(f"bad model parameters for {config['model']!r} ({given}): {exc}")
+        raise _ModelParamsError(f"{_given(config['model'], params)}: {exc}")
 
 
 def _run_moments(config: dict) -> list[dict]:

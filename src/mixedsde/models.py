@@ -5,6 +5,11 @@ time: ``evaluate(t, x)`` for state coefficients, ``evaluate(t, x, y)`` for
 coupled ones. Drift fields return (batch, d); diffusion fields return
 (batch, d, columns) with one column per driver component.
 
+The Euler scheme takes each step from a stage kernel (``StageKernel``).
+Any spec can evaluate its fields at every step (``field_kernel``); the
+``bounded_trig`` and ``stochvol`` builders also attach a kernel that
+computes the state-free factors of a step once per block of steps.
+
 Validators estimate the defining constant of each condition in a set by
 Monte Carlo maximization over the time horizon and a state box, refined by
 local search around the best sample. Finite sampling can only falsify a
@@ -13,9 +18,10 @@ claimed constant, never certify it; the verdict wording reflects that.
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,10 +33,13 @@ __all__ = [
     "CoefficientField",
     "ModelSpec",
     "CoupledModelSpec",
+    "StageKernel",
+    "field_kernel",
     "ConditionEstimate",
     "AssumptionReport",
     "validate_assumptions",
     "model_zoo",
+    "zoo_defaults",
     "coupled_growth_power_bound",
     "ZOO_MODELS",
 ]
@@ -93,6 +102,56 @@ class CoefficientField:
         return np.stack(cols, axis=-1)
 
 
+class StageKernel(NamedTuple):
+    """One stage's Euler increment, split by what it reads.
+
+    ``prepare(ts, dt, dw, dz, xs)`` runs once per block of steps: ``ts``
+    holds the block's left-point times, ``dw`` and ``dz`` its (steps, paths,
+    columns) driver increments or None, and ``xs`` a coupled stage's
+    (steps, paths, base_dim) base states or None. It computes every factor
+    that does not read the stage's own state. ``increment(prepared, j,
+    state)`` returns step j's increment as a new array.
+
+    A spec's ``kernel`` is set only by the zoo builder that made its fields,
+    and ``dataclasses.replace`` never copies it, so a kernel cannot outlive
+    the fields it was built from; a spec without one uses ``field_kernel``.
+    """
+
+    prepare: Callable
+    increment: Callable
+
+
+def field_kernel(spec) -> StageKernel:
+    """The kernel of any spec: evaluate each field at every step.
+
+    The increment is ``drift * dt`` plus one ``einsum`` per diffusion
+    block. A field's output is never written into, so a field may return
+    its input array.
+    """
+    drift, wiener, rough = spec.drift, spec.wiener, spec.rough
+
+    def prepare(ts, dt, dw, dz, xs):
+        return ts, dt, dw, dz, xs
+
+    def increment(prepared, j, state):
+        ts, dt, dw, dz, xs = prepared
+        t = float(ts[j])
+        args = (t, state) if xs is None else (t, xs[j], state)
+        step = drift(*args) * dt
+        if wiener is not None:
+            step += np.einsum("pdc,pc->pd", wiener(*args), dw[j])
+        if rough is not None:
+            step += np.einsum("pdc,pc->pd", rough(*args), dz[j])
+        return step
+
+    return StageKernel(prepare, increment)
+
+
+def _with_kernel(spec, kernel: StageKernel):
+    object.__setattr__(spec, "kernel", kernel)
+    return spec
+
+
 def _check_stage(spec) -> None:
     """Checks shared by both stage specs; stores the initial value as a vector."""
     x0 = np.atleast_1d(np.asarray(spec.initial_value, dtype=float))
@@ -124,6 +183,7 @@ class ModelSpec:
     claimed_set: str | None = None
     claimed_constants: Mapping[str, float] = field(default_factory=dict)
     holder_beta: float | None = None
+    kernel: StageKernel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_stage(self)
@@ -174,6 +234,7 @@ class CoupledModelSpec:
     claimed_set: str | None = None
     claimed_constants: Mapping[str, float] = field(default_factory=dict)
     holder_beta: float | None = None
+    kernel: StageKernel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_stage(self)
@@ -589,6 +650,60 @@ def _trig_diffusion(d, columns, amp, rate, phase_step, kind, name):
     return CoefficientField(name, "state", d, columns, evaluate, derivative)
 
 
+# Phase steps between the columns of the bounded-trig diffusion blocks.
+_WIENER_PHASE_STEP = 0.7
+_ROUGH_PHASE_STEP = 0.9
+
+
+def _trig_kernel(drift_amp, drift_rate, wiener, rough):
+    """Stage kernel of the bounded-trig fields, by angle addition.
+
+    Every field component is amp * trig(x_i + rate*t + phase_c), with one
+    zero phase for the drift. Since sin(x + a) = sin x cos a + cos x sin a
+    and cos(x + a) = cos x cos a - sin x sin a, a step is sin(x) A_j +
+    cos(x) B_j, where the per-path factors A_j and B_j read only t_j and
+    the driver increments. ``prepare`` contracts them over the Wiener and
+    rough columns once per block; every operation there is elementwise in
+    the step, so a step's factors do not depend on the block it falls in.
+    ``wiener`` and ``rough`` are (amp, rate, phases, kind) or None.
+
+    A step takes sin x and cos x from u = tan(x/2), as 2u / (1 + u^2) and
+    (1 - u^2) / (1 + u^2): numpy vectorizes ``tan`` but not ``sin`` or
+    ``cos``, and one tangent costs about a quarter of a sine and a cosine.
+    """
+
+    def prepare(ts, dt, dw, dz, xs):
+        angle = drift_rate * ts
+        on_sin = (drift_amp * np.cos(angle) * dt)[:, None]
+        on_cos = (drift_amp * np.sin(angle) * dt)[:, None]
+        for block, inc in ((wiener, dw), (rough, dz)):
+            if block is None:
+                continue
+            amp, rate, phases, kind = block
+            angle = rate * ts[:, None] + phases
+            cos_a, sin_a = amp * np.cos(angle), amp * np.sin(angle)
+            a, b = (-sin_a, cos_a) if kind == "cos" else (cos_a, sin_a)
+            for c in range(len(phases)):
+                on_sin = on_sin + a[:, c : c + 1] * inc[:, :, c]
+                on_cos = on_cos + b[:, c : c + 1] * inc[:, :, c]
+        return 2.0 * on_sin[:, :, None], on_cos[:, :, None]
+
+    def increment(prepared, j, state):
+        twice_on_sin, on_cos = prepared
+        u = np.multiply(state, 0.5)
+        np.tan(u, out=u)
+        u_sq = u * u
+        step = np.subtract(1.0, u_sq)
+        step *= on_cos[j]
+        u *= twice_on_sin[j]
+        step += u
+        u_sq += 1.0
+        step /= u_sq
+        return step
+
+    return StageKernel(prepare, increment)
+
+
 def _bounded_trig(
     state_dim=1,
     wiener_dim=1,
@@ -621,20 +736,30 @@ def _bounded_trig(
         initial_value=_as_vector_stack(initial_value, 0, d),
         horizon=horizon,
         drift=_trig_drift(d, drift_amp, drift_rate),
-        wiener=_trig_diffusion(d, m, wiener_amp, wiener_rate, 0.7, "cos", "trig-wiener") if m else None,
-        rough=_trig_diffusion(d, l, rough_amp, rough_rate, 0.9, "sin", "trig-rough") if l else None,
+        wiener=_trig_diffusion(d, m, wiener_amp, wiener_rate, _WIENER_PHASE_STEP, "cos", "trig-wiener") if m else None,
+        rough=_trig_diffusion(d, l, rough_amp, rough_rate, _ROUGH_PHASE_STEP, "sin", "trig-rough") if l else None,
         driver=driver,
         claimed_set="B",
         holder_beta=holder_beta,
     )
     # Only now is the horizon known positive, so horizon ** (1 - beta) is real.
-    return replace(spec, claimed_constants={
+    spec = replace(spec, claimed_constants={
         "B1": float(bound),
         "B2": float(rough_amp * np.sqrt(l)),
         "B3": float(lipschitz),
         "B4-c": float(rough_amp * rough_rate * np.sqrt(d * l) * horizon ** (1 - beta)),
         "B4-cx": float(rough_amp * rough_rate * np.sqrt(l) * horizon ** (1 - beta)),
     })
+    # The kernel's factors are shared by all state components, so a drift
+    # rate given per component keeps the fields.
+    if np.ndim(drift_rate):
+        return spec
+    return _with_kernel(spec, _trig_kernel(
+        drift_amp,
+        drift_rate,
+        (wiener_amp, wiener_rate, _WIENER_PHASE_STEP * np.arange(m), "cos") if m else None,
+        (rough_amp, rough_rate, _ROUGH_PHASE_STEP * np.arange(l), "sin") if l else None,
+    ))
 
 
 def _geometric_mixed(mu=0.1, sigma_w=0.2, sigma_b=0.3, initial_value=1.0, hurst=0.75, horizon=1.0, holder_order=None):
@@ -688,20 +813,34 @@ def _stochvol(
     )
     mu_p, s_w, s_b, rho = price_drift, wiener_price_vol, rough_price_vol, rho_power
 
+    # The scales read the base state's last axis, so they serve the fields
+    # (paths, 2) and the kernel's (steps, paths, 2) blocks alike.
+    def wiener_scale(x):
+        return s_w * np.tanh(x[..., 0:1])
+
+    def rough_scale(x):
+        return s_b * (1.0 + x[..., 1:2] ** 2) ** (rho / 2.0)
+
     def price_drift_eval(t, x, y):
         return mu_p * y
 
     def price_wiener_eval(t, x, y):
-        return (s_w * np.tanh(x[:, 0:1]) * y)[:, :, None]
-
-    def envelope(x):
-        return (1.0 + x[:, 1:2] ** 2) ** (rho / 2.0)
+        return (wiener_scale(x) * y)[:, :, None]
 
     def price_rough_eval(t, x, y):
-        return (s_b * envelope(x) * y)[:, :, None]
+        return (rough_scale(x) * y)[:, :, None]
 
     def price_rough_dy(t, x, y):
-        return (s_b * envelope(x))[:, :, None, None]
+        return rough_scale(x)[:, :, None, None]
+
+    # Linear in y: a step is y * G_k, and the growth factor G_k = mu dt +
+    # s_w tanh(X0_k) dW_k + s_b (1 + X1_k^2)^(rho/2) dZ_k reads only the base
+    # states and the drivers, so it is computed for a whole block at once.
+    def price_prepare(ts, dt, dw, dz, xs):
+        return mu_p * dt + wiener_scale(xs) * dw + rough_scale(xs) * dz
+
+    def price_increment(growth, j, state):
+        return state * growth[j]
 
     driver = DriverSpec(1, 1, (hurst,), holder_order)
     coupled = CoupledModelSpec(
@@ -727,7 +866,7 @@ def _stochvol(
             "C6-cy": 0.0,
         },
     )
-    return vol_model, coupled
+    return vol_model, _with_kernel(coupled, StageKernel(price_prepare, price_increment))
 
 
 def _malliavin_linearized(base: ModelSpec | None = None, initial_value=1.0, **base_params):
@@ -791,13 +930,14 @@ def _malliavin_linearized(base: ModelSpec | None = None, initial_value=1.0, **ba
     return base, coupled
 
 
-ZOO_MODELS = (
-    "linear_mixed",
-    "bounded_trig",
-    "geometric_mixed",
-    "stochvol",
-    "malliavin_linearized",
-)
+_ZOO_BUILDERS = {
+    "linear_mixed": _linear_mixed,
+    "bounded_trig": _bounded_trig,
+    "geometric_mixed": _geometric_mixed,
+    "stochvol": _stochvol,
+    "malliavin_linearized": _malliavin_linearized,
+}
+ZOO_MODELS = tuple(_ZOO_BUILDERS)
 
 
 def model_zoo(name: str, **params):
@@ -810,13 +950,18 @@ def model_zoo(name: str, **params):
     power, and ``malliavin_linearized`` is the linearized sensitivity
     equation of a differentiable base model on shared drivers.
     """
-    builders = {
-        "linear_mixed": _linear_mixed,
-        "bounded_trig": _bounded_trig,
-        "geometric_mixed": _geometric_mixed,
-        "stochvol": _stochvol,
-        "malliavin_linearized": _malliavin_linearized,
-    }
-    if name not in builders:
-        raise DomainError(f"unknown zoo model {name!r}; choose from {sorted(builders)}")
-    return builders[name](**params)
+    if name not in _ZOO_BUILDERS:
+        raise DomainError(f"unknown zoo model {name!r}; choose from {sorted(_ZOO_BUILDERS)}")
+    return _ZOO_BUILDERS[name](**params)
+
+
+def zoo_defaults(name: str) -> dict:
+    """{parameter: default} of the values a zoo model takes by keyword.
+
+    ``malliavin_linearized`` passes its other keywords on to its
+    ``geometric_mixed`` base, so it takes those too; its ``base`` is a
+    model, not a value, and is left out.
+    """
+    params = inspect.signature(_ZOO_BUILDERS[name]).parameters.values()
+    own = {p.name: p.default for p in params if p.kind is p.POSITIONAL_OR_KEYWORD and p.name != "base"}
+    return {**zoo_defaults("geometric_mixed"), **own} if name == "malliavin_linearized" else own

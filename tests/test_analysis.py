@@ -156,6 +156,17 @@ def test_seminorm_batch_exact_for_vector_paths():
         assert_exact(values, 1.0 / 256, gamma)
 
 
+@pytest.mark.parametrize("dim", [3, 5])
+def test_seminorm_batch_exact_for_higher_dimensional_paths(dim):
+    # scaled Student-t jumps: coordinates of very different sizes, whose
+    # squares are summed in the order np.linalg.norm sums them
+    rng = np.random.default_rng(dim)
+    jumps = rng.standard_t(1.5, size=(8, 200, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, dim)
+    values = np.concatenate([np.zeros((8, 1, dim)), np.cumsum(jumps, axis=1)], axis=1)
+    for gamma in (0.4, 0.9):
+        assert_exact(values, 1.0 / 200, gamma)
+
+
 def test_seminorm_batch_non_finite_values_keep_their_meaning():
     rng = np.random.default_rng(5)
     values = np.cumsum(rng.standard_normal((6, 65)), axis=1)

@@ -340,6 +340,29 @@ BAD_VALUE_CASES = {
                                "horizon must be positive"),
     "model-unknown-parameter": ("check-conditions", "seed: 1\nset: B\nmodel: bounded_trig\nmodel.nonsense: 1\n",
                                 4, "bad model parameters for 'bounded_trig' (model.nonsense: 1):"),
+    # one model.* type error per zoo model, each on a later line than the first model.* key
+    "model-linear_mixed-state_dim": ("check-conditions", "model: linear_mixed\nset: A\nseed: 1\n"
+                                     "model.hurst: 0.7\nmodel.state_dim: 1.5\n", 5,
+                                     "key 'model.state_dim': expected an integer, got 1.5"),
+    "model-bounded_trig-hurst": ("check-conditions", "model: bounded_trig\nset: B\nseed: 1\n"
+                                 "model.drift_amp: 0.2\nmodel.hurst: abc\n", 5,
+                                 "key 'model.hurst': expected a number or a flat list of numbers, got 'abc'"),
+    "model-geometric_mixed-mu": ("moments", "model: geometric_mixed\nstatistic: sup\np: [2]\nlevels: [8]\n"
+                                 "seed: 1\npaths: 2\nmodel.sigma_w: 0.1\nmodel.mu: fast\n", 8,
+                                 "key 'model.mu': expected a number or a flat list of numbers, got 'fast'"),
+    "model-stochvol-vol_initial": ("moments", "model: stochvol\nstatistic: sup\np: [2]\nlevels: [8]\n"
+                                   "seed: 1\npaths: 2\nmodel.rho_power: 0.1\nmodel.vol_initial: [0.2, high]\n", 8,
+                                   "key 'model.vol_initial': expected a number or a flat list of numbers, "
+                                   "got [0.2, 'high']"),
+    "model-malliavin_linearized-sigma_w": ("moments", "model: malliavin_linearized\nstatistic: exp\nc: 0.5\n"
+                                           "gamma: [1.0]\nlevels: [8]\nseed: 1\npaths: 2\n"
+                                           "model.initial_value: 2.0\nmodel.sigma_w: none\n", 9,
+                                           "key 'model.sigma_w': expected a number or a flat list of numbers, "
+                                           "got 'none'"),
+    "model-malliavin_linearized-base": ("moments", "model: malliavin_linearized\nstatistic: exp\nc: 0.5\n"
+                                        "gamma: [1.0]\nlevels: [8]\nseed: 1\npaths: 2\nmodel.mu: 0.2\n"
+                                        "model.base: 1\n", 9, "bad model parameters for 'malliavin_linearized' "
+                                        "(model.mu: 0.2, model.base: 1): unknown parameter 'base'"),
 }
 
 

@@ -2,11 +2,14 @@
 
 ``_reference_loop`` is the straightforward left-point scheme: one strided
 gather of each driver increment and base state per step, a per-path finite
-check every step, and one strided write of the new state. The solver walks
-the grid in time-major blocks instead; these tests pin that it produces the
-same bytes at every block edge, with blowups on either side of one, with
-NaN in a coupled stage's base states, and with fields that return their
-input array.
+check every step, and one strided write of the new state. A spec without a
+stage kernel of its own is stepped by evaluating its fields; a spec with
+one (``bounded_trig``, the ``stochvol`` price stage) by its kernel, one
+step at a time, so its per-block factors are checked not to depend on the
+block a step falls in. The solver walks the grid in time-major blocks
+instead; these tests pin that it produces the same bytes at every block
+edge, with blowups on either side of one, with NaN in a coupled stage's
+base states, and with fields that return their input array.
 """
 
 import numpy as np
@@ -21,10 +24,38 @@ from mixedsde.solver import euler_coupled, euler_mixed
 PATHS = 9
 
 
-def _reference_loop(grid, x0, count, drift, wiener_field, rough_field, w_values, z_values, x_states=None):
+def _one_step(values):
+    return None if values is None else values[None]
+
+
+def _reference_increment(model, dt):
+    """(t, dw, dz, xk, state) -> the step's increment, from the spec's kernel or fields."""
+    kernel = model.kernel
+    if kernel is not None:
+        def increment(t, dw, dz, xk, state):
+            prepared = kernel.prepare(np.array([t]), dt, _one_step(dw), _one_step(dz), _one_step(xk))
+            return kernel.increment(prepared, 0, state)
+
+        return increment
+
+    def increment(t, dw, dz, xk, state):
+        args = (t, state) if xk is None else (t, xk, state)
+        step = model.drift(*args) * dt
+        if model.wiener is not None:
+            step += np.einsum("pdc,pc->pd", model.wiener(*args), dw)
+        if model.rough is not None:
+            step += np.einsum("pdc,pc->pd", model.rough(*args), dz)
+        return step
+
+    return increment
+
+
+def _reference_loop(grid, model, count, w_values, z_values, x_states=None):
     n = grid.step_count
     dt = grid.dt
+    x0 = model.initial_value
     dim = len(x0)
+    increment = _reference_increment(model, dt)
     out = np.empty((count, n + 1, dim))
     out[:, 0, :] = x0
     blown = np.zeros(count, dtype=bool)
@@ -32,21 +63,10 @@ def _reference_loop(grid, x0, count, drift, wiener_field, rough_field, w_values,
     state = np.repeat(x0[None, :], count, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            t = k * dt
             xk = x_states[:, k, :] if x_states is not None else None
-            if x_states is None:
-                step = drift(t, state) * dt
-            else:
-                step = drift(t, xk, state) * dt
-            if wiener_field is not None:
-                dw = w_values[:, k + 1, :] - w_values[:, k, :]
-                bval = wiener_field(t, state) if x_states is None else wiener_field(t, xk, state)
-                step += np.einsum("pdc,pc->pd", bval, dw)
-            if rough_field is not None:
-                dz = z_values[:, k + 1, :] - z_values[:, k, :]
-                cval = rough_field(t, state) if x_states is None else rough_field(t, xk, state)
-                step += np.einsum("pdc,pc->pd", cval, dz)
-            state = state + step
+            dw = w_values[:, k + 1, :] - w_values[:, k, :] if w_values is not None else None
+            dz = z_values[:, k + 1, :] - z_values[:, k, :] if z_values is not None else None
+            state = state + increment(k * dt, dw, dz, xk, state)
             newly_bad = ~blown & ~np.isfinite(state).all(axis=1)
             if newly_bad.any():
                 first_bad[newly_bad] = k + 1
@@ -77,9 +97,7 @@ def _check_mixed(model, n, w_values, z_values):
     grid = TimeGrid(1.0, n)
     inputs = [v.copy() for v in (w_values, z_values) if v is not None]
     got = euler_mixed(model, grid, _batch(grid, w_values), _batch(grid, z_values))
-    want = _reference_loop(
-        grid, model.initial_value, PATHS, model.drift, model.wiener, model.rough, w_values, z_values
-    )
+    want = _reference_loop(grid, model, PATHS, w_values, z_values)
     _assert_same_bytes(got, want)
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(inputs, (w_values, z_values)))
     return got
@@ -91,10 +109,7 @@ def _check_coupled(model_y, n, base_values, w_values, z_values):
     got = euler_coupled(
         model_y, grid, PathBatch(grid, base_values), _batch(grid, w_values), _batch(grid, z_values)
     )
-    want = _reference_loop(
-        grid, model_y.initial_value, PATHS, model_y.drift, model_y.wiener, model_y.rough,
-        w_values, z_values, x_states=base_values,
-    )
+    want = _reference_loop(grid, model_y, PATHS, w_values, z_values, x_states=base_values)
     _assert_same_bytes(got, want)
     assert np.array_equal(base_values, base_copy, equal_nan=True)
     return got

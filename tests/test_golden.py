@@ -38,7 +38,7 @@ CASES = {
     "moments-stochvol": (
         "moments",
         "model: stochvol\nstatistic: sup\np: [1, 2]\nlevels: [8, 16]\npaths: 2100\nseed: 11\n",
-        "a898aba0dac2402ff5e7967912bdbb9f049a99ee82277939c2bec61d246fd2d1",
+        "752f00b627389a064fb29346a20dbfdb9105f90df75c4cbe07afa90a2961d112",
     ),
     "moments-malliavin": (
         "moments",
@@ -49,7 +49,7 @@ CASES = {
     "boundary": (
         "boundary",
         "model: bounded_trig\ngamma: [0.6, 1.5]\nc: 1.0\nn: 16\npaths: 2100\nseed: 13\n",
-        "5c98814211347e1569b08cce32bcd93307c850cd62859d6a5d757a3ab28c17bf",
+        "854f8fa071f8c4ab9d4b5ea25d09942f19ad99dea81e7112bbaaff0c073249d8",
     ),
     "fbm": (
         "fbm",

@@ -60,8 +60,8 @@ CASES = {
     "fbm-cholesky": (_fbm_cholesky, "8518df1cb235af75499f03247c811a37b55e3d62607a7b1d1f76ff27189cc245"),
     "fbm-circulant": (_fbm_circulant, "192a5cef4921c05c7fcc994b8606a10b3ab6a788c3b1804c56eb7ecbcaf31ae9"),
     "wiener": (_wiener, "fc7ffe93b02819896a0858322627136874f27a8b7b1481a6b6372a8f463a3dcb"),
-    "euler-bounded_trig-d2": (_euler_bounded_trig, "af4db01fa924ec46c90db74d6424c39117924b8ae77d0e52007b9d75efd7751f"),
-    "euler-stochvol-coupled": (_euler_stochvol, "3c8186477dd3d6484f9230bcea755bfd5f601a719bbc516a1901a0bac42686ca"),
+    "euler-bounded_trig-d2": (_euler_bounded_trig, "ffcbb1211b67f6709615b49aef12f7f425645dcc11dc21fcc98cd779c0f773bd"),
+    "euler-stochvol-coupled": (_euler_stochvol, "ad2f0ec07ff9e5354813ff155955d93dd67a2393963282194953b1192d600416"),
 }
 
 
