@@ -47,12 +47,9 @@ from .moments import (
     MomentEstimate,
     MomentTarget,
     StabilityTable,
-    exp_moment_estimate,
     exponent_boundary_study,
     fernique_tail_check,
-    grid_stability_study,
     moment_estimate,
-    sup_moment_estimate,
     exp_moment_exponent_bound,
 )
 from .paths import DiscretePath, PathBatch

@@ -47,8 +47,6 @@ from .moments import (
 from .solver import GeometricParams, check_levels, geometric_convergence_study
 from .young import young_integrate, young_love_rhs
 
-COMMANDS = ("fbm", "integrate", "solve", "moments", "check-conditions", "fernique", "boundary")
-
 
 # --------------------------------------------------------------------------
 # config parsing
@@ -127,7 +125,7 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
     ),
 }
 
-_MODEL_PARAM_COMMANDS = ("moments", "check-conditions", "boundary")
+COMMANDS = tuple(_SCHEMAS)
 
 _INT = re.compile(r"[-+]?[0-9]+")
 _FLOAT = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
@@ -240,7 +238,7 @@ def _check_model_params(model: str, params: dict, entries, path) -> None:
 def resolve_config(command: str, entries, path, overrides) -> dict:
     """Validate raw entries against the command schema, apply CLI overrides."""
     schema = {k.name: k for k in _COMMON_KEYS + _SCHEMAS[command]}
-    allow_model_params = command in _MODEL_PARAM_COMMANDS
+    allow_model_params = "model" in schema  # a command that names a zoo model takes its model.* keys
     config: dict = {"model_params": {}} if allow_model_params else {}
     for name, (value, line) in entries.items():
         if allow_model_params and name.startswith("model."):

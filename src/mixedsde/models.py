@@ -704,6 +704,14 @@ def _trig_kernel(drift_amp, drift_rate, wiener, rough):
     return StageKernel(prepare, increment)
 
 
+def _as_rates(value, length, name, dim_name):
+    """A rate as a float array: a scalar, or one rate per component."""
+    rates = np.asarray(value, dtype=float)
+    if rates.ndim and rates.shape != (length,):
+        raise DomainError(f"{name} must be a number or a list of {dim_name} = {length} numbers, got {value!r}")
+    return rates
+
+
 def _bounded_trig(
     state_dim=1,
     wiener_dim=1,
@@ -721,6 +729,8 @@ def _bounded_trig(
     holder_beta=None,
 ):
     d, m, l = state_dim, wiener_dim, rough_dim
+    drift_rate = _as_rates(drift_rate, d, "drift_rate", "state_dim")
+    wiener_rate = _as_rates(wiener_rate, m, "wiener_rate", "wiener_dim")
     hs = (hurst,) * l if np.isscalar(hurst) else tuple(hurst)
     driver = DriverSpec(m, l, hs, holder_order)
     if holder_beta is None and l > 0:
@@ -930,12 +940,24 @@ def _malliavin_linearized(base: ModelSpec | None = None, initial_value=1.0, **ba
     return base, coupled
 
 
+def _quadratic_control():
+    """dX = X^2 dt + 0.5 dW + 0 dZ from X0 = 1: paths blow up, so moment studies must fail."""
+    return ModelSpec(
+        name="quadratic_control", state_dim=1, initial_value=1.0, horizon=1.0,
+        drift=CoefficientField("quadratic-drift", "state", 1, 0, lambda t, x: x * x),
+        wiener=_linear_fields(1, 0.0, 0.5, 1, "constant-wiener"),
+        rough=_linear_fields(1, 0.0, 0.0, 1, "zero-rough"),
+        driver=DriverSpec(1, 1, (0.75,)),
+    )
+
+
 _ZOO_BUILDERS = {
     "linear_mixed": _linear_mixed,
     "bounded_trig": _bounded_trig,
     "geometric_mixed": _geometric_mixed,
     "stochvol": _stochvol,
     "malliavin_linearized": _malliavin_linearized,
+    "quadratic_control": _quadratic_control,
 }
 ZOO_MODELS = tuple(_ZOO_BUILDERS)
 
@@ -947,8 +969,10 @@ def model_zoo(name: str, **params):
     ``geometric_mixed`` is the constant-volatility price equation with a
     closed form, ``stochvol`` couples a bounded-trig volatility pair to a
     price stage whose coefficients satisfy C1–C6 with the declared growth
-    power, and ``malliavin_linearized`` is the linearized sensitivity
-    equation of a differentiable base model on shared drivers.
+    power, ``malliavin_linearized`` is the linearized sensitivity
+    equation of a differentiable base model on shared drivers, and
+    ``quadratic_control`` is a quadratic-drift equation whose moments blow
+    up, the negative control of the moment studies.
     """
     if name not in _ZOO_BUILDERS:
         raise DomainError(f"unknown zoo model {name!r}; choose from {sorted(_ZOO_BUILDERS)}")

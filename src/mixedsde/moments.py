@@ -32,10 +32,7 @@ __all__ = [
     "StabilityTable",
     "FerniqueTailReport",
     "ExponentBoundaryReport",
-    "sup_moment_estimate",
-    "exp_moment_estimate",
     "moment_estimate",
-    "grid_stability_study",
     "grid_stability_tables",
     "fernique_tail_check",
     "exponent_boundary_study",
@@ -135,25 +132,12 @@ def _estimate_from_sups(sups: np.ndarray, blowup_count: int, target: MomentTarge
     )
 
 
-def sup_moment_estimate(output: SolveOutput, p: float) -> MomentEstimate:
-    """Sample mean of sup-norm^p over the non-blowup paths of a solve."""
-    return _estimate_from_sups(
-        output.survivor_sup_norms(), output.blowup_count, MomentTarget("sup", p=p)
-    )
-
-
-def exp_moment_estimate(output: SolveOutput, c: float, gamma: float) -> MomentEstimate:
-    """Sample mean of exp{c * sup-norm^gamma} over the non-blowup paths.
+def moment_estimate(output: SolveOutput, target: MomentTarget) -> MomentEstimate:
+    """Sample mean of the target's sup-norm statistic over the non-blowup paths.
 
     Overflowing samples are counted and flagged, never clipped: an estimate
     whose sum a single path dominates (or overflows) is marked unstable.
     """
-    return _estimate_from_sups(
-        output.survivor_sup_norms(), output.blowup_count, MomentTarget("exp", c=c, gamma=gamma)
-    )
-
-
-def moment_estimate(output: SolveOutput, target: MomentTarget) -> MomentEstimate:
     return _estimate_from_sups(output.survivor_sup_norms(), output.blowup_count, target)
 
 
@@ -213,24 +197,6 @@ def _sups_by_level(model, levels, paths, seed, workers):
     }
 
 
-def grid_stability_study(
-    model,
-    target: MomentTarget,
-    levels,
-    paths: int,
-    seed: int,
-    workers: int = 1,
-) -> StabilityTable:
-    """Moment estimates across dyadic levels with common random numbers.
-
-    ``model`` is a ModelSpec or a (ModelSpec, CoupledModelSpec) pair; for a
-    pair the statistic is taken on the coupled stage. The stability ratio
-    r_n = estimate(2n)/estimate(n) should hover near 1 for a model whose
-    moments are finite; blowups or escaping ratios are the failure signal.
-    """
-    return grid_stability_tables(model, [target], levels, paths, seed, workers)[0]
-
-
 def _level_ratio(prev: float, nxt: float) -> float:
     """nxt / prev; inf when only prev is 0 (escaping), nan when both are (no move)."""
     if prev != 0:
@@ -246,7 +212,13 @@ def grid_stability_tables(
     seed: int,
     workers: int = 1,
 ) -> list[StabilityTable]:
-    """One stability table per target, all sharing the same solved paths."""
+    """One stability table per target, all sharing the same solved paths.
+
+    ``model`` is a ModelSpec or a (ModelSpec, CoupledModelSpec) pair; for a
+    pair the statistic is taken on the coupled stage. The stability ratio
+    r_n = estimate(2n)/estimate(n) should hover near 1 for a model whose
+    moments are finite; blowups or escaping ratios are the failure signal.
+    """
     per_level = _sups_by_level(model, levels, paths, seed, workers)
     levels = tuple(per_level)
     tables = []
@@ -393,7 +365,7 @@ def exponent_boundary_study(
     seed: int,
     workers: int = 1,
 ) -> ExponentBoundaryReport:
-    """exp_moment_estimate per gamma on one solved batch, sorted gammas."""
+    """One exp-moment estimate per gamma on one solved batch, sorted gammas."""
     gammas = tuple(float(g) for g in gamma_list)
     if len(gammas) < 1 or list(gammas) != sorted(gammas):
         raise DomainError("gamma_list must be non-empty and sorted ascending")

@@ -38,19 +38,6 @@ def pure_driver_model():
     )
 
 
-def quadratic_drift_model():
-    def quad(t, x):
-        return x * x
-
-    return mx.ModelSpec(
-        name="quadratic-drift", state_dim=1, initial_value=[1.0], horizon=1.0,
-        drift=mx.CoefficientField("quad", "state", 1, 0, quad),
-        wiener=model_zoo("linear_mixed", wiener_matrix=0.0, wiener_offset=0.5).wiener,
-        rough=model_zoo("linear_mixed", rough_matrix=0.0, rough_offset=0.0).rough,
-        driver=mx.DriverSpec(1, 1, (0.75,)),
-    )
-
-
 def test_s1_fbm_exactness():
     start = time.monotonic()
     count = 10_000
@@ -150,8 +137,8 @@ def test_s5_finite_moments_rendering():
     ratios = [r for t in tables for r in t.ratios]
     in_band = all(0.8 <= r <= 1.25 for r in ratios)
     # negative control: quadratic drift must blow up or escape the band
-    control = mx.grid_stability_study(
-        quadratic_drift_model(), MomentTarget("sup", p=2.0), [2**8, 2**10], 2000, seed=9
+    (control,) = grid_stability_tables(
+        model_zoo("quadratic_control"), [MomentTarget("sup", p=2.0)], [2**8, 2**10], 2000, seed=9
     )
     control_fails = control.total_blowups > 0 or not all(0.8 <= r <= 1.25 for r in control.ratios)
     ok = blowups == 0 and in_band and control_fails
@@ -168,9 +155,9 @@ def test_s5_finite_moments_rendering():
 def test_s6_exponential_moments_rendering():
     hurst = 0.75
     gamma = 0.9 * 4 * hurst / (2 * hurst + 1)
-    table = mx.grid_stability_study(
+    (table,) = grid_stability_tables(
         model_zoo("bounded_trig", hurst=hurst),
-        MomentTarget("exp", c=1.0, gamma=gamma),
+        [MomentTarget("exp", c=1.0, gamma=gamma)],
         LEVELS, 10_000, seed=101,
     )
     finite = all(np.isfinite(e.estimate) for e in table.estimates)
@@ -179,7 +166,7 @@ def test_s6_exponential_moments_rendering():
     stable = not any(e.unstable for e in table.estimates)
     # contrast: gamma above the Gaussian exp-square boundary must flag unstable
     contrast_out = mx.solve_model(pure_driver_model(), TimeGrid(1.0, 2**10), 10_000, seed=13)
-    contrast = mx.exp_moment_estimate(contrast_out, c=1.0, gamma=3.9)
+    contrast = mx.moment_estimate(contrast_out, MomentTarget("exp", c=1.0, gamma=3.9))
     ok = finite and dominance < 0.2 and in_band and stable and contrast.unstable
     _report(
         "S6",
@@ -197,8 +184,8 @@ def test_s7_coupled_system_rendering():
     bound = mx.coupled_growth_power_bound(hurst)
     assert bound == pytest.approx(0.3)
     pair = model_zoo("stochvol", rho_power=rho, hurst=hurst)
-    table = mx.grid_stability_study(
-        pair, MomentTarget("sup", p=2.0), LEVELS, 10_000, seed=101
+    (table,) = grid_stability_tables(
+        pair, [MomentTarget("sup", p=2.0)], LEVELS, 10_000, seed=101
     )
     in_band = all(0.8 <= r <= 1.25 for r in table.ratios)
     # exploratory boundary artifact around the admissible exponent bound

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +12,7 @@ import pytest
 from mixedsde import model_zoo
 from mixedsde.cli import main, parse_config_file, resolve_config
 from mixedsde.errors import ConfigError
-from mixedsde.moments import MomentTarget, _level_ratio, grid_stability_study
+from mixedsde.moments import MomentTarget, _level_ratio, grid_stability_tables
 
 
 def write_config(tmp_path, name, body):
@@ -203,7 +207,7 @@ def test_moments_ratio_column_is_the_tables_ratio_rule(tmp_path):
     zero = {f"{k}_{part}": 0 for k in ("drift", "wiener", "rough") for part in ("matrix", "offset")}
     model = model_zoo("linear_mixed", initial_value=0.0, **zero)
     target = MomentTarget("sup", p=2.0)
-    table = grid_stability_study(model, target, [8, 16], 20, seed=1)
+    (table,) = grid_stability_tables(model, [target], [8, 16], 20, seed=1)
     assert [e.estimate for e in table.estimates] == [0.0, 0.0]
     assert len(table.ratios) == 1 and math.isnan(table.ratios[0])
     body = "".join(f"model.{k}: 0\n" for k in zero)
@@ -363,6 +367,22 @@ BAD_VALUE_CASES = {
                                         "gamma: [1.0]\nlevels: [8]\nseed: 1\npaths: 2\nmodel.mu: 0.2\n"
                                         "model.base: 1\n", 9, "bad model parameters for 'malliavin_linearized' "
                                         "(model.mu: 0.2, model.base: 1): unknown parameter 'base'"),
+    "model-quadratic_control-any-parameter": ("moments", "model: quadratic_control\nstatistic: sup\np: [2]\n"
+                                              "levels: [8]\nseed: 1\npaths: 2\nmodel.hurst: 0.7\n", 7,
+                                              "bad model parameters for 'quadratic_control' (model.hurst: 0.7): "
+                                              "unknown parameter 'hurst'; choose from []"),
+    # a rate list must have one rate per state component (drift) or Wiener column
+    "model-bounded_trig-drift_rate-length": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\n"
+                                             "levels: [8]\nseed: 1\npaths: 2\nmodel.state_dim: 2\n"
+                                             "model.drift_rate: [0.5, 3.0, 1.0]\n", 7,
+                                             "bad model parameters for 'bounded_trig' (model.state_dim: 2, "
+                                             "model.drift_rate: [0.5, 3.0, 1.0]): drift_rate must be a number or a list of state_dim = 2 numbers, "
+                                             "got [0.5, 3.0, 1.0]"),
+    "model-bounded_trig-wiener_rate-length": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\n"
+                                              "levels: [8]\nseed: 1\npaths: 2\nmodel.wiener_rate: [0.5, 0.3]\n", 7,
+                                              "bad model parameters for 'bounded_trig' (model.wiener_rate: "
+                                              "[0.5, 0.3]): wiener_rate must be a number or a list of wiener_dim = 1 numbers, "
+                                              "got [0.5, 0.3]"),
 }
 
 
@@ -376,6 +396,43 @@ def test_bad_value_exits_2_naming_the_line(tmp_path, capsys, case):
     assert err.startswith("config error:")
     assert f"bad.cfg:{line}: {message}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rates", ["model.state_dim: 2\nmodel.drift_rate: [0.5, 3.0]\n",
+                                   "model.wiener_rate: [0.5]\n"])
+def test_bounded_trig_rate_lists_of_the_right_length_run(tmp_path, rates):
+    cfg = write_config(
+        tmp_path, "rates.cfg",
+        "model: bounded_trig\n" + rates + "statistic: sup\np: [2]\nlevels: [8, 16]\npaths: 64\nseed: 1\n",
+    )
+    out = tmp_path / "o"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+    assert [row["blowup_count"] for row in read_rows(out / "moments.csv")] == ["0", "0"]
+
+
+@pytest.mark.parametrize("rho, warned", [(0.6, True), (0.2, False)])
+def test_growth_power_outside_the_admissible_range_warns_on_stderr(tmp_path, rho, warned):
+    cfg = write_config(
+        tmp_path, "rho.cfg",
+        f"model: stochvol\nmodel.rho_power: {rho}\nstatistic: sup\np: [2]\nlevels: [8, 16]\npaths: 64\nseed: 11\n",
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mixedsde.cli", "moments", "--config", cfg, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert ("outside the admissible range" in done.stderr) == warned, done.stderr
+
+
+def test_readme_cli_block_and_example_configs_agree():
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named = set(re.findall(r"--config (configs/\S+\.cfg)", block))
+    on_disk = {f"configs/{p.name}" for p in (root / "configs").glob("*.cfg")}
+    assert named == on_disk
 
 
 def test_model_errors_name_the_first_model_key_else_the_model_line():
@@ -402,17 +459,19 @@ def test_integrate_holder_order_zero_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-# Computed from the parsed example configs before the config grammar changed:
-# the hash covers every parsed value and its type, so equal hashes mean each
-# example run keeps its identity.
+# Computed from the parsed example configs, the first eight before the config
+# grammar changed: the hash covers every parsed value and its type, so equal
+# hashes mean each example run keeps its identity.
 EXAMPLE_MANIFEST_HASHES = {
     "boundary.cfg": ("boundary", "2821b3dfdf6c22a9"),
     "check_conditions.cfg": ("check-conditions", "2e2096ba03883c59"),
+    "coupled_rho.cfg": ("moments", "f7f743be63137c6d"),
     "exp_moments.cfg": ("moments", "8d044fa7b10d3cbb"),
     "fbm.cfg": ("fbm", "757f19d8e83afab4"),
     "fernique.cfg": ("fernique", "317fce698150cd2d"),
     "integrate.cfg": ("integrate", "23ade60caa7ff350"),
     "moments.cfg": ("moments", "f1883ab58400f01b"),
+    "quadratic_control.cfg": ("moments", "0dc3387799ac9d3e"),
     "solve.cfg": ("solve", "72e9dcb88e067b1a"),
 }
 

@@ -46,6 +46,11 @@ CASES = {
         "levels: [8, 16]\npaths: 2100\nseed: 12\n",
         "43b956db96780606f0ec5c6b710fc5f41bf5639ea6569e528d422ee2cc8ec4c1",
     ),
+    "moments-quadratic_control": (
+        "moments",
+        "model: quadratic_control\nstatistic: sup\np: [2]\nlevels: [32, 64]\npaths: 2100\nseed: 9\n",
+        "02a22ad7adf966944ae17c1027f209e7e5f9c833ae13a97bf7a2954a36f5e058",
+    ),
     "boundary": (
         "boundary",
         "model: bounded_trig\ngamma: [0.6, 1.5]\nc: 1.0\nn: 16\npaths: 2100\nseed: 13\n",

@@ -10,14 +10,12 @@ from mixedsde import (
     EstimationError,
     MomentTarget,
     TimeGrid,
-    exp_moment_estimate,
     exponent_boundary_study,
     fernique_tail_check,
-    grid_stability_study,
     model_zoo,
+    moment_estimate,
     solve_coupled,
     solve_model,
-    sup_moment_estimate,
     exp_moment_exponent_bound,
 )
 from mixedsde.moments import _level_ratio, grid_stability_tables
@@ -44,7 +42,7 @@ def pure_driver_model():
 def test_constant_model_moments_are_exact_with_zero_variance():
     out = solve_model(constant_model(2.0), TimeGrid(1.0, 32), 300, seed=1)
     for p in (1.0, 2.0, 3.5):
-        est = sup_moment_estimate(out, p)
+        est = moment_estimate(out, MomentTarget("sup", p=p))
         assert est.estimate == pytest.approx(2.0**p, rel=1e-12)
         assert est.standard_error <= 1e-12 * est.estimate  # zero at double precision
         assert est.ci_low <= est.estimate <= est.ci_high
@@ -55,7 +53,7 @@ def test_driver_sup_second_moment_band():
     # E sup^2 of the rough driver itself: at least E Z(1)^2 = 1, and the
     # simulation study places it near 1.2 for H = 0.75
     out = solve_model(pure_driver_model(), TimeGrid(1.0, 512), 10_000, seed=13)
-    est = sup_moment_estimate(out, 2.0)
+    est = moment_estimate(out, MomentTarget("sup", p=2.0))
     assert 1.0 <= est.estimate <= 2.5
     assert est.estimate == pytest.approx(1.2, abs=4 * est.standard_error + 0.05)
 
@@ -68,7 +66,7 @@ def test_wiener_sup_reflection_principle_oracles():
         wiener_offset=1.0, rough_matrix=0.0, rough_offset=0.0, initial_value=0.0,
     )
     out = solve_model(model, TimeGrid(1.0, 4096), 4000, seed=3)
-    est = sup_moment_estimate(out, 1.0)
+    est = moment_estimate(out, MomentTarget("sup", p=1.0))
     se = est.standard_error
     assert abs(est.estimate - math.sqrt(math.pi / 2)) < 4 * se + 0.02
     one_sided = out.paths.values[:, :, 0].max(axis=1)
@@ -78,7 +76,7 @@ def test_wiener_sup_reflection_principle_oracles():
 
 def test_exp_moment_tends_to_one_for_small_c():
     out = solve_model(pure_driver_model(), TimeGrid(1.0, 128), 500, seed=5)
-    est = exp_moment_estimate(out, c=1e-9, gamma=1.0)
+    est = moment_estimate(out, MomentTarget("exp", c=1e-9, gamma=1.0))
     assert est.estimate == pytest.approx(1.0, abs=1e-8)
     assert est.standard_error < 1e-9
     assert not est.unstable
@@ -88,7 +86,7 @@ def test_exp_moment_above_gaussian_square_flags_unstable():
     # exp tails of a Gaussian sup support gamma < 2 only; gamma = 2.5 must
     # trip the tail-dominance diagnostic at desk scale
     out = solve_model(pure_driver_model(), TimeGrid(1.0, 512), 10_000, seed=13)
-    est = exp_moment_estimate(out, c=1.0, gamma=2.5)
+    est = moment_estimate(out, MomentTarget("exp", c=1.0, gamma=2.5))
     assert est.unstable
     assert est.tail_dominance > 0.2
 
@@ -97,25 +95,28 @@ def test_finite_sample_jensen_inequality():
     out = solve_model(model_zoo("bounded_trig"), TimeGrid(1.0, 256), 400, seed=7)
     sups = out.survivor_sup_norms()
     c, gamma = 1.0, 1.0
-    est = exp_moment_estimate(out, c, gamma)
+    est = moment_estimate(out, MomentTarget("exp", c=c, gamma=gamma))
     assert est.estimate >= math.exp(c * np.mean(sups**gamma)) * (1 - 1e-12)
 
 
 def test_lp_norms_nondecreasing_in_p():
     out = solve_model(model_zoo("linear_mixed", initial_value=1.5), TimeGrid(1.0, 256), 400, seed=8)
     # sup >= |X0| = 1.5 >= 1 path-wise, so raw moments are monotone too
-    raw = [sup_moment_estimate(out, p).estimate for p in (1.0, 2.0, 3.0, 4.0)]
+    def moment(p):
+        return moment_estimate(out, MomentTarget("sup", p=p)).estimate
+
+    raw = [moment(p) for p in (1.0, 2.0, 3.0, 4.0)]
     assert all(b >= a for a, b in zip(raw, raw[1:]))
-    norms = [sup_moment_estimate(out, p).estimate ** (1 / p) for p in (0.5, 1.0, 2.0, 4.0)]
+    norms = [moment(p) ** (1 / p) for p in (0.5, 1.0, 2.0, 4.0)]
     assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
 def test_tail_dominance_bounds_and_target_labels():
     out = solve_model(model_zoo("linear_mixed"), TimeGrid(1.0, 128), 200, seed=9)
-    est = sup_moment_estimate(out, 2.0)
+    est = moment_estimate(out, MomentTarget("sup", p=2.0))
     assert 0.0 <= est.tail_dominance <= 1.0
     assert "p=2" in est.target
-    est2 = exp_moment_estimate(out, 0.5, 1.25)
+    est2 = moment_estimate(out, MomentTarget("exp", c=0.5, gamma=1.25))
     assert "c=0.5" in est2.target and "gamma=1.25" in est2.target
 
 
@@ -135,7 +136,7 @@ def test_all_paths_blown_raises_estimation_error():
     out = solve_model(model, TimeGrid(1.0, 512), 50, seed=10)
     assert out.blowup_count == 50
     with pytest.raises(EstimationError):
-        sup_moment_estimate(out, 2.0)
+        moment_estimate(out, MomentTarget("sup", p=2.0))
 
 
 def test_moment_target_validation():
@@ -158,8 +159,8 @@ def test_level_ratio_zero_rule():
 
 
 def test_constant_model_stability_ratios_exactly_one():
-    table = grid_stability_study(
-        constant_model(2.0), MomentTarget("sup", p=2.0), [64, 128, 256], 200, seed=11
+    (table,) = grid_stability_tables(
+        constant_model(2.0), [MomentTarget("sup", p=2.0)], [64, 128, 256], 200, seed=11
     )
     assert table.ratios == (1.0, 1.0)
     assert table.total_blowups == 0
@@ -167,10 +168,10 @@ def test_constant_model_stability_ratios_exactly_one():
 
 def test_stability_study_is_reproducible_and_worker_invariant():
     model = model_zoo("linear_mixed")
-    kwargs = dict(target=MomentTarget("sup", p=2.0), levels=[128, 256], paths=400, seed=12)
-    a = grid_stability_study(model, **kwargs)
-    b = grid_stability_study(model, **kwargs)
-    c = grid_stability_study(model, workers=3, **kwargs)
+    kwargs = dict(targets=[MomentTarget("sup", p=2.0)], levels=[128, 256], paths=400, seed=12)
+    (a,) = grid_stability_tables(model, **kwargs)
+    (b,) = grid_stability_tables(model, **kwargs)
+    (c,) = grid_stability_tables(model, workers=3, **kwargs)
     for x, y in ((a, b), (a, c)):
         assert [e.estimate for e in x.estimates] == [e.estimate for e in y.estimates]
 
@@ -179,7 +180,7 @@ def test_stability_levels_validation():
     model = constant_model()
     for levels in ([256, 128], [100, 200], [128, 128]):
         with pytest.raises(DomainError):
-            grid_stability_study(model, MomentTarget("sup", p=1.0), levels, 100, seed=1)
+            grid_stability_tables(model, [MomentTarget("sup", p=1.0)], levels, 100, seed=1)
 
 
 def test_multi_target_tables_share_paths():
@@ -187,26 +188,16 @@ def test_multi_target_tables_share_paths():
     targets = [MomentTarget("sup", p=1.0), MomentTarget("sup", p=2.0)]
     tables = grid_stability_tables(model, targets, [128, 256], 300, seed=14)
     singles = [
-        grid_stability_study(model, t, [128, 256], 300, seed=14) for t in targets
+        grid_stability_tables(model, [t], [128, 256], 300, seed=14)[0] for t in targets
     ]
     for multi, single in zip(tables, singles):
         assert [e.estimate for e in multi.estimates] == [e.estimate for e in single.estimates]
 
 
 def test_quadratic_drift_negative_control_shows_blowups():
-    import mixedsde
-
-    def quad(t, x):
-        return x * x
-
-    model = mixedsde.ModelSpec(
-        name="quad", state_dim=1, initial_value=[1.0], horizon=1.0,
-        drift=mixedsde.CoefficientField("quad", "state", 1, 0, quad),
-        wiener=model_zoo("linear_mixed", wiener_matrix=0.0, wiener_offset=0.5).wiener,
-        rough=model_zoo("linear_mixed", rough_matrix=0.0, rough_offset=0.0).rough,
-        driver=mixedsde.DriverSpec(1, 1, (0.75,)),
+    (table,) = grid_stability_tables(
+        model_zoo("quadratic_control"), [MomentTarget("sup", p=2.0)], [256, 1024], 300, seed=9
     )
-    table = grid_stability_study(model, MomentTarget("sup", p=2.0), [256, 1024], 300, seed=9)
     in_band = all(0.8 <= r <= 1.25 for r in table.ratios)
     assert table.total_blowups > 0 or not in_band
 
@@ -285,6 +276,6 @@ def test_shared_drivers_with_different_hurst_rejected_everywhere():
     with pytest.raises(DomainError, match="shared drivers"):
         solve_coupled(base, bad, TimeGrid(1.0, 8), seed=1, count=4)
     with pytest.raises(DomainError, match="shared drivers"):
-        grid_stability_study((base, bad), MomentTarget("sup", p=2.0), [8, 16], 4, seed=1)
+        grid_stability_tables((base, bad), [MomentTarget("sup", p=2.0)], [8, 16], 4, seed=1)
     with pytest.raises(DomainError, match="shared drivers"):
         exponent_boundary_study((base, bad), [1.0], 0.5, TimeGrid(1.0, 8), 4, seed=1)

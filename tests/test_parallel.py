@@ -15,7 +15,7 @@ from mixedsde import (
     model_zoo,
 )
 from mixedsde import parallel
-from mixedsde.moments import MomentTarget, grid_stability_study, grid_stability_tables
+from mixedsde.moments import MomentTarget, grid_stability_tables
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -39,7 +39,7 @@ def test_map_paths_rejects_nonpositive_path_counts(paths):
 
 def test_studies_reject_zero_paths_with_a_domain_error():
     with pytest.raises(DomainError):
-        grid_stability_study(model_zoo("bounded_trig"), MomentTarget("sup", 2.0), [8], 0, seed=1)
+        grid_stability_tables(model_zoo("bounded_trig"), [MomentTarget("sup", 2.0)], [8], 0, seed=1)
     with pytest.raises(DomainError):
         geometric_convergence_study(GeometricParams(), 0.75, [8], 0, seed=1)
 
