@@ -6,15 +6,7 @@ noise types with one Euler scheme, and runs the Monte Carlo studies that
 probe moment and exponential-moment finiteness of the solutions.
 """
 
-from .analysis import (
-    GrrReport,
-    NormReport,
-    grr_functional,
-    holder_exponent_estimate,
-    holder_seminorm,
-    norm_report,
-    sup_norm,
-)
+from .analysis import holder_seminorm, sup_norm
 from .errors import (
     ConfigError,
     DomainError,
@@ -42,12 +34,10 @@ from .models import (
     validate_assumptions,
 )
 from .moments import (
-    ExponentBoundaryReport,
     FerniqueTailReport,
     MomentEstimate,
     MomentTarget,
     StabilityTable,
-    exponent_boundary_study,
     fernique_tail_check,
     moment_estimate,
     exp_moment_exponent_bound,
@@ -56,7 +46,6 @@ from .paths import DiscretePath, PathBatch
 from .solver import (
     GeometricParams,
     SolveOutput,
-    closed_form_geometric,
     closed_form_geometric_batch,
     euler_coupled,
     euler_mixed,

@@ -1,4 +1,4 @@
-"""Norms, seminorms and regularity diagnostics for discrete paths.
+"""Sup norms and Holder seminorms of discrete paths.
 
 All quantities are grid-native: the Holder seminorm is the exact maximum
 over grid pairs, which underestimates the continuous seminorm but compares
@@ -7,22 +7,15 @@ like with like in every inequality check the studies run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ResourceError
 from .paths import DiscretePath
 
 __all__ = [
-    "NormReport",
-    "GrrReport",
     "sup_norm",
     "holder_seminorm",
     "holder_seminorm_batch",
-    "norm_report",
-    "grr_functional",
-    "holder_exponent_estimate",
     "SEMINORM_CAP",
 ]
 
@@ -38,33 +31,6 @@ _SCAN_VALUES = 2**17  # values per row block of the lag scan (1 MB of float64)
 _SLACK = 1.0 + 2.0**-40
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """Sup norm and gamma-Holder seminorm of a path over [a, b]."""
-
-    sup_norm: float
-    holder_seminorm: float
-    exponent: float
-    window: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class GrrReport:
-    """Garsia–Rodemich–Rumsey double-integral diagnostic.
-
-    ``value`` approximates the increment double integral with the diagonal
-    band excluded; ``seminorm_ratio`` is holder_seminorm(theta)^p / value.
-    No certified constant relates the two — this is a diagnostic, not a
-    bound.
-    """
-
-    value: float
-    seminorm_ratio: float
-    theta: float
-    p: float
-    diverged: bool
-
-
 def _window_values(path: DiscretePath, a, b) -> tuple[np.ndarray, float]:
     ia, ib = path.grid.window(a, b)
     return path.values[ia : ib + 1], path.grid.dt
@@ -74,15 +40,6 @@ def sup_norm(path: DiscretePath, a: float | None = None, b: float | None = None)
     """Max Euclidean norm of the path over grid points in [a, b]."""
     values, _ = _window_values(path, a, b)
     return float(np.linalg.norm(values, axis=1).max())
-
-
-def _increment_norms(values: np.ndarray, lag: int) -> np.ndarray:
-    diff = values[lag:] - values[:-lag]
-    if diff.ndim == 1:
-        return np.abs(diff)
-    if diff.shape[-1] == 1:  # scalar path: skip the norm's squaring
-        return np.abs(diff[..., 0])
-    return np.linalg.norm(diff, axis=-1)
 
 
 def holder_seminorm(
@@ -251,84 +208,3 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
                 np.maximum(group_best, inc / (lag * dt) ** exponent, out=group_best)
             best[chunk] = group_best
     return best
-
-
-def norm_report(
-    path: DiscretePath,
-    a: float | None = None,
-    b: float | None = None,
-    exponent: float = 0.5,
-) -> NormReport:
-    ia, ib = path.grid.window(a, b)
-    lo, hi = ia * path.grid.dt, ib * path.grid.dt
-    return NormReport(
-        sup_norm=sup_norm(path, a, b),
-        holder_seminorm=holder_seminorm(path, a, b, exponent),
-        exponent=exponent,
-        window=(lo, hi),
-    )
-
-
-def grr_functional(
-    path: DiscretePath,
-    theta: float,
-    p: float,
-    a: float | None = None,
-    b: float | None = None,
-) -> GrrReport:
-    """Trapezoid approximation of the GRR increment double integral.
-
-    Integrand |f(x)-f(y)|^p / |x-y|^(p*theta+2) over [a,b]^2. Node pairs
-    closer than one grid step are excluded (the integrand is not evaluable
-    at x = y), which omits a diagonal band of half-width about dt/2; the
-    approximation tends to the full integral from below as the grid refines.
-    """
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if p * theta + 2 <= 0:
-        raise DomainError(f"need p*theta + 2 > 0, got p={p}, theta={theta}")
-    values, dt = _window_values(path, a, b)
-    n = len(values) - 1
-    if n > SEMINORM_CAP:
-        raise ResourceError(f"GRR scan capped at {SEMINORM_CAP} steps, window has {n}")
-    weights = np.full(n + 1, dt)
-    weights[0] = weights[-1] = dt / 2.0
-    total = 0.0
-    with np.errstate(over="ignore"):
-        for lag in range(1, n + 1):
-            inc = _increment_norms(values, lag)
-            w = weights[lag:] * weights[: n + 1 - lag]
-            total += 2.0 * float(np.sum(inc**p * w)) / (lag * dt) ** (p * theta + 2)
-    diverged = not np.isfinite(total)
-    value = float("inf") if diverged else total
-    semi = holder_seminorm(path, a, b, theta) if 0.0 < theta <= 1.0 else float("nan")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if value == 0.0:
-            ratio = float("nan") if semi == 0.0 else float("inf")
-        else:
-            ratio = float(np.float64(semi) ** p / value)
-    return GrrReport(value=value, seminorm_ratio=ratio, theta=theta, p=p, diverged=diverged)
-
-
-def holder_exponent_estimate(path: DiscretePath) -> float:
-    """Regularity exponent from the increment scaling over dyadic lags.
-
-    Least-squares slope of log rms-increment against log lag for lags 2^j,
-    j = 0..log2(n)-3 (variogram practice: the three coarsest octaves are
-    too noisy to help). An exact power path f(t) = t^gamma reports gamma;
-    a driver with Hurst H reports close to H.
-    """
-    n = path.grid.step_count
-    if n < 64:
-        raise DomainError(f"exponent estimation needs n >= 64, got {n}")
-    values = path.values
-    j_max = int(np.log2(n)) - 3
-    lags = 2 ** np.arange(0, j_max + 1)
-    log_rms = []
-    for lag in lags:
-        inc = _increment_norms(values, int(lag))
-        log_rms.append(np.log(np.sqrt(np.mean(inc**2))))
-    x = np.log(lags.astype(float))
-    x = x - x.mean()
-    y = np.asarray(log_rms)
-    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))

@@ -40,7 +40,7 @@ from .models import VALIDATOR_MIN_SAMPLES, CoupledModelSpec, model_zoo, validate
 from .moments import (
     MomentTarget,
     _level_ratio,
-    exponent_boundary_study,
+    exp_moment_exponent_bound,
     fernique_tail_check,
     grid_stability_tables,
 )
@@ -285,11 +285,16 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
     for name, low in (("paths", 1), ("n", 1), ("samples", VALIDATOR_MIN_SAMPLES)):
         if name in config:
             check(config[name] >= low, name, f"key {name!r}: must be >= {low}, got {config[name]}")
-    for name in ("horizon", "radius"):
+    for name in ("horizon", "radius", "tol", "c", "p", "gamma"):
         if name in config:
-            check(config[name] > 0, name, f"key {name!r}: must be positive, got {config[name]}")
+            values = config[name] if isinstance(config[name], list) else [config[name]]
+            bad = next((v for v in values if not v > 0), None)
+            check(bad is None, name, f"key {name!r}: must be positive, got {bad}")
     if command in ("integrate", "boundary"):
         check(not config["n"] & (config["n"] - 1), "n", "key 'n' must be a power of two")
+    if command == "boundary":
+        check(config["gamma"] == sorted(config["gamma"]), "gamma",
+              f"key 'gamma': must be sorted ascending, got {config['gamma']}")
     if "levels" in config:
         try:
             check_levels(config["levels"])
@@ -513,18 +518,17 @@ def _run_fernique(config: dict) -> list[dict]:
 
 def _run_boundary(config: dict) -> list[dict]:
     model = _build_model(config)
-    horizon = (model[0] if isinstance(model, tuple) else model).horizon
-    report = exponent_boundary_study(
-        model,
-        config["gamma"],
-        config["c"],
-        TimeGrid(horizon, config["n"]),
-        config["paths"],
-        config["seed"],
-        workers=config["workers"],
+    gammas = config["gamma"]
+    tables = grid_stability_tables(
+        model, [MomentTarget("exp", c=config["c"], gamma=g) for g in gammas], [config["n"]],
+        config["paths"], config["seed"], workers=config["workers"],
     )
+    estimates = [table.estimates[0] for table in tables]
+    mu = (model[0] if isinstance(model, tuple) else model).driver.holder_order
+    threshold = exp_moment_exponent_bound(mu) if mu is not None else float("nan")
+    first_unstable = next((g for g, est in zip(gammas, estimates) if est.unstable), "")
     rows = []
-    for gamma, est in zip(report.gammas, report.estimates):
+    for gamma, est in zip(gammas, estimates):
         rows.append({
             "gamma": gamma,
             "estimate": est.estimate,
@@ -532,8 +536,8 @@ def _run_boundary(config: dict) -> list[dict]:
             "tail_dominance": est.tail_dominance,
             "overflow_count": est.overflow_count,
             "unstable": est.unstable,
-            "threshold_gamma": report.threshold_gamma,
-            "first_unstable_gamma": "" if report.first_unstable_gamma is None else report.first_unstable_gamma,
+            "threshold_gamma": threshold,
+            "first_unstable_gamma": first_unstable,
         })
     return rows
 

@@ -277,7 +277,12 @@ class AssumptionReport:
 
     @property
     def verdict(self) -> str:
-        return "violated" if any(c.violated for c in self.conditions) else "no-violation-found"
+        """``violated``, else ``no-claim`` when no condition has a claimed constant to test."""
+        if any(c.violated for c in self.conditions):
+            return "violated"
+        if all(c.claimed is None for c in self.conditions):
+            return "no-claim"
+        return "no-violation-found"
 
     def violations(self) -> tuple[ConditionEstimate, ...]:
         return tuple(c for c in self.conditions if c.violated)
@@ -293,10 +298,9 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norm for vectors, operator (spectral) norm for matrices."""
     if v.ndim == 2:
         return np.linalg.norm(v, axis=1)
-    flat = v.reshape(v.shape[0], v.shape[1], -1) if v.ndim > 3 else v
     if v.ndim == 4:  # Jacobian of a diffusion block: stack output columns
-        flat = v.reshape(v.shape[0], v.shape[1] * v.shape[2], v.shape[3])
-    return np.linalg.svd(flat, compute_uv=False)[:, 0]
+        v = v.reshape(v.shape[0], v.shape[1] * v.shape[2], v.shape[3])
+    return np.linalg.svd(v, compute_uv=False)[:, 0]
 
 
 def _pair_ratio(numerator: np.ndarray, separation: np.ndarray) -> np.ndarray:

@@ -31,11 +31,9 @@ __all__ = [
     "MomentEstimate",
     "StabilityTable",
     "FerniqueTailReport",
-    "ExponentBoundaryReport",
     "moment_estimate",
     "grid_stability_tables",
     "fernique_tail_check",
-    "exponent_boundary_study",
     "exp_moment_exponent_bound",
 ]
 
@@ -334,58 +332,4 @@ def fernique_tail_check(
         seminorm_median=median,
         coarse_median=float("nan"),
         growth_ratio=float("nan"),
-    )
-
-
-# --------------------------------------------------------------------------
-# exponent boundary study
-
-
-@dataclass(frozen=True)
-class ExponentBoundaryReport:
-    """Exploratory sweep of exp-moment exponents across the admissible bound.
-
-    No pass/fail: the report marks where the tail-dominance diagnostic
-    crosses the instability threshold relative to the theoretical bound.
-    """
-
-    c: float
-    threshold_gamma: float
-    gammas: tuple[float, ...]
-    estimates: tuple[MomentEstimate, ...]
-    first_unstable_gamma: float | None
-
-
-def exponent_boundary_study(
-    model,
-    gamma_list,
-    c: float,
-    grid: TimeGrid,
-    paths: int,
-    seed: int,
-    workers: int = 1,
-) -> ExponentBoundaryReport:
-    """One exp-moment estimate per gamma on one solved batch, sorted gammas."""
-    gammas = tuple(float(g) for g in gamma_list)
-    if len(gammas) < 1 or list(gammas) != sorted(gammas):
-        raise DomainError("gamma_list must be non-empty and sorted ascending")
-    model_x, _ = _unpack_model(model)
-    if grid.horizon != model_x.horizon:
-        raise DomainError(
-            f"study grid horizon {grid.horizon} does not match model horizon {model_x.horizon}"
-        )
-    n = grid.step_count
-    sups, blowups = _sups_by_level(model, (n,), paths, seed, workers)[n]
-    estimates = tuple(
-        _estimate_from_sups(sups, blowups, MomentTarget("exp", c=c, gamma=g)) for g in gammas
-    )
-    mu = model_x.driver.holder_order
-    threshold = exp_moment_exponent_bound(mu) if mu is not None else float("nan")
-    first_unstable = next((g for g, e in zip(gammas, estimates) if e.unstable), None)
-    return ExponentBoundaryReport(
-        c=float(c),
-        threshold_gamma=threshold,
-        gammas=gammas,
-        estimates=estimates,
-        first_unstable_gamma=first_unstable,
     )

@@ -20,7 +20,7 @@ from .errors import DomainError, GridMismatchError
 from .fbm import generate_drivers
 from .grids import TimeGrid
 from .models import CoupledModelSpec, ModelSpec, field_kernel, model_zoo
-from .paths import DiscretePath, PathBatch
+from .paths import PathBatch
 
 __all__ = [
     "SolveOutput",
@@ -33,7 +33,6 @@ __all__ = [
     "stage_drivers",
     "check_levels",
     "solve_levels",
-    "closed_form_geometric",
     "closed_form_geometric_batch",
     "geometric_convergence_study",
 ]
@@ -292,18 +291,6 @@ def closed_form_geometric_batch(
         + params.rough_vol * rough.values[:, :, 0]
     )
     return PathBatch(wiener.grid, params.initial_value * np.exp(log_s))
-
-
-def closed_form_geometric(
-    params: GeometricParams, wiener_path: DiscretePath, rough_path: DiscretePath
-) -> DiscretePath:
-    """Single-path version of :func:`closed_form_geometric_batch`."""
-    batch = closed_form_geometric_batch(
-        params,
-        PathBatch(wiener_path.grid, wiener_path.values[None, :, :]),
-        PathBatch(rough_path.grid, rough_path.values[None, :, :]),
-    )
-    return batch.path(0)
 
 
 def check_levels(levels) -> tuple[int, ...]:

@@ -2,13 +2,12 @@
 
 ``rs_sum`` is the raw left-point Riemann–Stieltjes sum (the same
 accumulation the Euler solver uses for its noise terms). ``young_integrate``
-evaluates the sum on a ladder of dyadic subsamples of the finest grid and
-reports convergence. Its default evaluation rule is the trapezoid one:
-for self-integrals and chain-rule identities the trapezoid sum telescopes
-exactly, while the left-point sum carries a quadratic-variation deficit of
-order n^(1-2H) that no desk-scale refinement removes. Left-point sums stay
-available via ``rule="left"``; both rules converge to the same Young limit
-whenever the Holder orders sum above one.
+evaluates the trapezoid sum on a ladder of dyadic subsamples of the finest
+grid and reports convergence: for self-integrals and chain-rule identities
+the trapezoid sum telescopes exactly, while the left-point sum carries a
+quadratic-variation deficit of order n^(1-2H) that no desk-scale refinement
+removes. The left-point sum on the finest grid is ``rs_sum``; both sums
+converge to the same Young limit whenever the Holder orders sum above one.
 """
 
 from __future__ import annotations
@@ -52,16 +51,9 @@ def _integrand_window(g: DiscretePath, h: DiscretePath, a, b) -> tuple[np.ndarra
     return g.values[ia : ib + 1], h.values[ia : ib + 1, 0], ib - ia
 
 
-def _cell_sum(gv: np.ndarray, hv: np.ndarray, stride: int, rule: str) -> np.ndarray:
-    left = gv[:-stride:stride]
+def _trapezoid_sum(gv: np.ndarray, hv: np.ndarray, stride: int) -> np.ndarray:
     dh = hv[stride::stride] - hv[:-stride:stride]
-    if rule == "left":
-        weights = left
-    elif rule == "trapezoid":
-        weights = 0.5 * (left + gv[stride::stride])
-    else:
-        raise DomainError(f"unknown evaluation rule {rule!r}")
-    return weights.T @ dh
+    return (0.5 * (gv[:-stride:stride] + gv[stride::stride])).T @ dh
 
 
 def rs_sum(
@@ -72,7 +64,7 @@ def rs_sum(
 ):
     """Left-point Riemann–Stieltjes sum of g against h over grid cells in [a, b]."""
     gv, hv, _ = _integrand_window(g, h, a, b)
-    value = _cell_sum(gv, hv, 1, "left")
+    value = gv[:-1].T @ (hv[1:] - hv[:-1])
     return float(value[0]) if g.dim == 1 else value
 
 
@@ -83,7 +75,6 @@ def young_integrate(
     b: float | None = None,
     tol: float = 1e-6,
     max_level: int | None = None,
-    rule: str = "trapezoid",
 ) -> YoungResult:
     """Integrate g dh through dyadic subsamples of the window.
 
@@ -111,7 +102,7 @@ def young_integrate(
     history = []
     for level in range(max_level + 1):
         stride = 2 ** (max_level - level)
-        value = _cell_sum(gv, hv, stride, rule)
+        value = _trapezoid_sum(gv, hv, stride)
         history.append(float(value[0]) if g.dim == 1 else value)
     if g.dim == 1:
         gap = abs(history[-1] - history[-2])

@@ -189,10 +189,11 @@ def test_s7_coupled_system_rendering():
     )
     in_band = all(0.8 <= r <= 1.25 for r in table.ratios)
     # exploratory boundary artifact around the admissible exponent bound
-    boundary = mx.exponent_boundary_study(
-        pair, [0.6, 1.0, 1.19, 1.4], 1.0, TimeGrid(1.0, 2**9), 2000, seed=101
+    boundary = grid_stability_tables(
+        pair, [MomentTarget("exp", c=1.0, gamma=g) for g in (0.6, 1.0, 1.19, 1.4)], [2**9], 2000, seed=101
     )
-    produced = len(boundary.estimates) == 4 and np.isfinite(boundary.threshold_gamma)
+    threshold = mx.exp_moment_exponent_bound(pair[0].driver.holder_order)
+    produced = sum(len(table.estimates) for table in boundary) == 4 and np.isfinite(threshold)
     ok = 0.0 < rho < bound and table.total_blowups == 0 and in_band and produced
     _report(
         "S7",

@@ -12,10 +12,7 @@ from mixedsde import (
     ResourceError,
     TimeGrid,
     generate_fbm,
-    grr_functional,
-    holder_exponent_estimate,
     holder_seminorm,
-    norm_report,
     sup_norm,
 )
 from mixedsde import analysis
@@ -239,109 +236,6 @@ def test_seminorm_cap():
     p = DiscretePath(TimeGrid(1.0, 8193), values)
     with pytest.raises(ResourceError):
         holder_seminorm(p, exponent=0.5)
-
-
-def test_norm_report_fields(fbm_750_1024):
-    p = fbm_750_1024.path(4)
-    rep = norm_report(p, exponent=0.7)
-    assert rep.sup_norm == pytest.approx(sup_norm(p))
-    assert rep.holder_seminorm == pytest.approx(holder_seminorm(p, exponent=0.7))
-    assert rep.window == (0.0, 1.0)
-
-
-# ----------------------------------------------------------------------- GRR
-
-
-def test_grr_constant_path_is_zero():
-    rep = grr_functional(path_from(np.full(65, 1.7)), theta=0.25, p=2)
-    assert rep.value == 0.0
-    assert not rep.diverged
-
-
-def test_grr_linear_path_analytic_oracle():
-    # f(t) = t, p = 2, theta = 0.25: integrand |x-y|^{-1/2}, whose analytic
-    # double integral over the unit square is 8/3. Excluding the diagonal
-    # node pairs omits a band of half-width ~dt/2; the analytic value over
-    # |x-y| >= delta is 8/3 - 4 sqrt(delta) + (4/3) delta^{3/2}.
-    n = 1024
-    delta = 0.5 / n
-    t = np.linspace(0, 1, n + 1)
-    rep = grr_functional(path_from(t), theta=0.25, p=2)
-    banded = 8.0 / 3.0 - 4.0 * np.sqrt(delta) + (4.0 / 3.0) * delta**1.5
-    assert rep.value == pytest.approx(banded, rel=0.01)
-    # the full integral 8/3 is approached from below as the grid refines
-    assert rep.value < 8.0 / 3.0
-    finer = np.linspace(0, 1, 4 * n + 1)
-    assert rep.value < grr_functional(path_from(finer), theta=0.25, p=2).value < 8.0 / 3.0
-
-
-def test_grr_finite_below_and_growing_above_the_regularity(fbm_750_1024):
-    # theta > H: the functional grows under refinement; theta < H - 1/p: it
-    # stabilizes. p = 8 keeps the below-threshold integrand integrable.
-    for i in range(3):
-        fine = fbm_750_1024.path(i)
-        coarse = fine.restrict(4)
-        above = grr_functional(fine, theta=0.85, p=8).value / grr_functional(coarse, theta=0.85, p=8).value
-        below = grr_functional(fine, theta=0.6, p=8).value / grr_functional(coarse, theta=0.6, p=8).value
-        assert above > 4.0
-        assert below < 2.5
-
-
-def test_grr_time_reversal_invariance(fbm_750_1024):
-    p = fbm_750_1024.path(5).restrict(4)
-    reversed_path = DiscretePath(p.grid, p.values[::-1])
-    a = grr_functional(p, theta=0.65, p=2)
-    b = grr_functional(reversed_path, theta=0.65, p=2)
-    assert a.value == pytest.approx(b.value, rel=1e-12)
-
-
-def test_grr_seminorm_ratio_companion(fbm_750_1024):
-    p = fbm_750_1024.path(6).restrict(8)
-    rep = grr_functional(p, theta=0.65, p=2)
-    semi = holder_seminorm(p, exponent=0.65)
-    assert rep.seminorm_ratio == pytest.approx(semi**2 / rep.value)
-
-
-def test_grr_domain_checks():
-    p = path_from(np.linspace(0, 1, 9))
-    with pytest.raises(DomainError):
-        grr_functional(p, theta=-3.0, p=1)  # p*theta + 2 <= 0
-    with pytest.raises(DomainError):
-        grr_functional(p, theta=0.5, p=0.5)
-
-
-def test_grr_overflow_reports_infinity_marker():
-    values = np.zeros(65)
-    values[1::2] = 1e200  # huge increments overflow |df|^p in double precision
-    rep = grr_functional(path_from(values), theta=0.5, p=4)
-    assert rep.diverged
-    assert rep.value == float("inf")
-
-
-# ------------------------------------------------------- exponent estimation
-
-
-def test_exponent_estimate_linear_path():
-    t = np.linspace(0, 1, 257)
-    assert holder_exponent_estimate(path_from(t)) == pytest.approx(1.0, abs=0.01)
-
-
-def test_exponent_estimate_needs_resolution():
-    with pytest.raises(DomainError):
-        holder_exponent_estimate(path_from(np.linspace(0, 1, 33)))
-
-
-def test_exponent_estimate_wiener_ensemble_median():
-    from mixedsde import generate_fbm
-
-    batch = generate_fbm(TimeGrid(1.0, 1024), 0.5, 200, seed=7, method="circulant")
-    slopes = [holder_exponent_estimate(batch.path(i)) for i in range(batch.count)]
-    assert abs(float(np.median(slopes)) - 0.5) < 0.05
-
-
-def test_exponent_estimate_fbm_ensemble_median(fbm_750_1024):
-    slopes = [holder_exponent_estimate(fbm_750_1024.path(i)) for i in range(fbm_750_1024.count)]
-    assert abs(float(np.median(slopes)) - 0.75) < 0.05
 
 
 # ------------------------------------------------- row blocks of the lag scan

@@ -12,7 +12,7 @@ import pytest
 from mixedsde import model_zoo
 from mixedsde.cli import main, parse_config_file, resolve_config
 from mixedsde.errors import ConfigError
-from mixedsde.moments import MomentTarget, _level_ratio, grid_stability_tables
+from mixedsde.moments import MomentTarget, _level_ratio, exp_moment_exponent_bound, grid_stability_tables
 
 
 def write_config(tmp_path, name, body):
@@ -267,6 +267,22 @@ def test_boundary_command(tmp_path):
     assert main(["boundary", "--config", cfg, "--out", str(out)]) == 0
     rows = read_rows(out / "boundary.csv")
     assert [float(r["gamma"]) for r in rows] == [0.5, 1.0]
+    assert all(float(r["threshold_gamma"]) == pytest.approx(exp_moment_exponent_bound(0.74)) for r in rows)
+
+
+def test_check_conditions_without_claimed_constants_reads_no_claim(tmp_path):
+    # quadratic_control claims no set: its x^2 drift grows past any linear bound,
+    # yet with nothing to test the verdict must not read as a pass
+    cfg = write_config(
+        tmp_path, "qc.cfg", "model: quadratic_control\nset: A\nradius: 10\nsamples: 1000\nseed: 3\n"
+    )
+    out = tmp_path / "run"
+    assert main(["check-conditions", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "check_conditions.csv")
+    assert {r["verdict"] for r in rows} == {"no-claim"}
+    assert {r["claimed"] for r in rows} == {""}
+    (a1,) = [r for r in rows if r["condition"] == "A1"]
+    assert float(a1["estimate"]) > 9.0
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
@@ -324,6 +340,16 @@ BAD_VALUE_CASES = {
     "moments-levels-decreasing": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\nlevels: [16, 8]\n"
                                   "seed: 1\npaths: 2\n", 4,
                                   "key 'levels': levels must be strictly increasing, got (16, 8)"),
+    "integrate-tol-negative": ("integrate", "seed: 1\nn: 8\npaths: 2\ntol: -1\n", 4,
+                               "key 'tol': must be positive, got -1.0"),
+    "boundary-c-negative": ("boundary", "model: bounded_trig\ngamma: [1.0]\nc: -1\nn: 16\nseed: 1\npaths: 2\n", 3,
+                            "key 'c': must be positive, got -1.0"),
+    "moments-p-negative": ("moments", "model: bounded_trig\nstatistic: sup\np: [2, -1]\nlevels: [8]\nseed: 1\n"
+                           "paths: 2\n", 3, "key 'p': must be positive, got -1.0"),
+    "boundary-gamma-0": ("boundary", "model: bounded_trig\nc: 1.0\ngamma: [0, 1.0]\nn: 16\nseed: 1\npaths: 2\n", 3,
+                         "key 'gamma': must be positive, got 0.0"),
+    "boundary-gamma-unsorted": ("boundary", "model: bounded_trig\ngamma: [1.5, 0.6]\nc: 1.0\nn: 16\nseed: 1\n"
+                                "paths: 2\n", 2, "key 'gamma': must be sorted ascending, got [1.5, 0.6]"),
     "boundary-n-0": ("boundary", "model: bounded_trig\ngamma: [1.0]\nc: 1.0\nn: 0\nseed: 1\npaths: 2\n", 4,
                      "key 'n': must be >= 1, got 0"),
     "solve-horizon-negative": ("solve", "levels: [8]\nhorizon: -1\nseed: 1\npaths: 2\n", 2,

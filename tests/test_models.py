@@ -55,7 +55,7 @@ def test_linear_growth_ratio_saturates_at_box_edge():
     model = state_model(drift=drift)
     report = validate_assumptions(model, "A", box_radius=10.0, samples=2000, seed=1)
     assert report.constant("A1") == pytest.approx(10.0 / 11.0, rel=1e-3)
-    assert report.verdict == "no-violation-found"
+    assert report.verdict == "no-claim"
 
 
 def test_sin_coefficient_bound_and_derivative_constants():

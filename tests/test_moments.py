@@ -10,7 +10,6 @@ from mixedsde import (
     EstimationError,
     MomentTarget,
     TimeGrid,
-    exponent_boundary_study,
     fernique_tail_check,
     model_zoo,
     moment_estimate,
@@ -236,34 +235,30 @@ def test_fernique_input_validation():
 # --------------------------------------------------------------- boundary
 
 
+def exp_targets(gammas, c=1.0):
+    return [MomentTarget("exp", c=c, gamma=g) for g in gammas]
+
+
 def test_boundary_study_rows_and_threshold():
+    # the boundary command's rows: one stability level, one exp target per gamma
     model = model_zoo("bounded_trig")
-    report = exponent_boundary_study(
-        model, [0.5, 1.0, 3.9], 1.0, TimeGrid(1.0, 256), 2000, seed=7
-    )
-    assert report.threshold_gamma == pytest.approx(exp_moment_exponent_bound(0.74))
-    assert len(report.estimates) == 3
-    assert not report.estimates[0].unstable
-    assert report.estimates[-1].unstable or report.estimates[-1].tail_dominance > 0.2
+    tables = grid_stability_tables(model, exp_targets([0.5, 1.0, 3.9]), [256], 2000, seed=7)
+    threshold = exp_moment_exponent_bound(model.driver.holder_order)
+    assert threshold == pytest.approx(exp_moment_exponent_bound(0.74))
+    estimates = [table.estimates[0] for table in tables]
+    assert len(estimates) == 3
+    assert not estimates[0].unstable
+    assert estimates[-1].unstable or estimates[-1].tail_dominance > 0.2
 
 
 def test_boundary_single_gamma_degenerate_input():
-    report = exponent_boundary_study(
-        model_zoo("bounded_trig"), [1.0], 1.0, TimeGrid(1.0, 128), 1000, seed=8
-    )
-    assert len(report.estimates) == 1
+    (table,) = grid_stability_tables(model_zoo("bounded_trig"), exp_targets([1.0]), [128], 1000, seed=8)
+    assert len(table.estimates) == 1
 
 
 def test_boundary_rejects_a_non_dyadic_grid():
     with pytest.raises(DomainError, match="dyadic"):
-        exponent_boundary_study(model_zoo("bounded_trig"), [1.0], 1.0, TimeGrid(1.0, 12), 100, seed=1)
-
-
-def test_boundary_requires_sorted_gammas():
-    with pytest.raises(DomainError):
-        exponent_boundary_study(
-            model_zoo("bounded_trig"), [2.0, 1.0], 1.0, TimeGrid(1.0, 128), 500, seed=1
-        )
+        grid_stability_tables(model_zoo("bounded_trig"), exp_targets([1.0]), [12], 100, seed=1)
 
 
 # --------------------------------------------------------------- coupled drivers
@@ -277,5 +272,3 @@ def test_shared_drivers_with_different_hurst_rejected_everywhere():
         solve_coupled(base, bad, TimeGrid(1.0, 8), seed=1, count=4)
     with pytest.raises(DomainError, match="shared drivers"):
         grid_stability_tables((base, bad), [MomentTarget("sup", p=2.0)], [8, 16], 4, seed=1)
-    with pytest.raises(DomainError, match="shared drivers"):
-        exponent_boundary_study((base, bad), [1.0], 0.5, TimeGrid(1.0, 8), 4, seed=1)

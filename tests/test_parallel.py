@@ -7,7 +7,6 @@ from mixedsde import (
     DomainError,
     GeometricParams,
     TimeGrid,
-    exponent_boundary_study,
     fernique_tail_check,
     generate_fbm,
     generate_wiener,
@@ -76,8 +75,8 @@ _STUDIES = {
         model_zoo("stochvol"), [MomentTarget("sup", p=2.0), MomentTarget("exp", c=0.5, gamma=1.0)],
         [16, 64], 700, seed=3,
     ),
-    "boundary": lambda: exponent_boundary_study(
-        model_zoo("bounded_trig"), [0.6, 1.5], 1.0, TimeGrid(1.0, 64), 700, seed=4
+    "boundary": lambda: grid_stability_tables(
+        model_zoo("bounded_trig"), [MomentTarget("exp", c=1.0, gamma=g) for g in (0.6, 1.5)], [64], 700, seed=4
     ),
     "fernique": lambda: fernique_tail_check(0.75, 0.6, TimeGrid(1.0, 64), 700, seed=5),
     "convergence": lambda: geometric_convergence_study(GeometricParams(), 0.75, [16, 64], 700, seed=6),

@@ -11,7 +11,6 @@ from mixedsde import (
     GridMismatchError,
     ModelSpec,
     TimeGrid,
-    closed_form_geometric,
     closed_form_geometric_batch,
     euler_mixed,
     generate_drivers,
@@ -89,15 +88,11 @@ def test_geometric_euler_tracks_closed_form():
 def test_closed_form_reductions():
     grid = TimeGrid(1.0, 64)
     w, z = generate_drivers(DriverSpec(1, 1, (0.75,)), grid, 1, seed=5)
-    flat = closed_form_geometric(
-        GeometricParams(2.0, 0.3, 0.0, 0.0), w.path(0), z.path(0)
-    )
-    np.testing.assert_allclose(flat.values[:, 0], 2.0 * np.exp(0.3 * grid.points))
-    gbm = closed_form_geometric(
-        GeometricParams(1.0, 0.0, 0.5, 0.0), w.path(0), z.path(0)
-    )
+    flat = closed_form_geometric_batch(GeometricParams(2.0, 0.3, 0.0, 0.0), w, z).values[0, :, 0]
+    np.testing.assert_allclose(flat, 2.0 * np.exp(0.3 * grid.points))
+    gbm = closed_form_geometric_batch(GeometricParams(1.0, 0.0, 0.5, 0.0), w, z).values[0, :, 0]
     expected = np.exp(-0.125 * grid.points + 0.5 * w.values[0, :, 0])
-    np.testing.assert_allclose(gbm.values[:, 0], expected)
+    np.testing.assert_allclose(gbm, expected)
 
 
 def test_malliavin_sensitivity_tracks_price_ratio():
