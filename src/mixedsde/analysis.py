@@ -144,6 +144,11 @@ def _groups_to_scan(bounds: np.ndarray, best: np.ndarray):
             yield g, rows
 
 
+def _check_exponent(exponent: float) -> None:
+    if not 0.0 < exponent <= 1.0:
+        raise DomainError(f"Holder exponent must lie in (0, 1], got {exponent}")
+
+
 def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.ndarray:
     """Per-path exact grid seminorms for a (count, n+1[, dim]) value block.
 
@@ -177,8 +182,7 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
     +0.0 turns it into the +0.0 that ``abs`` gives and changes no other
     value; nan and inf pass through max and min as through ``abs``.
     """
-    if not 0.0 < exponent <= 1.0:
-        raise DomainError(f"Holder exponent must lie in (0, 1], got {exponent}")
+    _check_exponent(exponent)
     if values.ndim == 3 and values.shape[2] == 1:
         values = values[:, :, 0]
     n = values.shape[1] - 1

@@ -32,20 +32,22 @@ import numpy as np
 import scipy  # noqa: F401  unused here; perfbench/child.py reads sys.modules['scipy'].__version__
 
 from . import __version__, parallel
-from .analysis import holder_seminorm_batch
+from .analysis import _check_exponent, holder_seminorm_batch
 from .errors import ConfigError, DomainError, MixedSdeError
 from .fbm import fbm_covariance_matrix, generate_fbm
-from .grids import TimeGrid
+from .grids import DriverSpec, TimeGrid, check_hurst
 from .models import VALIDATOR_MIN_SAMPLES, CoupledModelSpec, model_zoo, validate_assumptions, zoo_defaults, ZOO_MODELS
 from .moments import (
+    FERNIQUE_MIN_PATHS,
     MomentTarget,
+    _check_tail_order,
     _level_ratio,
     exp_moment_exponent_bound,
     fernique_tail_check,
     grid_stability_tables,
 )
 from .solver import GeometricParams, check_levels, geometric_convergence_study
-from .young import young_integrate, young_love_rhs
+from .young import young_integrate, young_love_constant, young_love_rhs
 
 
 # --------------------------------------------------------------------------
@@ -295,11 +297,29 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
     if command == "boundary":
         check(config["gamma"] == sorted(config["gamma"]), "gamma",
               f"key 'gamma': must be sorted ascending, got {config['gamma']}")
-    if "levels" in config:
+
+    def library_check(name, rule, *args):
         try:
-            check_levels(config["levels"])
+            rule(*args)
         except DomainError as exc:
-            check(False, "levels", f"key 'levels': {exc}")
+            check(False, name, f"key {name!r}: {exc}")
+
+    if "levels" in config:
+        library_check("levels", check_levels, config["levels"])
+    if command in ("fbm", "integrate", "fernique"):
+        for hurst in config["hurst"] if command == "fbm" else [config["hurst"]]:
+            library_check("hurst", check_hurst, hurst)
+    if command == "solve":
+        library_check("hurst", DriverSpec, 1, 1, (config["hurst"],))
+    if command == "integrate":
+        mu = _integrate_order(config)
+        name = "holder_order" if "holder_order" in config else "hurst"
+        library_check(name, _check_exponent, mu)
+        library_check(name, young_love_constant, mu, mu)
+    if command == "fernique":
+        library_check("mu", _check_tail_order, config["mu"])
+        check(config["paths"] >= FERNIQUE_MIN_PATHS, "paths",
+              f"key 'paths': must be >= {FERNIQUE_MIN_PATHS}, got {config['paths']}")
     return config
 
 
@@ -386,11 +406,15 @@ def _run_fbm(config: dict) -> list[dict]:
     return rows
 
 
+def _integrate_order(config: dict) -> float:
+    """Holder order of the integrate study: ``holder_order``, else just below ``hurst``."""
+    mu = config.get("holder_order")
+    return config["hurst"] - 0.01 if mu is None else mu
+
+
 def _run_integrate(config: dict) -> list[dict]:
     hurst = config["hurst"]
-    mu = config.get("holder_order")
-    if mu is None:
-        mu = hurst - 0.01
+    mu = _integrate_order(config)
     grid = TimeGrid(config["horizon"], config["n"])
     seed, paths, workers = config["seed"], config["paths"], config["workers"]
     width = config["horizon"]

@@ -24,7 +24,7 @@ from .errors import DomainError, EstimationError
 from .fbm import generate_fbm
 from .grids import TimeGrid
 from .models import CoupledModelSpec
-from .solver import SolveOutput, check_levels, solve_levels, stage_drivers
+from .solver import SolveOutput, check_levels, solve_levels
 
 __all__ = [
     "MomentTarget",
@@ -175,18 +175,16 @@ def _unpack_model(model):
 def _sups_by_level(model, levels, paths, seed, workers):
     """{level: (survivor sup norms, blowup count)} under common random numbers.
 
-    Drivers are generated once per path chunk on the finest grid and every
-    level solves on their restriction, so level-to-level differences carry
-    no fresh sampling noise.
+    :func:`solve_levels` draws each path chunk's drivers once on the finest
+    grid and every level solves on their restriction, so level-to-level
+    differences carry no fresh sampling noise.
     """
     levels = check_levels(levels)
     model_x, model_y = _unpack_model(model)
-    grid_finest = TimeGrid(model_x.horizon, levels[-1])
 
     def job(lo, hi):
-        drivers = stage_drivers(model_x, model_y, grid_finest, hi - lo, seed, lo)
         return solve_levels(
-            model_x, model_y, drivers, levels, lambda out: (out.survivor_sup_norms(), out.blowup_count)
+            model_x, model_y, levels, hi - lo, seed, lo, lambda out: (out.survivor_sup_norms(), out.blowup_count)
         )
 
     results = parallel.map_paths(job, paths, workers)
@@ -259,6 +257,14 @@ class FerniqueTailReport:
     growth_ratio: float
 
 
+FERNIQUE_MIN_PATHS = 100
+
+
+def _check_tail_order(holder_order: float) -> None:
+    if not 0.0 < holder_order < 1.0:
+        raise DomainError(f"holder_order must lie in (0, 1), got {holder_order}")
+
+
 def fernique_tail_check(
     hurst: float,
     holder_order: float,
@@ -268,10 +274,9 @@ def fernique_tail_check(
     workers: int = 1,
 ) -> FerniqueTailReport:
     """Empirical exp-square tail check for the fBm Holder seminorm."""
-    if paths < 100:
-        raise DomainError(f"tail fitting needs at least 100 paths, got {paths}")
-    if not 0.0 < holder_order < 1.0:
-        raise DomainError(f"holder_order must lie in (0, 1), got {holder_order}")
+    if paths < FERNIQUE_MIN_PATHS:
+        raise DomainError(f"tail fitting needs at least {FERNIQUE_MIN_PATHS} paths, got {paths}")
+    _check_tail_order(holder_order)
     fit_mode = holder_order < hurst
 
     def job(lo, hi):

@@ -306,24 +306,41 @@ def check_levels(levels) -> tuple[int, ...]:
     return levels
 
 
-def solve_levels(model_x, model_y, drivers, levels, reduce) -> dict:
+def _restricted(batch: PathBatch | None, stride: int) -> PathBatch | None:
+    return None if batch is None else batch.restrict(stride)
+
+
+def solve_levels(model_x, model_y, levels, count, seed, path_offset, reduce) -> dict:
     """{level: reduce(output)} over dyadic grid levels on common drivers.
 
-    ``drivers`` is the (w, z, w_y, z_y) tuple :func:`stage_drivers` draws on
-    the finest level's grid. Each level solves on their exact restriction,
-    then runs the coupled stage when ``model_y`` is given, and reduces the
-    last stage's output before the next level is solved: only the
-    reductions are kept.
+    Draws the (w, z, w_y, z_y) drivers of paths ``path_offset`` onwards once,
+    with :func:`stage_drivers` on the finest level's grid, and holds the only
+    reference to them. Each level solves on their exact restriction, then
+    runs the coupled stage when ``model_y`` is given, and reduces the last
+    stage's output; only the reductions are kept. Each finest-size array is
+    freed after its last reader: a level's output once it is reduced, the
+    primary output once its paths reach the coupled stage, and the primary
+    drivers before the finest coupled solve. So a chunk holds at most the
+    four drivers and the primary states at once.
     """
+    finest = levels[-1]
+    w, z, w_y, z_y = stage_drivers(
+        model_x, model_y, TimeGrid(model_x.horizon, finest), count, seed, path_offset
+    )
     results = {}
     for n in levels:
-        stride = levels[-1] // n
-        w, z, w_y, z_y = (None if d is None else d.restrict(stride) for d in drivers)
+        stride = finest // n
         grid = TimeGrid(model_x.horizon, n)
-        out = euler_mixed(model_x, grid, w, z)
+        out = euler_mixed(model_x, grid, _restricted(w, stride), _restricted(z, stride))
         if model_y is not None:
-            out = euler_coupled(model_y, grid, out.paths, w_y, z_y)
+            base = out.paths
+            del out
+            if n == finest:
+                del w, z
+            out = euler_coupled(model_y, grid, base, _restricted(w_y, stride), _restricted(z_y, stride))
+            del base
         results[n] = reduce(out)
+        del out
     return results
 
 
@@ -347,8 +364,8 @@ def geometric_convergence_study(
 
     Common random numbers: drivers are generated once on the finest grid and
     restricted to the coarser levels, so the rows isolate discretization
-    error from sampling noise. The closed-form reference is evaluated on the
-    finest grid.
+    error from sampling noise. Each level's closed-form reference reads its
+    own terminal driver values, which are the finest grid's.
     """
     levels = check_levels(levels)
     model = model_zoo(
@@ -360,21 +377,23 @@ def geometric_convergence_study(
         hurst=hurst,
         horizon=horizon,
     )
-    grid_finest = TimeGrid(horizon, levels[-1])
+
+    def terminal_errors(out):
+        # Every level's grid ends at T and keeps the finest grid's terminal
+        # driver values, so this is the finest grid's closed form, bit for bit.
+        last = out.paths.grid.step_count
+        exact = closed_form_geometric_batch(params, out.wiener.restrict(last), out.rough.restrict(last))
+        exact_terminal = exact.values[:, -1, 0]
+        return np.abs(out.paths.values[:, -1, 0] - exact_terminal), np.abs(exact_terminal)
 
     def job(lo, hi):
-        drivers = stage_drivers(model, None, grid_finest, hi - lo, seed, lo)
-        exact_terminal = closed_form_geometric_batch(params, *drivers[:2]).values[:, -1, 0]
-        errors = solve_levels(
-            model, None, drivers, levels, lambda out: np.abs(out.paths.values[:, -1, 0] - exact_terminal)
-        )
-        return errors, np.abs(exact_terminal)
+        return solve_levels(model, None, levels, hi - lo, seed, lo, terminal_errors)
 
     results = parallel.map_paths(job, paths, workers)
-    abs_exact = np.concatenate([r[1] for r in results])
+    abs_exact = np.concatenate([r[levels[-1]][1] for r in results])
     rows = []
     for n in levels:
-        err = np.concatenate([r[0][n] for r in results])
+        err = np.concatenate([r[n][0] for r in results])
         rows.append(
             ConvergenceRow(
                 step_count=n,

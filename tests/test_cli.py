@@ -356,6 +356,22 @@ BAD_VALUE_CASES = {
                                "key 'horizon': must be positive, got -1.0"),
     "fernique-horizon-0": ("fernique", "hurst: 0.75\nmu: 0.6\nn: 16\nhorizon: 0\nseed: 1\npaths: 2\n", 4,
                            "key 'horizon': must be positive, got 0.0"),
+    "fbm-hurst-1.5": ("fbm", "n: 4\nhurst: [0.6, 1.5]\npaths: 2\nseed: 1\n", 2,
+                      "key 'hurst': Hurst parameter must lie in (0, 1), got 1.5"),
+    "fernique-hurst-1.2": ("fernique", "mu: 0.6\nhurst: 1.2\nn: 16\nseed: 1\npaths: 200\n", 2,
+                           "key 'hurst': Hurst parameter must lie in (0, 1), got 1.2"),
+    "fernique-mu-1.5": ("fernique", "hurst: 0.75\nn: 16\nmu: 1.5\nseed: 1\npaths: 200\n", 3,
+                        "key 'mu': holder_order must lie in (0, 1), got 1.5"),
+    "fernique-paths-50": ("fernique", "hurst: 0.75\nmu: 0.6\nn: 16\nseed: 1\npaths: 50\n", 5,
+                          "key 'paths': must be >= 100, got 50"),
+    "integrate-holder_order-0.2": ("integrate", "seed: 1\nn: 8\npaths: 2\nholder_order: 0.2\n", 4,
+                                   "key 'holder_order': Young regime needs alpha + beta > 1, got 0.2 + 0.2"),
+    "integrate-holder_order-1.5": ("integrate", "seed: 1\nn: 8\nholder_order: 1.5\npaths: 2\n", 3,
+                                   "key 'holder_order': Holder exponent must lie in (0, 1], got 1.5"),
+    "integrate-hurst-0.5": ("integrate", "seed: 1\nhurst: 0.5\nn: 8\npaths: 2\n", 2,
+                            "key 'hurst': Young regime needs alpha + beta > 1, got 0.49 + 0.49"),
+    "solve-hurst-0.3": ("solve", "levels: [8]\nseed: 1\nhurst: 0.3\npaths: 2\n", 3,
+                        "key 'hurst': rough components must have Hurst parameter > 1/2 (got 0.3)"),
     "samples-0": ("check-conditions", "model: bounded_trig\nset: B\nsamples: 0\nseed: 1\n", 3,
                   "key 'samples': must be >= 1000, got 0"),
     "samples-999": ("check-conditions", "model: bounded_trig\nset: B\nsamples: 999\nseed: 1\n", 3,

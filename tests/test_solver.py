@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,6 +20,7 @@ from mixedsde import (
     solve_coupled,
     solve_model,
 )
+from mixedsde import solver
 from mixedsde.solver import euler_coupled, solve_levels, stage_drivers
 
 
@@ -155,20 +157,40 @@ def test_grid_halving_errors_shrink():
         assert b < 1.1 * a  # monotone within a 10% noise allowance
 
 
+def _memory_owner(values):
+    return values if values.base is None else values.base
+
+
 @pytest.mark.parametrize("name", ["linear_mixed", "stochvol"])
-def test_solve_levels_reduces_each_level_before_solving_the_next(name):
+def test_solve_levels_reduces_each_level_before_solving_the_next(monkeypatch, name):
     model = model_zoo(name)
     model_x, model_y = model if isinstance(model, tuple) else (model, None)
     levels = (8, 16, 32)
     drivers = stage_drivers(model_x, model_y, TimeGrid(1.0, 32), 6, 3, 0)
     outputs = []
+    primary_drivers = []
+
+    def drawing(*args):
+        drawn = stage_drivers(*args)
+        primary_drivers.extend(weakref.ref(_memory_owner(d.values)) for d in drawn[:2] if d is not None)
+        return drawn
+
+    def coupled(model_y, grid, base_states, wiener, rough):
+        if grid.step_count == levels[-1]:
+            assert primary_drivers and all(ref() is None for ref in primary_drivers), (
+                "the primary finest drivers are still alive at the finest coupled solve"
+            )
+        return euler_coupled(model_y, grid, base_states, wiener, rough)
+
+    monkeypatch.setattr(solver, "stage_drivers", drawing)
+    monkeypatch.setattr(solver, "euler_coupled", coupled)
 
     def reduce(out):
         assert all(ref() is None for ref in outputs), "the previous level's output is still alive"
         outputs.append(weakref.ref(out))
         return out.paths.values.copy()
 
-    got = solve_levels(model_x, model_y, drivers, levels, reduce)
+    got = solve_levels(model_x, model_y, levels, 6, 3, 0, reduce)
     assert list(got) == list(levels)
     for n in levels:
         w, z, w_y, z_y = (None if d is None else d.restrict(32 // n) for d in drivers)
@@ -176,6 +198,26 @@ def test_solve_levels_reduces_each_level_before_solving_the_next(name):
         if model_y is not None:
             direct = euler_coupled(model_y, TimeGrid(1.0, n), direct.paths, w_y, z_y)
         assert np.array_equal(got[n], direct.paths.values, equal_nan=True)
+
+
+def test_solve_levels_chunk_peaks_under_six_finest_arrays():
+    """A coupled chunk never holds more than the four drivers and X's two columns.
+
+    Seven finest-size arrays would be alive if the primary drivers outlived
+    the finest primary solve. The Euler loop's 64-step block scratch came to
+    about ten (block, paths) arrays when this was written.
+    """
+    model_x, model_y = model_zoo("stochvol")
+    count, levels = 512, (2048, 4096)
+    finest = count * (levels[-1] + 1) * 8
+    block = solver._BLOCK_STEPS * count * 8
+    tracemalloc.start()
+    try:
+        solve_levels(model_x, model_y, levels, count, 3, 0, lambda out: out.survivor_sup_norms())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * finest + 16 * block, f"peak {peak / finest:.2f} finest arrays"
 
 
 def test_positivity_of_geometric_paths():
