@@ -108,9 +108,11 @@ class StageKernel(NamedTuple):
     ``prepare(ts, dt, dw, dz, xs)`` runs once per block of steps: ``ts``
     holds the block's left-point times, ``dw`` and ``dz`` its (steps, paths,
     columns) driver increments or None, and ``xs`` a coupled stage's
-    (steps, paths, base_dim) base states or None. It computes every factor
-    that does not read the stage's own state. ``increment(prepared, j,
-    state)`` returns step j's increment as a new array.
+    (steps, paths, base_dim) base states or None. ``xs`` is a read-only
+    view of the primary stage's output, so ``prepare`` must not write it.
+    It computes every factor that does not read the stage's own state.
+    ``increment(prepared, j, state)`` returns step j's increment as a new
+    array.
 
     A spec's ``kernel`` is set only by the zoo builder that made its fields,
     and ``dataclasses.replace`` never copies it, so a kernel cannot outlive

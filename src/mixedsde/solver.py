@@ -53,16 +53,18 @@ class SolveOutput:
         return int(self.blown.sum())
 
     def survivor_sup_norms(self) -> np.ndarray:
-        """Sup of the Euclidean norm over the grid, survivors only."""
-        alive = self.paths.values
-        if self.blown.any():
-            alive = alive[~self.blown]
-        if alive.shape[0] == 0:
-            return np.empty(0)
-        if alive.shape[2] == 1:
-            return np.abs(alive[:, :, 0]).max(axis=1)
-        with np.errstate(over="ignore"):
-            return np.linalg.norm(alive, axis=2).max(axis=1)
+        """Sup of the Euclidean norm over the grid, survivors only.
+
+        Every path is reduced, then blown rows are dropped. In dim 1 the sup is
+        max(max x, -min x) + 0.0, which turns a -0.0 into abs's 0.0.
+        """
+        v = self.paths.values
+        if v.shape[2] == 1:
+            sups = np.maximum(v[:, :, 0].max(axis=1), -v[:, :, 0].min(axis=1)) + 0.0
+        else:
+            with np.errstate(over="ignore"):
+                sups = np.linalg.norm(v, axis=2).max(axis=1)
+        return sups[~self.blown]
 
 
 def _check_driver_batch(batch: PathBatch | None, dim: int, grid: TimeGrid, count: int | None, label: str):
@@ -87,71 +89,57 @@ def _check_driver_batch(batch: PathBatch | None, dim: int, grid: TimeGrid, count
 _BLOCK_STEPS = 64
 
 
-# Every copy between the path-major (count, n+1, dim) arrays and a block's
-# time-major (steps, count, dim) arrays goes one coordinate at a time: numpy
-# runs a transposed 3-D copy with the dim-long last axis as its inner loop,
-# and at dim 2 the 2-D copies take about half the time.
+def _time_major(values):
+    """``values`` as a view of a C-contiguous (n+1, count, dim) copy."""
+    return np.ascontiguousarray(values.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
 def _time_major_increments(values, k0, k1):
-    """(k1 - k0, count, dim) contiguous driver increments over steps k0..k1-1."""
-    if values is None:
-        return None
-    out = np.empty((k1 - k0, values.shape[0], values.shape[2]))
-    for c in range(values.shape[2]):
-        np.subtract(values[:, k0 + 1 : k1 + 1, c].T, values[:, k0:k1, c].T, out=out[:, :, c])
-    return out
-
-
-def _time_major_states(values, k0, k1):
-    """(k1 - k0, count, dim) contiguous copy of the states at steps k0..k1-1."""
-    out = np.empty((k1 - k0, values.shape[0], values.shape[2]))
-    for c in range(values.shape[2]):
-        out[:, :, c] = values[:, k0:k1, c].T
-    return out
+    """(k1 - k0, count, dim) driver increments over steps k0..k1-1, or None."""
+    if values is not None:
+        rows = values.transpose(1, 0, 2)
+        return rows[k0 + 1 : k1 + 1] - rows[k0:k1]
 
 
 def _euler_loop(model, grid, count, w_values, z_values, x_states=None):
     """Left-point Euler over the grid in time-major blocks of ``_BLOCK_STEPS``.
 
-    Each block copies its driver increments and base states into contiguous
-    (steps, count, dim) arrays, hands them to the stage kernel's
-    ``prepare`` once, writes its states into one such array and moves them
-    into ``out`` with one strided copy per coordinate, so a step makes no
-    strided gathers or writes. A finite sum proves the whole state finite,
-    so the per-path check runs only when the sum is not; a blown path stays
-    NaN and keeps it so. A kernel's increment is a new array, never written
-    into here.
+    Each step's sum is written straight into its row of one C-contiguous
+    (n+1, count, dim) array, returned as its (count, n+1, dim) transposed
+    view. Each block hands the kernel's ``prepare`` its (steps, count, dim)
+    driver increments, new arrays, and ``xs``, a read-only view of the base
+    states that ``prepare`` must not write; on time-major inputs both are
+    contiguous row slices. A finite sum proves the whole state finite, so
+    the per-path check runs only when the sum is not; a blown path stays
+    NaN and keeps it so. A kernel's increment is never written into here.
     """
     kernel = model.kernel if model.kernel is not None else field_kernel(model)
     n = grid.step_count
     dt = grid.dt
-    x0 = model.initial_value
-    dim = len(x0)
-    out = np.empty((count, n + 1, dim))
-    out[:, 0, :] = x0
+    out = np.empty((n + 1, count, len(model.initial_value)))
+    out[0] = model.initial_value
+    state = out[0]
     blown = np.zeros(count, dtype=bool)
     first_bad = np.full(count, -1, dtype=np.int64)
-    state = np.repeat(x0[None, :], count, axis=0)
+    if x_states is not None:
+        base = x_states.transpose(1, 0, 2)
+        base.flags.writeable = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n, _BLOCK_STEPS):
             k1 = min(n, k0 + _BLOCK_STEPS)
             dw = _time_major_increments(w_values, k0, k1)
             dz = _time_major_increments(z_values, k0, k1)
-            xs = None if x_states is None else _time_major_states(x_states, k0, k1)
+            xs = None if x_states is None else base[k0:k1]
             prepared = kernel.prepare(np.arange(k0, k1) * dt, dt, dw, dz, xs)
-            states = np.empty((k1 - k0, count, dim))
             for j in range(k1 - k0):
-                state = np.add(state, kernel.increment(prepared, j, state), out=states[j])
+                state = np.add(state, kernel.increment(prepared, j, state), out=out[k0 + 1 + j])
                 if not math.isfinite(state.sum()):
                     newly_bad = ~blown & ~np.isfinite(state).all(axis=1)
                     if newly_bad.any():
                         first_bad[newly_bad] = k0 + j + 1
                         blown |= newly_bad
                         state[blown] = np.nan
-            for c in range(dim):
-                out[:, k0 + 1 : k1 + 1, c] = states[:, :, c].T
-    return out, blown, first_bad
+    return out.transpose(1, 0, 2), blown, first_bad
 
 
 def _euler_stage(model, grid, count, wiener, rough, x_states=None) -> SolveOutput:
@@ -220,7 +208,9 @@ def stage_drivers(
 
     The coupled stage reuses the primary batches when it shares drivers and
     draws independent ones otherwise; without a coupled stage w_y and z_y
-    are None.
+    are None. Each batch holds the values of :func:`generate_drivers`, bit
+    for bit, as a view of a time-major (n+1, count, dim) copy, made one
+    batch at a time so each path-major array goes before the next copy.
     """
     if model_y is not None:
         if model_y.base_dim != model_x.state_dim:
@@ -233,13 +223,20 @@ def stage_drivers(
             != (model_x.driver.wiener_dim, model_x.driver.rough_dim, model_x.driver.rough_hurst)
         ):
             raise DomainError("shared drivers require identical driver specs on both stages")
-    w, z = generate_drivers(model_x.driver, grid, count, seed, stage="x", path_offset=path_offset)
+
+    def draw(spec, stage):
+        batches = list(generate_drivers(spec, grid, count, seed, stage=stage, path_offset=path_offset))
+        for i, batch in enumerate(batches):
+            if batch is not None:
+                batches[i] = PathBatch(grid, _time_major(batch.values))
+        return tuple(batches)
+
+    w, z = draw(model_x.driver, "x")
     if model_y is None:
         return w, z, None, None
     if model_y.share_drivers:
         return w, z, w, z
-    w_y, z_y = generate_drivers(model_y.driver, grid, count, seed, stage="y", path_offset=path_offset)
-    return w, z, w_y, z_y
+    return (w, z) + draw(model_y.driver, "y")
 
 
 def solve_coupled(
@@ -321,7 +318,8 @@ def solve_levels(model_x, model_y, levels, count, seed, path_offset, reduce) -> 
     freed after its last reader: a level's output once it is reduced, the
     primary output once its paths reach the coupled stage, and the primary
     drivers before the finest coupled solve. So a chunk holds at most the
-    four drivers and the primary states at once.
+    four drivers and the primary states at once, and at most five
+    finest-size arrays while :func:`stage_drivers` converts the drivers.
     """
     finest = levels[-1]
     w, z, w_y, z_y = stage_drivers(
