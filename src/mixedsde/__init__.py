@@ -17,7 +17,6 @@ from .errors import (
     SynthesisError,
 )
 from .fbm import (
-    fbm_covariance,
     fbm_covariance_matrix,
     generate_drivers,
     generate_fbm,

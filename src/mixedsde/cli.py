@@ -76,7 +76,7 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("n", "int", required=True),
         _Key("horizon", "float", default=1.0),
         _Key("paths", "int", required=True),
-        _Key("method", "str", default="both", choices=("both", "cholesky", "circulant", "auto")),
+        _Key("method", "str", default="both", choices=("both", "cholesky", "circulant")),
     ),
     "integrate": (
         _Key("hurst", "float", default=0.75),

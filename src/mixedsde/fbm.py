@@ -2,19 +2,16 @@
 
 Two synthesis routes with identical distributions on the grid:
 
-* ``cholesky`` — factor the exact grid covariance; O(n^2) memory, O(n^3)
-  setup. The correctness oracle for small n. Factor and product are
-  ``np.einsum`` loops, not BLAS, so the bits do not depend on the BLAS
-  thread count.
 * ``circulant`` — Davies–Harte-style circulant embedding of fractional
   Gaussian noise; O(n log n) per path through a half-spectrum ``hfft``. The
-  production route for large n.
+  default, and the one route of every study at every n.
   The embedding eigenvalues are non-negative for fGn; this is still
   verified at runtime and a failure raises rather than silently clipping
   anything beyond rounding noise.
-
-``method="auto"`` picks cholesky below ``CIRCULANT_THRESHOLD`` steps and
-circulant at or above it.
+* ``cholesky`` — factor the exact grid covariance; O(n^2) memory, O(n^3)
+  setup. Run only where a caller names it: the ``fbm`` command's exactness
+  oracle. Factor and product are ``np.einsum`` loops, not BLAS, so the bits
+  do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -27,35 +24,20 @@ from .grids import DriverSpec, TimeGrid, check_hurst
 from .paths import PathBatch
 
 __all__ = [
-    "fbm_covariance",
     "fbm_covariance_matrix",
     "fgn_circulant_eigenvalues",
     "generate_fbm",
     "generate_wiener",
     "generate_drivers",
     "CHOLESKY_CAP",
-    "CIRCULANT_THRESHOLD",
 ]
 
 CHOLESKY_CAP = 4096
-CIRCULANT_THRESHOLD = 512
 _EIG_TOLERANCE = -1e-9
 # Paths per synthesis block. Blocks are aligned to the absolute path index,
 # so scratch stays a few MB whatever the batch size, and a path's bits do
 # not depend on how a batch was partitioned.
 _BLOCK_ROWS = 64
-
-
-def fbm_covariance(t: float, s: float, hurst: float) -> float:
-    """Cov(B^H_t, B^H_s) = (t^2H + s^2H - |t-s|^2H) / 2 for one component.
-
-    Distinct components are independent, so the cross-covariance is zero;
-    this scalar form is the caller's building block.
-    """
-    h = check_hurst(hurst)
-    if t < 0 or s < 0:
-        raise DomainError(f"times must be non-negative, got ({t}, {s})")
-    return 0.5 * (t ** (2 * h) + s ** (2 * h) - abs(t - s) ** (2 * h))
 
 
 def fbm_covariance_matrix(grid: TimeGrid, hurst: float) -> np.ndarray:
@@ -149,7 +131,7 @@ def generate_fbm(
     hurst: float,
     count: int,
     seed: int,
-    method: str = "auto",
+    method: str = "circulant",
     *,
     stream_role: int = rnd.ROUGH_X,
     component: int = 0,
@@ -164,8 +146,6 @@ def generate_fbm(
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    if method == "auto":
-        method = "cholesky" if grid.step_count < CIRCULANT_THRESHOLD else "circulant"
     tag = rnd.stream_tag(stream_role, component)
     if method == "cholesky":
         values = _fbm_cholesky(grid, hurst, count, seed, tag, path_offset)

@@ -885,20 +885,14 @@ def _stochvol(
     return vol_model, _with_kernel(coupled, StageKernel(price_prepare, price_increment))
 
 
-def _malliavin_linearized(base: ModelSpec | None = None, initial_value=1.0, **base_params):
-    """Linearized sensitivity equation of a differentiable zoo base model.
+def _malliavin_linearized(initial_value=1.0, **base_params):
+    """Linearized sensitivity equation of the ``geometric_mixed`` base model.
 
     Coefficients are the base model's state derivatives applied linearly to
     y, supplied here analytically (no automatic differentiation); the stage
     shares the base model's drivers.
     """
-    if base is None:
-        base = _geometric_mixed(**base_params)
-    if base.name not in ("geometric_mixed", "linear_mixed"):
-        raise DomainError(
-            "malliavin_linearized needs a base model with analytic derivatives; "
-            f"got {base.name!r}"
-        )
+    base = _geometric_mixed(**base_params)
     d = base.state_dim
     m, l = base.driver.wiener_dim, base.driver.rough_dim
     # Recover the constant Jacobians of the linear base fields.
@@ -989,9 +983,8 @@ def zoo_defaults(name: str) -> dict:
     """{parameter: default} of the values a zoo model takes by keyword.
 
     ``malliavin_linearized`` passes its other keywords on to its
-    ``geometric_mixed`` base, so it takes those too; its ``base`` is a
-    model, not a value, and is left out.
+    ``geometric_mixed`` base, so it takes those too.
     """
     params = inspect.signature(_ZOO_BUILDERS[name]).parameters.values()
-    own = {p.name: p.default for p in params if p.kind is p.POSITIONAL_OR_KEYWORD and p.name != "base"}
+    own = {p.name: p.default for p in params if p.kind is p.POSITIONAL_OR_KEYWORD}
     return {**zoo_defaults("geometric_mixed"), **own} if name == "malliavin_linearized" else own

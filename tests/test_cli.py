@@ -333,6 +333,8 @@ BAD_VALUE_CASES = {
     "integrate-n-12": ("integrate", "seed: 1\nn: 12\npaths: 2\n", 2, "key 'n' must be a power of two"),
     "integrate-n-0": ("integrate", "seed: 1\nn: 0\npaths: 2\n", 2, "key 'n': must be >= 1, got 0"),
     "fbm-n-negative": ("fbm", "hurst: [0.75]\nn: -4\npaths: 2\nseed: 1\n", 2, "key 'n': must be >= 1, got -4"),
+    "fbm-method-auto": ("fbm", "hurst: [0.75]\nn: 4\nmethod: auto\npaths: 2\nseed: 1\n", 3,
+                        "key 'method': must be one of ['both', 'cholesky', 'circulant'], got 'auto'"),
     "boundary-n-12": ("boundary", "model: bounded_trig\ngamma: [1.0]\nc: 1.0\nn: 12\nseed: 1\npaths: 2\n", 4,
                       "key 'n' must be a power of two"),
     "solve-levels-non-dyadic": ("solve", "seed: 1\nlevels: [8, 12]\npaths: 2\n", 2,

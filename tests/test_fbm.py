@@ -15,7 +15,6 @@ from mixedsde import (
     ResourceError,
     SynthesisError,
     TimeGrid,
-    fbm_covariance,
     fbm_covariance_matrix,
     generate_drivers,
     generate_fbm,
@@ -30,29 +29,33 @@ from conftest import sample_cov_se
 # ---------------------------------------------------------------- covariance
 
 
-def test_covariance_at_equal_times_is_variance():
-    assert fbm_covariance(1.0, 1.0, 0.75) == pytest.approx(1.0)
-
-
-def test_covariance_brownian_case_is_min():
-    assert fbm_covariance(2.0, 1.0, 0.5) == pytest.approx(1.0)
-    assert fbm_covariance(0.3, 0.8, 0.5) == pytest.approx(0.3)
-
-
-def test_covariance_direct_evaluation():
-    # (1 + 0.5^1.5 - 0.5^1.5) / 2
-    assert fbm_covariance(1.0, 0.5, 0.75) == pytest.approx(0.5)
-
-
-def test_covariance_rejects_negative_times():
-    with pytest.raises(DomainError):
-        fbm_covariance(-0.1, 1.0, 0.75)
-
-
 def test_covariance_rejects_bad_hurst():
     for h in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(DomainError):
-            fbm_covariance(1.0, 1.0, h)
+            fbm_covariance_matrix(TimeGrid(1.0, 2), h)
+
+
+def test_covariance_at_equal_times_is_variance():
+    # the diagonal entry at t is the variance t^2H
+    for horizon, hurst in ((1.0, 0.75), (2.0, 0.75), (0.5, 0.3)):
+        cov = fbm_covariance_matrix(TimeGrid(horizon, 4), hurst)
+        t = TimeGrid(horizon, 4).points[1:]
+        np.testing.assert_allclose(np.diag(cov), t ** (2 * hurst))
+
+
+def test_covariance_brownian_case_is_min():
+    # at H = 1/2 every entry is min(t, s)
+    for horizon, n in ((2.0, 2), (0.8, 8)):
+        grid = TimeGrid(horizon, n)
+        t = grid.points[1:]
+        np.testing.assert_allclose(fbm_covariance_matrix(grid, 0.5), np.minimum.outer(t, t))
+
+
+def test_covariance_direct_evaluation():
+    # Cov(1, 0.5) at H = 0.75: (1 + 0.5^1.5 - 0.5^1.5) / 2
+    got = fbm_covariance_matrix(TimeGrid(1.0, 2), 0.75)
+    assert got[0, 1] == pytest.approx(0.5)
+    assert got[1, 0] == pytest.approx(0.5)
 
 
 def test_covariance_matrix_single_point():
@@ -87,9 +90,13 @@ def test_covariance_matrix_symmetric_psd(n, horizon, hurst):
 
 
 def test_circulant_embedding_eigenvalues_nonnegative():
-    for hurst in (0.55, 0.75, 0.95):
-        lam = fgn_circulant_eigenvalues(256, hurst)
-        assert lam.min() > -1e-9
+    # studies synthesise by circulant embedding at every n; every n below
+    # 512 at Hurst values across (0, 1), which the fbm, integrate and
+    # fernique commands accept
+    for hurst in (0.01, 0.25, 0.5, 0.55, 0.75, 0.95, 0.99):
+        for n in range(1, 512):
+            lam = fgn_circulant_eigenvalues(n, hurst)
+            assert lam.min() > -1e-9, (n, hurst, lam.min())
 
 
 # ---------------------------------------------------------------- generation
@@ -225,15 +232,6 @@ def test_paths_start_at_zero_and_are_finite():
 def test_cholesky_cap_enforced():
     with pytest.raises(ResourceError):
         generate_fbm(TimeGrid(1.0, 8192), 0.75, 1, seed=1, method="cholesky")
-
-
-def test_auto_method_switches_at_threshold():
-    for n, method, other in ((64, "cholesky", "circulant"), (511, "cholesky", "circulant"),
-                             (512, "circulant", "cholesky")):
-        grid = TimeGrid(1.0, n)
-        auto = generate_fbm(grid, 0.75, 3, seed=1, method="auto").values
-        assert np.array_equal(auto, generate_fbm(grid, 0.75, 3, seed=1, method=method).values)
-        assert not np.array_equal(auto, generate_fbm(grid, 0.75, 3, seed=1, method=other).values)
 
 
 def test_unknown_method_rejected():

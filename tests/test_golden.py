@@ -9,6 +9,10 @@ the outputs on purpose.
 
 Path counts above ``parallel.CHUNK_PATHS`` put two chunks in every sampled
 study, so workers 1 and 2 exercise both the serial and the pooled merge.
+
+Every study synthesises fBm by circulant embedding at every n, so the study
+sums pin the route that runs at benchmark scale. Only the ``fbm`` case,
+with ``method: both``, also pins the Cholesky oracle.
 """
 
 import hashlib
@@ -37,13 +41,13 @@ CASES = {
     "moments-stochvol": (
         "moments",
         "model: stochvol\nstatistic: sup\np: [1, 2]\nlevels: [8, 16]\npaths: 2100\nseed: 11\n",
-        "752f00b627389a064fb29346a20dbfdb9105f90df75c4cbe07afa90a2961d112",
+        "716f3876880bc61a26ad473973dfb40a957371c703167f8cc10fca0d2124abde",
     ),
     "moments-malliavin": (
         "moments",
         "model: malliavin_linearized\nstatistic: exp\nc: 0.5\ngamma: [1.0, 1.5]\n"
         "levels: [8, 16]\npaths: 2100\nseed: 12\n",
-        "43b956db96780606f0ec5c6b710fc5f41bf5639ea6569e528d422ee2cc8ec4c1",
+        "60a33accdfea0428a87c4c13746e37eb2260aeb5de87fe8fadea5e3126c6bfbd",
     ),
     "moments-quadratic_control": (
         "moments",
@@ -53,7 +57,7 @@ CASES = {
     "boundary": (
         "boundary",
         "model: bounded_trig\ngamma: [0.6, 1.5]\nc: 1.0\nn: 16\npaths: 2100\nseed: 13\n",
-        "854f8fa071f8c4ab9d4b5ea25d09942f19ad99dea81e7112bbaaff0c073249d8",
+        "4486d2ce38d37be0371a59e7e8067977c3cb91f9e1477a2b6a8baaa68074d49a",
     ),
     "fbm": (
         "fbm",
@@ -63,17 +67,17 @@ CASES = {
     "integrate": (
         "integrate",
         "n: 8\npaths: 2100\nseed: 16\n",
-        "801e0604a1d63bbbcee3161e4b0a025ee38e24845433c21b359fab27170a24a1",
+        "375226b19a3928f488892ab24eae15d14e1a435e03ab12ad077018fe6ed2496f",
     ),
     "fernique": (
         "fernique",
         "hurst: 0.75\nmu: 0.6\nn: 16\npaths: 2100\nseed: 17\n",
-        "c5e6e5a10b421ee1229d55478549cb820026600b1a06a7bf0651da8caac4acb5",
+        "a377991eb5ced976c4c294b02ba6fd11863eda4c871311962db251fb7b4fae39",
     ),
     "solve": (
         "solve",
         "levels: [8, 16]\npaths: 2100\nseed: 14\n",
-        "ccd831b6bae0b7511cd206d3f1e0528552d2973969170e74695023cd64bf9228",
+        "df057e4ac72eb4275368dbf6a7f7b2fdbe6a6dba8fb77c530535e919573056dd",
     ),
 }
 

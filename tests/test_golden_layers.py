@@ -9,7 +9,10 @@ runs no BLAS, and the sums hold under one and two OpenBLAS threads. Update
 a sum only for a change that alters that layer's output on purpose.
 
 The Euler grids have 200 steps, which is not a multiple of the solver's
-block length, so the sums also cover a partial last block.
+block length, so the sums also cover a partial last block. Their drivers
+come from ``generate_drivers``, whose rough components are circulant
+embedding fBm, the route every study runs; ``fbm-cholesky`` pins the
+Cholesky oracle, which only the ``fbm`` command runs.
 """
 
 import hashlib
@@ -59,8 +62,8 @@ CASES = {
     "fbm-cholesky": (_fbm_cholesky, "8518df1cb235af75499f03247c811a37b55e3d62607a7b1d1f76ff27189cc245"),
     "fbm-circulant": (_fbm_circulant, "192a5cef4921c05c7fcc994b8606a10b3ab6a788c3b1804c56eb7ecbcaf31ae9"),
     "wiener": (_wiener, "fc7ffe93b02819896a0858322627136874f27a8b7b1481a6b6372a8f463a3dcb"),
-    "euler-bounded_trig-d2": (_euler_bounded_trig, "ffcbb1211b67f6709615b49aef12f7f425645dcc11dc21fcc98cd779c0f773bd"),
-    "euler-stochvol-coupled": (_euler_stochvol, "ad2f0ec07ff9e5354813ff155955d93dd67a2393963282194953b1192d600416"),
+    "euler-bounded_trig-d2": (_euler_bounded_trig, "b3ec653afa6f9e27abc96a159fde3f2954f676d8761173aa162f6e499bd63fb3"),
+    "euler-stochvol-coupled": (_euler_stochvol, "1fc7e0abbbe2dbd9f79a5a4af455a95ac9d38ac491d5d9f57eaf40386f2ddde7"),
 }
 
 

@@ -15,11 +15,13 @@ from mixedsde import (
     closed_form_geometric_batch,
     euler_mixed,
     generate_drivers,
+    generate_fbm,
     geometric_convergence_study,
     model_zoo,
     solve_coupled,
     solve_model,
 )
+from mixedsde import randomness as rnd
 from mixedsde import solver
 from mixedsde.solver import euler_coupled, solve_levels, stage_drivers
 
@@ -155,6 +157,18 @@ def test_grid_halving_errors_shrink():
     errors = [r.mean_abs_terminal_error for r in rows]
     for a, b in zip(errors, errors[1:]):
         assert b < 1.1 * a  # monotone within a 10% noise allowance
+
+
+def test_stage_drivers_rough_values_are_circulant_fbm():
+    model_x, model_y = model_zoo("stochvol")
+    grid, count, seed, offset = TimeGrid(1.0, 16), 5, 7, 3
+    _, z, _, z_y = stage_drivers(model_x, model_y, grid, count, seed, offset)
+    for batch, spec, role in ((z, model_x.driver, rnd.ROUGH_X), (z_y, model_y.driver, rnd.ROUGH_Y)):
+        for j, hurst in enumerate(spec.rough_hurst):
+            want = generate_fbm(
+                grid, hurst, count, seed, method="circulant", stream_role=role, component=j, path_offset=offset
+            )
+            assert batch.values[:, :, j].tobytes() == want.values[:, :, 0].tobytes()
 
 
 def _memory_owner(values):
