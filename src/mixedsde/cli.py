@@ -612,6 +612,9 @@ def main(argv=None) -> int:
     except MixedSdeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"run failed: out of memory: {exc}", file=sys.stderr)
+        return 3
     csv_path, manifest_path = _write_outputs(args.command, config, rows, Path(config["out"]))
     print(f"wrote {csv_path} and {manifest_path}")
     return 0

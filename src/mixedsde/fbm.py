@@ -3,8 +3,9 @@
 Two synthesis routes with identical distributions on the grid:
 
 * ``circulant`` — Davies–Harte-style circulant embedding of fractional
-  Gaussian noise; O(n log n) per path through a half-spectrum ``hfft``. The
-  default, and the one route of every study at every n.
+  Gaussian noise; O(n log n) per path: a half spectrum, conjugated in place,
+  goes through ``irfft(..., norm="forward")``. The default, and the one
+  route of every study at every n.
   The embedding eigenvalues are non-negative for fGn; this is still
   verified at runtime and a failure raises rather than silently clipping
   anything beyond rounding noise.
@@ -12,6 +13,10 @@ Two synthesis routes with identical distributions on the grid:
   setup. Run only where a caller names it: the ``fbm`` command's exactness
   oracle. Factor and product are ``np.einsum`` loops, not BLAS, so the bits
   do not depend on the BLAS thread count.
+
+Both routes and the Wiener synthesis write into ``out=``, in any layout: a
+64-path block is summed and scaled in its own scratch, then copied in once.
+``generate_drivers`` writes the Euler loop's time-major storage.
 """
 
 from __future__ import annotations
@@ -63,6 +68,18 @@ def _blocks(count: int, offset: int):
         yield max(b0, offset), min(b0 + _BLOCK_ROWS, offset + count)
 
 
+def _destination(out, shape):
+    """``out`` checked to hold ``shape`` float64 values, or a new array; column 0 zeroed."""
+    if shape[0] < 1:
+        raise DomainError(f"count must be >= 1, got {shape[0]}")
+    if out is None:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64 and out.flags.writeable):
+        raise DomainError(f"out must be a writeable float64 array of shape {shape}")
+    out[:, 0] = 0.0
+    return out
+
+
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``a``, column by column.
 
@@ -81,23 +98,24 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     return low
 
 
-def _fbm_cholesky(grid, hurst, count, seed, tag, offset):
+def _fbm_cholesky(grid, hurst, count, seed, tag, offset, out):
     n = grid.step_count
     if n > CHOLESKY_CAP:
         raise ResourceError(
             f"cholesky synthesis is capped at n={CHOLESKY_CAP} (requested {n}); use method='circulant'"
         )
     factor_t = _cholesky(fbm_covariance_matrix(grid, hurst)).T
-    out = np.zeros((count, n + 1))
+    out = _destination(out, (count, n + 1))
+    scratch = np.empty((_BLOCK_ROWS, n))
     for lo, hi in _blocks(count, offset):
         z = rnd.normal_matrix(seed, tag, n, hi - lo, offset=lo)
         # einsum, not BLAS: a row's bits depend neither on the thread count
         # nor on how many rows share the product
-        np.einsum("pk,kj->pj", z, factor_t, out=out[lo - offset : hi - offset, 1:])
+        out[lo - offset : hi - offset, 1:] = np.einsum("pk,kj->pj", z, factor_t, out=scratch[: hi - lo])
     return out
 
 
-def _fbm_circulant(grid, hurst, count, seed, tag, offset):
+def _fbm_circulant(grid, hurst, count, seed, tag, offset, out):
     n = grid.step_count
     lam = fgn_circulant_eigenvalues(n, hurst)
     if lam.min() < _EIG_TOLERANCE:
@@ -107,10 +125,10 @@ def _fbm_circulant(grid, hurst, count, seed, tag, offset):
         )
     weights = np.sqrt(np.clip(lam, 0.0, None) / (2 * (2 * n)))
     scale = grid.dt ** check_hurst(hurst)
-    out = np.zeros((count, n + 1))
+    out = _destination(out, (count, n + 1))
     # First half (0..n) of each path's Hermitian spectrum: columns 0 and n are
-    # real, columns 1..n-1 take the normals in (re, im) pairs. hfft supplies
-    # the conjugate half, so it is never written.
+    # real, columns 1..n-1 take the normals in (re, im) pairs. The inverse
+    # real FFT supplies the conjugate half, so it is never written.
     buffer = np.empty((_BLOCK_ROWS, n + 1), dtype=np.complex128)
     for lo, hi in _blocks(count, offset):
         z = rnd.normal_matrix(seed, tag, 2 * n, hi - lo, offset=lo)
@@ -119,10 +137,12 @@ def _fbm_circulant(grid, hurst, count, seed, tag, offset):
         spectrum[:, n] = z[:, 1] * np.sqrt(2.0)
         spectrum[:, 1:n] = z[:, 2:].view(np.complex128)
         spectrum *= weights[: n + 1]
-        fgn = np.fft.hfft(spectrum, n=2 * n, axis=1)[:, :n]
-        rows = out[lo - offset : hi - offset, 1:]
-        np.cumsum(fgn, axis=1, out=rows)
-        rows *= scale
+        # numpy's Hermitian FFT is exactly this, bit for bit, with a conjugated copy
+        np.conjugate(spectrum, out=spectrum)
+        fgn = np.fft.irfft(spectrum, n=2 * n, axis=1, norm="forward")[:, :n]
+        np.cumsum(fgn, axis=1, out=fgn)
+        fgn *= scale
+        out[lo - offset : hi - offset, 1:] = fgn
     return out
 
 
@@ -136,24 +156,21 @@ def generate_fbm(
     stream_role: int = rnd.ROUGH_X,
     component: int = 0,
     path_offset: int = 0,
+    out: np.ndarray | None = None,
 ) -> PathBatch:
     """``count`` independent fBm paths started at 0, exact on the grid.
 
     Deterministic given (seed, method, grid, H): path i is produced from the
     counter-based stream keyed by (seed, stream tag, path_offset + i), so any
     partition of the batch across workers yields identical values. The two
-    methods share the law, not the realizations.
+    methods share the law, not the realizations. The values go into ``out``,
+    a (count, n+1) view in any layout, when it is given.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
     tag = rnd.stream_tag(stream_role, component)
-    if method == "cholesky":
-        values = _fbm_cholesky(grid, hurst, count, seed, tag, path_offset)
-    elif method == "circulant":
-        values = _fbm_circulant(grid, hurst, count, seed, tag, path_offset)
-    else:
+    synthesis = {"cholesky": _fbm_cholesky, "circulant": _fbm_circulant}.get(method)
+    if synthesis is None:
         raise DomainError(f"unknown synthesis method {method!r}")
-    return PathBatch(grid, values)
+    return PathBatch(grid, synthesis(grid, hurst, count, seed, tag, path_offset, out))
 
 
 def generate_wiener(
@@ -164,22 +181,21 @@ def generate_wiener(
     *,
     stream_role: int = rnd.WIENER_X,
     path_offset: int = 0,
+    out: np.ndarray | None = None,
 ) -> PathBatch:
-    """Standard Wiener batch: independent coordinates, N(0, T/n) increments."""
+    """Standard Wiener batch of independent N(0, T/n) increments, into ``out`` when given."""
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
     n = grid.step_count
     root_dt = np.sqrt(grid.dt)
-    values = np.zeros((count, n + 1, dim))
+    out = _destination(out, (count, n + 1, dim))
     for component in range(dim):
         tag = rnd.stream_tag(stream_role, component)
         for lo, hi in _blocks(count, path_offset):
             z = rnd.normal_matrix(seed, tag, n, hi - lo, offset=lo)
             z *= root_dt
-            np.cumsum(z, axis=1, out=values[lo - path_offset : hi - path_offset, 1:, component])
-    return PathBatch(grid, values)
+            out[lo - path_offset : hi - path_offset, 1:, component] = np.cumsum(z, axis=1, out=z)
+    return PathBatch(grid, out)
 
 
 def generate_drivers(
@@ -194,7 +210,9 @@ def generate_drivers(
     """(Wiener, rough) batches for one equation stage.
 
     ``stage`` selects the stream roles, so the coupled stage ("y") draws
-    noise independent of the primary stage ("x") under the same seed.
+    noise independent of the primary stage ("x") under the same seed. Each
+    batch is a view of a C-contiguous (n+1, count, dim) array, the Euler
+    loop's layout, and rough component j is written straight into column j.
     """
     if stage == "x":
         wiener_role, rough_role = rnd.WIENER_X, rnd.ROUGH_X
@@ -202,23 +220,23 @@ def generate_drivers(
         wiener_role, rough_role = rnd.WIENER_Y, rnd.ROUGH_Y
     else:
         raise DomainError(f"stage must be 'x' or 'y', got {stage!r}")
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
 
-    wiener = None
+    def time_major(dim):
+        return np.empty((grid.step_count + 1, count, dim)).transpose(1, 0, 2)
+
+    wiener = rough = None
     if spec.wiener_dim > 0:
+        w = time_major(spec.wiener_dim)
         wiener = generate_wiener(
-            grid, spec.wiener_dim, count, seed, stream_role=wiener_role, path_offset=path_offset
+            grid, spec.wiener_dim, count, seed, stream_role=wiener_role, path_offset=path_offset, out=w
         )
-
-    def component(j):
-        return generate_fbm(
-            grid, spec.rough_hurst[j], count, seed, stream_role=rough_role, component=j, path_offset=path_offset
-        )
-
-    rough = None
-    if spec.rough_dim == 1:
-        rough = component(0)
-    elif spec.rough_dim > 1:
-        rough = PathBatch(grid, np.empty((count, grid.step_count + 1, spec.rough_dim)))
-        for j in range(spec.rough_dim):
-            rough.values[:, :, j] = component(j).values[:, :, 0]
+    if spec.rough_dim > 0:
+        z = time_major(spec.rough_dim)
+        for j, hurst in enumerate(spec.rough_hurst):
+            generate_fbm(
+                grid, hurst, count, seed, stream_role=rough_role, component=j, path_offset=path_offset, out=z[:, :, j]
+            )
+        rough = PathBatch(grid, z)
     return wiener, rough

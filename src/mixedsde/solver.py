@@ -89,11 +89,6 @@ def _check_driver_batch(batch: PathBatch | None, dim: int, grid: TimeGrid, count
 _BLOCK_STEPS = 64
 
 
-def _time_major(values):
-    """``values`` as a view of a C-contiguous (n+1, count, dim) copy."""
-    return np.ascontiguousarray(values.transpose(1, 0, 2)).transpose(1, 0, 2)
-
-
 def _time_major_increments(values, k0, k1):
     """(k1 - k0, count, dim) driver increments over steps k0..k1-1, or None."""
     if values is not None:
@@ -208,9 +203,9 @@ def stage_drivers(
 
     The coupled stage reuses the primary batches when it shares drivers and
     draws independent ones otherwise; without a coupled stage w_y and z_y
-    are None. Each batch holds the values of :func:`generate_drivers`, bit
-    for bit, as a view of a time-major (n+1, count, dim) copy, made one
-    batch at a time so each path-major array goes before the next copy.
+    are None. Each batch is as :func:`generate_drivers` wrote it: a view of
+    time-major (n+1, count, dim) storage, the Euler loop's layout, filled
+    block by block with no conversion copy.
     """
     if model_y is not None:
         if model_y.base_dim != model_x.state_dim:
@@ -225,11 +220,7 @@ def stage_drivers(
             raise DomainError("shared drivers require identical driver specs on both stages")
 
     def draw(spec, stage):
-        batches = list(generate_drivers(spec, grid, count, seed, stage=stage, path_offset=path_offset))
-        for i, batch in enumerate(batches):
-            if batch is not None:
-                batches[i] = PathBatch(grid, _time_major(batch.values))
-        return tuple(batches)
+        return generate_drivers(spec, grid, count, seed, stage=stage, path_offset=path_offset)
 
     w, z = draw(model_x.driver, "x")
     if model_y is None:
@@ -318,8 +309,9 @@ def solve_levels(model_x, model_y, levels, count, seed, path_offset, reduce) -> 
     freed after its last reader: a level's output once it is reduced, the
     primary output once its paths reach the coupled stage, and the primary
     drivers before the finest coupled solve. So a chunk holds at most the
-    four drivers and the primary states at once, and at most five
-    finest-size arrays while :func:`stage_drivers` converts the drivers.
+    four drivers and the primary states at once. The drivers are written with
+    no conversion copy, so drawing them holds at most four finest-size
+    arrays plus one synthesis block's scratch.
     """
     finest = levels[-1]
     w, z, w_y, z_y = stage_drivers(

@@ -547,6 +547,22 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_3_with_one_line_and_no_csv(tmp_path, capsys, monkeypatch):
+    import mixedsde.solver
+
+    def no_room(*args):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array with shape (1048577, 2048, 1)")
+
+    monkeypatch.setattr(mixedsde.solver, "stage_drivers", no_room)
+    cfg = write_config(tmp_path, "m.cfg", "model: stochvol\nstatistic: sup\np: [2]\nlevels: [16]\npaths: 8\nseed: 1\n")
+    out = tmp_path / "r"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "run failed: out of memory: Unable to allocate 64.0 GiB for an array with shape (1048577, 2048, 1)\n"
+    assert captured.out == ""
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_identical_config_and_seed_give_bit_identical_csv(tmp_path):
     cfg = write_config(tmp_path, "r.cfg", "hurst: [0.7]\nn: 8\npaths: 500\nseed: 21\n")
     out1, out2, out3 = (tmp_path / n for n in ("r1", "r2", "r3"))

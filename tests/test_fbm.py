@@ -403,3 +403,96 @@ def test_cholesky_bits_do_not_depend_on_the_blas_thread_count():
         assert done.returncode == 0, done.stderr
         sums.append(done.stdout)
     assert sums[0] == sums[1]
+
+
+# ------------------------------------------ caller-chosen destinations, re-keying
+
+# (path_offset, count): counts 1, 64 and 70 at offsets 0, 3 and 61, so that
+# most slices cross a 64-path block edge
+OUT_SLICES = [(offset, count) for offset in (0, 3, 61) for count in (1, 64, 70)]
+
+
+def _time_major_nans(count, points, *dim):
+    """A (count, points[, dim]) view of a C-contiguous (points, count[, dim]) array of NaNs."""
+    return np.full((points, count, *dim), np.nan).swapaxes(0, 1)
+
+
+def _same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("method", ["circulant", "cholesky"])
+@pytest.mark.parametrize("offset, count", OUT_SLICES)
+def test_fbm_writes_the_same_bytes_into_a_time_major_out(method, offset, count):
+    grid = TimeGrid(1.0, 48)
+    want = generate_fbm(grid, 0.7, count, seed=12, method=method, path_offset=offset).values
+    out = _time_major_nans(count, 49)
+    got = generate_fbm(grid, 0.7, count, seed=12, method=method, path_offset=offset, out=out)
+    assert want.flags.c_contiguous  # the default stays path-major
+    assert np.shares_memory(got.values, out)
+    _same_bytes(got.values, want)
+
+
+@pytest.mark.parametrize("offset, count", OUT_SLICES)
+def test_wiener_writes_the_same_bytes_into_a_time_major_out(offset, count):
+    grid = TimeGrid(1.0, 40)
+    want = generate_wiener(grid, 2, count, seed=13, path_offset=offset).values
+    out = _time_major_nans(count, 41, 2)
+    got = generate_wiener(grid, 2, count, seed=13, path_offset=offset, out=out)
+    assert got.values is out
+    _same_bytes(got.values, want)
+
+
+def test_generate_drivers_write_each_component_into_time_major_storage():
+    grid = TimeGrid(1.0, 40)
+    w, z = generate_drivers(DriverSpec(2, 2, (0.6, 0.9)), grid, 70, seed=4, stage="y", path_offset=3)
+    for batch in (w, z):
+        base = batch.values.base
+        assert base.flags.c_contiguous and base.shape == (41, 70, 2)
+        assert np.shares_memory(base, batch.values)
+    for j, hurst in enumerate((0.6, 0.9)):
+        alone = generate_fbm(grid, hurst, 70, seed=4, stream_role=rnd.ROUGH_Y, component=j, path_offset=3)
+        _same_bytes(z.values[:, :, j], alone.values[:, :, 0])
+    _same_bytes(w.values, generate_wiener(grid, 2, 70, seed=4, stream_role=rnd.WIENER_Y, path_offset=3).values)
+
+
+def _bad_outs(shape):
+    read_only = np.zeros(shape)
+    read_only.flags.writeable = False
+    wrong_shape = np.zeros(shape[:1] + (shape[1] - 1,) + shape[2:])
+    return [wrong_shape, np.zeros(shape, dtype=np.float32), read_only, np.zeros(shape).tolist()]
+
+
+@pytest.mark.parametrize("method", ["circulant", "cholesky"])
+def test_fbm_rejects_a_bad_out_naming_the_expected_shape(method):
+    for bad in _bad_outs((5, 9)):
+        with pytest.raises(DomainError, match=r"shape \(5, 9\)"):
+            generate_fbm(TimeGrid(1.0, 8), 0.7, 5, seed=1, method=method, out=bad)
+
+
+def test_wiener_rejects_a_bad_out_naming_the_expected_shape():
+    for bad in _bad_outs((5, 9, 2)):
+        with pytest.raises(DomainError, match=r"shape \(5, 9, 2\)"):
+            generate_wiener(TimeGrid(1.0, 8), 2, 5, seed=1, out=bad)
+
+
+def test_a_rekeyed_generator_is_a_fresh_stream():
+    tag = rnd.stream_tag(rnd.ROUGH_Y, 2)
+    fresh = rnd.path_stream(17, 5, tag)
+    want_state = fresh.bit_generator.state
+    want = fresh.standard_normal(10_000)
+    partly_used = rnd.path_stream(3, 9, tag)
+    partly_used.bit_generator.random_raw(3)
+    half_word = rnd.path_stream(3, 9, tag)
+    half_word.integers(0, 2**32, dtype=np.uint32)
+    assert partly_used.bit_generator.state["buffer_pos"] == 3
+    assert half_word.bit_generator.state["has_uint32"] == 1
+    for used in (partly_used, half_word):
+        got = rnd.path_stream(17, 5, tag, reuse=used)
+        assert got is used
+        state = got.bit_generator.state
+        assert state["state"]["key"].tolist() == want_state["state"]["key"].tolist()
+        assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (4, 0, 0)
+        assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+        assert np.array_equal(got.standard_normal(10_000), want)
