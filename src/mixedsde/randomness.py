@@ -1,18 +1,23 @@
 """Counter-based random streams for reproducible path-parallel sampling.
 
-Each (seed, stream tag, path index) triple owns an independent Philox
-stream, so path i's randomness depends only on the seed and its own index:
-batches can be generated in any partition, by any worker count, and still
-come out bit-identical. Gaussians are numpy's ziggurat normals
-(Marsaglia & Tsang 2000) drawn from each path's own stream. The ziggurat
-takes a varying number of raw draws per normal, so the position of a
-path's stream after k normals is not fixed; no caller relies on it.
+Each (seed, stream tag, path index) triple owns an independent stream, so
+path i's randomness depends only on the seed and its own index: batches can
+be generated in any partition, by any worker count, and still come out
+bit-identical. The triple keys a Philox hash (Salmon et al., SC'11), whose
+first outputs seed an SFC64 generator that draws the path's values, so the
+keying is counter-based and each draw costs SFC64's few cycles, not a
+Philox block. Gaussians are numpy's ziggurat normals (Marsaglia & Tsang
+2000) drawn from each path's own stream. The ziggurat takes a varying
+number of raw draws per normal, so the position of a path's stream after k
+normals is not fixed; no caller relies on it.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, Philox
 
 from .errors import DomainError
 
@@ -35,8 +40,29 @@ WIENER_Y = 3
 ROUGH_Y = 4
 VALIDATOR = 5
 
-# A new Philox's state: zero counter, empty buffer, no cached half word.
-_FRESH = Philox(key=0).state
+
+class _Hasher(threading.local):
+    """One thread's Philox hash and the state it is re-keyed from.
+
+    Re-keying one shared Philox races when two workers key streams at once,
+    so each thread has its own. Every use overwrites the key and resets the
+    counter and buffer, so no output depends on an earlier one.
+    """
+
+    def __init__(self):
+        self.philox = Philox(key=0)
+        self.key = [0, 0]
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self.key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
+_hasher = _Hasher()
 
 
 def stream_tag(role: int, component: int = 0) -> int:
@@ -47,25 +73,36 @@ def stream_tag(role: int, component: int = 0) -> int:
 
 
 def path_stream(seed: int, path_index: int, tag: int, reuse: Generator | None = None) -> Generator:
-    """The Philox stream owned by one path of one noise component.
+    """The SFC64 stream owned by one path of one noise component.
 
-    The 128-bit Philox key is (seed, tag<<32 | path_index); Philox's key
-    schedule is the hash that decorrelates neighbouring indices. ``reuse``,
-    a Philox ``Generator``, is re-keyed in place and returned: its counter,
-    key, buffer and cached half word are reset, so it yields the same stream
-    as a new one, for about a quarter of the cost of constructing one.
+    The stream is keyed by the Philox stream with 128-bit key
+    (seed, tag<<32 | path_index): Philox's key schedule is the hash that
+    decorrelates neighbouring indices. Its first three outputs are SFC64's
+    (a, b, c) state words, the SFC64 counter starts at 1, and 12 outputs are
+    discarded, as numpy's own SFC64 seeding does. ``reuse``, an SFC64
+    ``Generator``, is re-keyed in place and returned; it then yields the
+    same stream as a new one, whatever it drew before. Each thread hashes
+    with its own Philox, so threads may key streams at once.
     """
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must be a u64, got {seed!r}")
     if not 0 <= path_index < 2**32:
         raise DomainError(f"path index out of range: {path_index}")
-    key = (seed << 64) | (int(tag) << 32) | int(path_index)
-    if reuse is None:
-        return Generator(Philox(key=key))
-    fresh = {"counter": _FRESH["state"]["counter"], "key": np.array([key % 2**64, seed], np.uint64)}
-    reuse.bit_generator.state = {**_FRESH, "state": fresh}
-    return reuse
+    gen = Generator(SFC64(0)) if reuse is None else reuse
+    sfc = getattr(gen, "bit_generator", None)
+    if not isinstance(sfc, SFC64):
+        raise DomainError(f"reuse must be a Generator over SFC64, got {type(sfc).__name__} from {gen!r}")
+    _hasher.key[:] = (int(tag) << 32) | int(path_index), seed
+    philox = _hasher.philox
+    philox.state = _hasher.state
+    # The block's fourth word becomes the counter: the Philox output array
+    # is the SFC64 state.
+    words = philox.random_raw(4)
+    words[3] = 1
+    sfc.state = {"bit_generator": "SFC64", "state": {"state": words}, "has_uint32": 0, "uinteger": 0}
+    sfc.random_raw(12)
+    return gen
 
 
 def normal_matrix(seed: int, tag: int, draws: int, count: int, offset: int = 0) -> np.ndarray:

@@ -4,9 +4,10 @@
 underneath them: both fBm synthesis methods, Wiener synthesis, and the
 Euler scheme for a mixed and a coupled stage, blowup bookkeeping included.
 A failure names the layer whose bits moved. The bits depend on numpy's
-Philox ziggurat normals and its pocketfft FFT, not on scipy. fBm synthesis
-runs no BLAS, and the sums hold under one and two OpenBLAS threads. Update
-a sum only for a change that alters that layer's output on purpose.
+ziggurat normals, drawn from SFC64 streams keyed by a Philox hash, and its
+pocketfft FFT, not on scipy. fBm synthesis runs no BLAS, and the sums hold
+under one and two OpenBLAS threads. Update a sum only for a change that
+alters that layer's output on purpose.
 
 The Euler grids have 200 steps, which is not a multiple of the solver's
 block length, so the sums also cover a partial last block. Their drivers
@@ -59,11 +60,11 @@ def _euler_stochvol():
 
 
 CASES = {
-    "fbm-cholesky": (_fbm_cholesky, "8518df1cb235af75499f03247c811a37b55e3d62607a7b1d1f76ff27189cc245"),
-    "fbm-circulant": (_fbm_circulant, "192a5cef4921c05c7fcc994b8606a10b3ab6a788c3b1804c56eb7ecbcaf31ae9"),
-    "wiener": (_wiener, "fc7ffe93b02819896a0858322627136874f27a8b7b1481a6b6372a8f463a3dcb"),
-    "euler-bounded_trig-d2": (_euler_bounded_trig, "b3ec653afa6f9e27abc96a159fde3f2954f676d8761173aa162f6e499bd63fb3"),
-    "euler-stochvol-coupled": (_euler_stochvol, "1fc7e0abbbe2dbd9f79a5a4af455a95ac9d38ac491d5d9f57eaf40386f2ddde7"),
+    "fbm-cholesky": (_fbm_cholesky, "93ff58bc0d75fa04bae5ed78f80f80c57e7c2dca3c6646563e2155f8ec99240b"),
+    "fbm-circulant": (_fbm_circulant, "4b72852c3a9605a8d164f1a86154f020a1ba29ce10be2e16636fc9eeec437907"),
+    "wiener": (_wiener, "4028dc9f378fcef01a9ee62924fd877b02897d9ab8bc91a4f312558a8b37e461"),
+    "euler-bounded_trig-d2": (_euler_bounded_trig, "42d61c9c83e53e6df30e055d8476806ba427fe19707ac71708d882a75fd450ae"),
+    "euler-stochvol-coupled": (_euler_stochvol, "e686e51878a5fd581c724fdef72e207055a47b59da40d962f384a6666848d37a"),
 }
 
 

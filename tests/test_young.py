@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,15 +115,29 @@ def test_young_left_rule_carries_quadratic_variation_deficit():
 
 
 def test_young_independent_wiener_pair_does_not_converge():
-    batch = generate_wiener(TimeGrid(1.0, 2**12), 2, 5, seed=3)
-    for i in range(5):
-        g = batch.path(i)
-        grid = g.grid
-        w1 = DiscretePath(grid, batch.values[i, :, 0])
-        w2 = DiscretePath(grid, batch.values[i, :, 1])
-        result = young_integrate(w1, w2, tol=1e-3, max_level=12)
-        assert not result.converged
-        assert result.error_estimate >= 1e-3
+    # For independent Wiener paths on n = 2**12 cells of width h, the last
+    # refinement moves the trapezoid sum by S = sum over the n/2 coarse cells
+    # of (a*d - b*c)/2, with a, b the two halves' increments of w1 and c, d
+    # those of w2, all N(0, h). So Var S = (n/2) * h**2 / 2 = 2**-14, S is
+    # normal to within an excess kurtosis of 3/(n/2), and a path converges at
+    # tol 1e-3 with p = erf(1e-3 / (2**-7 * sqrt 2)) = 0.102. Over 64 paths
+    # the count that converges is Binomial(64, p), mean 6.5; more than 20
+    # has probability 7.6e-7, which is this test's false-failure rate. A
+    # pair whose sums converge, such as a self-integral, would fail it.
+    n, count, tol = 2**12, 64, 1e-3
+    p = math.erf(tol / (math.sqrt(n / 4) / n * math.sqrt(2)))
+    assert p == pytest.approx(0.10185, abs=1e-5)
+    false_failure = sum(math.comb(count, k) * p**k * (1 - p) ** (count - k) for k in range(21, count + 1))
+    assert false_failure < 1e-6
+    batch = generate_wiener(TimeGrid(1.0, n), 2, count, seed=3)
+    converged = 0
+    for i in range(count):
+        w1 = DiscretePath(batch.grid, batch.values[i, :, 0])
+        w2 = DiscretePath(batch.grid, batch.values[i, :, 1])
+        result = young_integrate(w1, w2, tol=tol, max_level=12)
+        assert result.converged == (result.error_estimate < tol)
+        converged += result.converged
+    assert converged <= 20, f"{converged} of {count} independent pairs converged"
 
 
 @settings(max_examples=25, deadline=None)
