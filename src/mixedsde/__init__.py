@@ -43,7 +43,6 @@ from .moments import (
 )
 from .paths import DiscretePath, PathBatch
 from .solver import (
-    GeometricParams,
     SolveOutput,
     closed_form_geometric_batch,
     euler_coupled,

@@ -23,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -35,7 +36,7 @@ from . import __version__, parallel
 from .analysis import _check_exponent, holder_seminorm_batch
 from .errors import ConfigError, DomainError, MixedSdeError
 from .fbm import fbm_covariance_matrix, generate_fbm
-from .grids import DriverSpec, TimeGrid, check_hurst
+from .grids import TimeGrid, check_hurst
 from .models import VALIDATOR_MIN_SAMPLES, CoupledModelSpec, model_zoo, validate_assumptions, zoo_defaults, ZOO_MODELS
 from .moments import (
     FERNIQUE_MIN_PATHS,
@@ -46,7 +47,7 @@ from .moments import (
     fernique_tail_check,
     grid_stability_tables,
 )
-from .solver import GeometricParams, check_levels, geometric_convergence_study
+from .solver import check_levels, geometric_convergence_study
 from .young import young_integrate, young_love_constant, young_love_rhs
 
 
@@ -87,12 +88,8 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("holder_order", "float"),
     ),
     "solve": (
-        _Key("mu", "float", default=0.1),
-        _Key("sigma_w", "float", default=0.2),
-        _Key("sigma_b", "float", default=0.3),
-        _Key("s0", "float", default=1.0),
-        _Key("hurst", "float", default=0.75),
-        _Key("horizon", "float", default=1.0),
+        # the one zoo model with a closed form to converge to
+        _Key("model", "str", default="geometric_mixed", choices=("geometric_mixed",)),
         _Key("levels", "int_list", required=True),
         _Key("paths", "int", required=True),
     ),
@@ -145,7 +142,11 @@ def _literal(text: str, in_list=False):
         raise ValueError(f"unsupported value {text!r}: strings are bare and lists are flat, as in [1, 2]")
     if _INT.fullmatch(text):
         return int(text)
-    return float(text) if _FLOAT.fullmatch(text) else text
+    if not _FLOAT.fullmatch(text):
+        return text
+    if math.isinf(number := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return number
 
 
 def parse_config_file(path: str) -> dict[str, tuple[object, int]]:
@@ -271,16 +272,20 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
                 config[k.name] = k.default
     if allow_model_params:
         _check_model_params(config["model"], config["model_params"], entries, path)
-    if command == "moments":
-        if config["statistic"] == "sup" and "p" not in config:
-            raise ConfigError("statistic 'sup' needs key 'p'", path=path)
-        if config["statistic"] == "exp" and ("c" not in config or "gamma" not in config):
-            raise ConfigError("statistic 'exp' needs keys 'c' and 'gamma'", path=path)
 
     def check(ok, name, message):
         if not ok:
             from_file = name in entries and overrides.get(name) is None
             raise ConfigError(message, path=path, line=entries[name][1] if from_file else None)
+
+    if command == "moments":
+        statistic = config["statistic"]
+        if statistic == "sup" and "p" not in config:
+            raise ConfigError("statistic 'sup' needs key 'p'", path=path)
+        if statistic == "exp" and ("c" not in config or "gamma" not in config):
+            raise ConfigError("statistic 'exp' needs keys 'c' and 'gamma'", path=path)
+        for name in ("c", "gamma") if statistic == "sup" else ("p",):
+            check(name not in config, name, f"key {name!r}: statistic {statistic!r} does not read it")
 
     check(0 <= config["seed"] < 2**64, "seed", "seed must be a u64")
     check(config["workers"] >= 1, "workers", "workers must be >= 1")
@@ -309,8 +314,6 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
     if command in ("fbm", "integrate", "fernique"):
         for hurst in config["hurst"] if command == "fbm" else [config["hurst"]]:
             library_check("hurst", check_hurst, hurst)
-    if command == "solve":
-        library_check("hurst", DriverSpec, 1, 1, (config["hurst"],))
     if command == "integrate":
         mu = _integrate_order(config)
         name = "holder_order" if "holder_order" in config else "hurst"
@@ -447,20 +450,8 @@ def _run_integrate(config: dict) -> list[dict]:
 
 
 def _run_solve(config: dict) -> list[dict]:
-    params = GeometricParams(
-        initial_value=config["s0"],
-        drift=config["mu"],
-        wiener_vol=config["sigma_w"],
-        rough_vol=config["sigma_b"],
-    )
     study = geometric_convergence_study(
-        params,
-        config["hurst"],
-        config["levels"],
-        config["paths"],
-        config["seed"],
-        horizon=config["horizon"],
-        workers=config["workers"],
+        _build_model(config), config["levels"], config["paths"], config["seed"], workers=config["workers"]
     )
     errors = [row.mean_abs_terminal_error for row in study]
     ratios = (float("nan"), *(_level_ratio(a, b) for a, b in zip(errors, errors[1:])))
@@ -473,7 +464,8 @@ class _ModelParamsError(ConfigError):
 
 def _model_line(entries) -> int:
     """Line of the first ``model.*`` key, or of ``model:`` when there is none."""
-    return next((line for key, (_, line) in entries.items() if key.startswith("model.")), entries["model"][1])
+    line = next((line for key, (_, line) in entries.items() if key.startswith("model.")), None)
+    return entries["model"][1] if line is None else line
 
 
 def _build_model(config: dict):
@@ -509,7 +501,7 @@ def _run_check_conditions(config: dict) -> list[dict]:
     if isinstance(model, tuple):
         model = model[1] if set_id == "C" else model[0]
     if set_id == "C" and not isinstance(model, CoupledModelSpec):
-        raise ConfigError(f"model {config['model']!r} has no coupled stage for set C")
+        raise _ModelParamsError(f"model {config['model']!r} has no coupled stage for set C")
     report = validate_assumptions(
         model, set_id, box_radius=config["radius"], samples=config["samples"], seed=config["seed"]
     )

@@ -182,7 +182,6 @@ class ModelSpec:
     wiener: CoefficientField | None
     rough: CoefficientField | None
     driver: DriverSpec
-    claimed_set: str | None = None
     claimed_constants: Mapping[str, float] = field(default_factory=dict)
     holder_beta: float | None = None
     kernel: StageKernel | None = field(default=None, init=False, repr=False, compare=False)
@@ -233,7 +232,6 @@ class CoupledModelSpec:
     driver: DriverSpec
     share_drivers: bool = False
     declared_rho: float = 0.0
-    claimed_set: str | None = None
     claimed_constants: Mapping[str, float] = field(default_factory=dict)
     holder_beta: float | None = None
     kernel: StageKernel | None = field(default=None, init=False, repr=False, compare=False)
@@ -619,7 +617,6 @@ def _linear_mixed(
         wiener=_linear_fields(d, B, b0, m, "linear-wiener") if m else None,
         rough=_linear_fields(d, C, c0, l, "linear-rough") if l else None,
         driver=driver,
-        claimed_set="A",
         claimed_constants={
             "A1": growth,
             "A2": deriv_bound,
@@ -755,7 +752,6 @@ def _bounded_trig(
         wiener=_trig_diffusion(d, m, wiener_amp, wiener_rate, _WIENER_PHASE_STEP, "cos", "trig-wiener") if m else None,
         rough=_trig_diffusion(d, l, rough_amp, rough_rate, _ROUGH_PHASE_STEP, "sin", "trig-rough") if l else None,
         driver=driver,
-        claimed_set="B",
         holder_beta=holder_beta,
     )
     # Only now is the horizon known positive, so horizon ** (1 - beta) is real.
@@ -871,7 +867,6 @@ def _stochvol(
         driver=driver,
         share_drivers=False,
         declared_rho=rho,
-        claimed_set="C",
         claimed_constants={
             "C1": mu_p + s_b,
             "C2": s_w,
@@ -888,40 +883,17 @@ def _stochvol(
 def _malliavin_linearized(initial_value=1.0, **base_params):
     """Linearized sensitivity equation of the ``geometric_mixed`` base model.
 
-    Coefficients are the base model's state derivatives applied linearly to
-    y, supplied here analytically (no automatic differentiation); the stage
-    shares the base model's drivers.
+    Each base field is linear with zero offset, so it is its own state
+    derivative applied to y: every coefficient is the base field evaluated
+    at y. The stage shares the base model's drivers.
     """
     base = _geometric_mixed(**base_params)
     d = base.state_dim
-    m, l = base.driver.wiener_dim, base.driver.rough_dim
-    # Recover the constant Jacobians of the linear base fields.
-    probe = np.eye(d)
-    zero = np.zeros((1, d))
-    drift_jac = np.stack([(base.drift(0.0, probe[i][None, :]) - base.drift(0.0, zero))[0] for i in range(d)], axis=1)
 
-    def lin_drift(t, x, y):
-        return y @ drift_jac.T
-
-    def make_block(fld, cols):
-        jac0 = fld.jacobian(0.0, zero)[0]  # (d, cols, d), constant in x
-
-        def evaluate(t, x, y):
-            return np.einsum("dce,pe->pdc", jac0, y)
-
-        def derivative(t, x, y):
-            return np.broadcast_to(jac0[None], (len(y), d, cols, d)).copy()
-
-        return evaluate, derivative
-
-    wiener_field = None
-    if m:
-        ev, dv = make_block(base.wiener, m)
-        wiener_field = CoefficientField("sensitivity-wiener", "coupled", d, m, ev, dv)
-    rough_field = None
-    if l:
-        ev, dv = make_block(base.rough, l)
-        rough_field = CoefficientField("sensitivity-rough", "coupled", d, l, ev, dv)
+    def at_y(fld, name):
+        return CoefficientField(
+            name, "coupled", d, fld.columns, lambda t, x, y: fld.evaluate(t, y), lambda t, x, y: fld.jacobian(t, y)
+        )
 
     coupled = CoupledModelSpec(
         name="malliavin_linearized",
@@ -929,13 +901,12 @@ def _malliavin_linearized(initial_value=1.0, **base_params):
         base_dim=d,
         initial_value=_as_vector_stack(initial_value, 0, d),
         horizon=base.horizon,
-        drift=CoefficientField("sensitivity-drift", "coupled", d, 0, lin_drift),
-        wiener=wiener_field,
-        rough=rough_field,
+        drift=at_y(base.drift, "sensitivity-drift"),
+        wiener=at_y(base.wiener, "sensitivity-wiener"),
+        rough=at_y(base.rough, "sensitivity-rough"),
         driver=base.driver,
         share_drivers=True,
         declared_rho=0.0,
-        claimed_set=None,
     )
     return base, coupled
 

@@ -19,12 +19,11 @@ from . import parallel
 from .errors import DomainError, GridMismatchError
 from .fbm import generate_drivers
 from .grids import TimeGrid
-from .models import CoupledModelSpec, ModelSpec, field_kernel, model_zoo
+from .models import CoupledModelSpec, ModelSpec, field_kernel
 from .paths import PathBatch
 
 __all__ = [
     "SolveOutput",
-    "GeometricParams",
     "ConvergenceRow",
     "euler_mixed",
     "euler_coupled",
@@ -250,35 +249,27 @@ def solve_coupled(
     return out_x, out_y
 
 
-@dataclass(frozen=True)
-class GeometricParams:
-    """Constant-coefficient price equation dS = mu S dt + s_W S dW + s_B S dZ."""
-
-    initial_value: float = 1.0
-    drift: float = 0.1
-    wiener_vol: float = 0.2
-    rough_vol: float = 0.3
-
-
-def closed_form_geometric_batch(
-    params: GeometricParams, wiener: PathBatch, rough: PathBatch
-) -> PathBatch:
+def closed_form_geometric_batch(model: ModelSpec, wiener: PathBatch, rough: PathBatch) -> PathBatch:
     """S_t = S_0 exp((mu - s_W^2/2) t + s_W W_t + s_B Z_t) on the grid.
 
+    ``model`` is a ``geometric_mixed`` spec. Each of its fields is linear
+    through the origin, so mu, s_W and s_B are the fields' values at x = 1.
     Only the Ito part carries the -s_W^2/2 correction; the Young part obeys
     the first-order chain rule, so the rough volatility enters plainly.
     """
+    if model.name != "geometric_mixed":
+        raise DomainError(f"the closed form holds for 'geometric_mixed' only, got {model.name!r}")
     if wiener.dim != 1 or rough.dim != 1:
         raise DomainError("the closed form needs scalar drivers")
     if wiener.grid != rough.grid:
         raise GridMismatchError("driver batches must share the grid")
+    one = np.ones((1, 1))
+    mu = float(model.drift(0.0, one)[0, 0])
+    s_w = float(model.wiener(0.0, one)[0, 0, 0])
+    s_b = float(model.rough(0.0, one)[0, 0, 0])
     t = wiener.grid.points[None, :]
-    log_s = (
-        (params.drift - 0.5 * params.wiener_vol**2) * t
-        + params.wiener_vol * wiener.values[:, :, 0]
-        + params.rough_vol * rough.values[:, :, 0]
-    )
-    return PathBatch(wiener.grid, params.initial_value * np.exp(log_s))
+    log_s = (mu - 0.5 * s_w**2) * t + s_w * wiener.values[:, :, 0] + s_b * rough.values[:, :, 0]
+    return PathBatch(wiener.grid, float(model.initial_value[0]) * np.exp(log_s))
 
 
 def check_levels(levels) -> tuple[int, ...]:
@@ -342,15 +333,13 @@ class ConvergenceRow:
 
 
 def geometric_convergence_study(
-    params: GeometricParams,
-    hurst: float,
+    model: ModelSpec,
     levels,
     paths: int,
     seed: int,
-    horizon: float = 1.0,
     workers: int = 1,
 ) -> list[ConvergenceRow]:
-    """Euler terminal error against the closed form over dyadic grid levels.
+    """Euler terminal error of a ``geometric_mixed`` model against its closed form.
 
     Common random numbers: drivers are generated once on the finest grid and
     restricted to the coarser levels, so the rows isolate discretization
@@ -358,21 +347,12 @@ def geometric_convergence_study(
     own terminal driver values, which are the finest grid's.
     """
     levels = check_levels(levels)
-    model = model_zoo(
-        "geometric_mixed",
-        mu=params.drift,
-        sigma_w=params.wiener_vol,
-        sigma_b=params.rough_vol,
-        initial_value=params.initial_value,
-        hurst=hurst,
-        horizon=horizon,
-    )
 
     def terminal_errors(out):
         # Every level's grid ends at T and keeps the finest grid's terminal
         # driver values, so this is the finest grid's closed form, bit for bit.
         last = out.paths.grid.step_count
-        exact = closed_form_geometric_batch(params, out.wiener.restrict(last), out.rough.restrict(last))
+        exact = closed_form_geometric_batch(model, out.wiener.restrict(last), out.rough.restrict(last))
         exact_terminal = exact.values[:, -1, 0]
         return np.abs(out.paths.values[:, -1, 0] - exact_terminal), np.abs(exact_terminal)
 

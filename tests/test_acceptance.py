@@ -15,7 +15,6 @@ import pytest
 
 import mixedsde as mx
 from mixedsde import (
-    GeometricParams,
     MomentTarget,
     TimeGrid,
     fbm_covariance_matrix,
@@ -108,7 +107,7 @@ def test_s3_young_machinery():
 def test_s4_solver_against_closed_form():
     start = time.monotonic()
     rows = mx.geometric_convergence_study(
-        GeometricParams(1.0, 0.1, 0.2, 0.3), 0.75,
+        model_zoo("geometric_mixed", initial_value=1.0, mu=0.1, sigma_w=0.2, sigma_b=0.3, hurst=0.75),
         [2**k for k in range(6, 13)], 1000, seed=42,
     )
     errors = [r.mean_abs_terminal_error for r in rows]
@@ -217,7 +216,6 @@ def test_s8_condition_validators():
         wiener=None,
         rough=mx.CoefficientField("sin", "state", 1, 1, sin_eval, sin_deriv),
         driver=mx.DriverSpec(0, 1, (0.75,)),
-        claimed_set="B",
     )
     rep = mx.validate_assumptions(sin_model, "B", box_radius=2.0, samples=10_000, seed=2)
     b1, b2 = rep.constant("B1"), rep.constant("B2")
@@ -232,7 +230,7 @@ def test_s8_condition_validators():
         wiener=None,
         rough=mx.CoefficientField("sin", "state", 1, 1, sin_eval, sin_deriv),
         driver=mx.DriverSpec(0, 1, (0.75,)),
-        claimed_set="A", claimed_constants={"A1": 1.0},
+        claimed_constants={"A1": 1.0},
     )
     flagged = mx.validate_assumptions(planted, "A", box_radius=10.0, samples=10_000, seed=6)
     a1 = {c.condition: c for c in flagged.conditions}["A1"]

@@ -354,8 +354,11 @@ BAD_VALUE_CASES = {
                                 "paths: 2\n", 2, "key 'gamma': must be sorted ascending, got [1.5, 0.6]"),
     "boundary-n-0": ("boundary", "model: bounded_trig\ngamma: [1.0]\nc: 1.0\nn: 0\nseed: 1\npaths: 2\n", 4,
                      "key 'n': must be >= 1, got 0"),
-    "solve-horizon-negative": ("solve", "levels: [8]\nhorizon: -1\nseed: 1\npaths: 2\n", 2,
-                               "key 'horizon': must be positive, got -1.0"),
+    "solve-horizon-negative": ("solve", "levels: [8]\nmodel.horizon: -1\nseed: 1\npaths: 2\n", 2,
+                               "bad model parameters for 'geometric_mixed' (model.horizon: -1): "
+                               "horizon must be positive"),
+    "solve-model-linear_mixed": ("solve", "levels: [8]\nmodel: linear_mixed\nseed: 1\npaths: 2\n", 2,
+                                 "key 'model': must be one of ['geometric_mixed'], got 'linear_mixed'"),
     "fernique-horizon-0": ("fernique", "hurst: 0.75\nmu: 0.6\nn: 16\nhorizon: 0\nseed: 1\npaths: 2\n", 4,
                            "key 'horizon': must be positive, got 0.0"),
     "fbm-hurst-1.5": ("fbm", "n: 4\nhurst: [0.6, 1.5]\npaths: 2\nseed: 1\n", 2,
@@ -372,8 +375,9 @@ BAD_VALUE_CASES = {
                                    "key 'holder_order': Holder exponent must lie in (0, 1], got 1.5"),
     "integrate-hurst-0.5": ("integrate", "seed: 1\nhurst: 0.5\nn: 8\npaths: 2\n", 2,
                             "key 'hurst': Young regime needs alpha + beta > 1, got 0.49 + 0.49"),
-    "solve-hurst-0.3": ("solve", "levels: [8]\nseed: 1\nhurst: 0.3\npaths: 2\n", 3,
-                        "key 'hurst': rough components must have Hurst parameter > 1/2 (got 0.3)"),
+    "solve-hurst-0.3": ("solve", "levels: [8]\nseed: 1\nmodel.hurst: 0.3\npaths: 2\n", 3,
+                        "bad model parameters for 'geometric_mixed' (model.hurst: 0.3): "
+                        "rough components must have Hurst parameter > 1/2 (got 0.3)"),
     "samples-0": ("check-conditions", "model: bounded_trig\nset: B\nsamples: 0\nseed: 1\n", 3,
                   "key 'samples': must be >= 1000, got 0"),
     "samples-999": ("check-conditions", "model: bounded_trig\nset: B\nsamples: 999\nseed: 1\n", 3,
@@ -382,6 +386,20 @@ BAD_VALUE_CASES = {
                  "key 'radius': must be positive, got 0.0"),
     "radius-negative": ("check-conditions", "model: bounded_trig\nset: B\nradius: -2\nseed: 1\n", 3,
                         "key 'radius': must be positive, got -2.0"),
+    # a number beyond the float range is refused where the file is read
+    "radius-1e400": ("check-conditions", "model: bounded_trig\nset: B\nradius: 1e400\nseed: 1\n", 3,
+                     "key 'radius': 1e400 is not a finite number"),
+    "fbm-horizon-1e400": ("fbm", "hurst: [0.75]\nn: 4\nhorizon: 1e400\npaths: 2\nseed: 1\n", 3,
+                          "key 'horizon': 1e400 is not a finite number"),
+    "model-sigma_b-1e400": ("moments", "model: geometric_mixed\nstatistic: sup\np: [2]\nlevels: [8]\nseed: 1\n"
+                            "paths: 2\nmodel.sigma_b: [1e400]\n", 7, "key 'model.sigma_b': 1e400 is not a finite number"),
+    # a key the chosen statistic does not read
+    "moments-sup-c": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\nc: 1.0\nlevels: [8]\nseed: 1\n"
+                      "paths: 2\n", 4, "key 'c': statistic 'sup' does not read it"),
+    "moments-exp-p": ("moments", "model: bounded_trig\nstatistic: exp\nc: 1.0\ngamma: [1.0]\nlevels: [8]\n"
+                      "p: [2]\nseed: 1\npaths: 2\n", 6, "key 'p': statistic 'exp' does not read it"),
+    "set-C-single-stage": ("check-conditions", "seed: 1\nmodel: linear_mixed\nset: C\n", 2,
+                           "model 'linear_mixed' has no coupled stage for set C"),
     "model-horizon-negative": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\nlevels: [8]\nseed: 1\n"
                                "paths: 2\nmodel.drift_amp: 0.2\nmodel.horizon: -1\n", 7,
                                "bad model parameters for 'bounded_trig' (model.drift_amp: 0.2, model.horizon: -1): "
@@ -516,7 +534,7 @@ EXAMPLE_MANIFEST_HASHES = {
     "integrate.cfg": ("integrate", "23ade60caa7ff350"),
     "moments.cfg": ("moments", "f1883ab58400f01b"),
     "quadratic_control.cfg": ("moments", "0dc3387799ac9d3e"),
-    "solve.cfg": ("solve", "72e9dcb88e067b1a"),
+    "solve.cfg": ("solve", "f67323450855050f"),
 }
 
 

@@ -77,7 +77,7 @@ CASES = {
     "solve": (
         "solve",
         "levels: [8, 16]\npaths: 2100\nseed: 14\n",
-        "12fa549ab90f31ffed4251d11b89e87afb95678bcc3ec9cc71984d423a7d96ba",
+        "27e6183b8626a314592d65094422e87c51869904c1b153ec24864d6b1c57601f",
     ),
 }
 

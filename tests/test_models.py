@@ -26,7 +26,7 @@ def zero_rough(dim=1):
     return CoefficientField("zero-rough", "state", dim, 1, evaluate, derivative)
 
 
-def state_model(drift=None, wiener=None, rough=None, dim=1, claimed=None, claimed_set="A"):
+def state_model(drift=None, wiener=None, rough=None, dim=1, claimed=None):
     m = 1 if wiener is not None else 0
     l = 1 if rough is not None else 0
     if l == 0:
@@ -41,7 +41,6 @@ def state_model(drift=None, wiener=None, rough=None, dim=1, claimed=None, claime
         wiener=wiener,
         rough=rough,
         driver=DriverSpec(m, l, (0.75,) * l),
-        claimed_set=claimed_set,
         claimed_constants=claimed or {},
     )
 
@@ -66,7 +65,7 @@ def test_sin_coefficient_bound_and_derivative_constants():
         return np.cos(x)[:, :, None, None]
 
     model = state_model(
-        rough=CoefficientField("sin", "state", 1, 1, c_eval, c_deriv), claimed_set="B"
+        rough=CoefficientField("sin", "state", 1, 1, c_eval, c_deriv)
     )
     report = validate_assumptions(model, "B", box_radius=2.0, samples=2000, seed=2)
     assert 0.99 <= report.constant("B1") <= 1.0
@@ -210,6 +209,21 @@ def test_malliavin_linearized_shares_drivers_and_is_linear():
     np.testing.assert_allclose(sens.drift(0.0, x, y), 0.1 * y)
     np.testing.assert_allclose(sens.wiener(0.0, x, y)[:, :, 0], 0.2 * y)
     np.testing.assert_allclose(sens.rough(0.0, x, y)[:, :, 0], 0.3 * y)
+
+
+def test_malliavin_sensitivity_fields_are_the_base_jacobians_applied_to_y():
+    mu, sigma_w, sigma_b = -0.37, 0.61, 1.3
+    base, sens = model_zoo("malliavin_linearized", mu=mu, sigma_w=sigma_w, sigma_b=sigma_b)
+    rng = np.random.default_rng(5)
+    t, x, y = 0.4, rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
+    # the drift field carries no analytic derivative; its Jacobian is [[mu]]
+    np.testing.assert_array_equal(sens.drift(t, x, y), y @ np.array([[mu]]).T)
+    for fld, base_fld in ((sens.wiener, base.wiener), (sens.rough, base.rough)):
+        applied = np.einsum("pdce,pe->pdc", base_fld.jacobian(t, x), y)
+        np.testing.assert_array_equal(fld(t, x, y), applied)
+        np.testing.assert_array_equal(fld.jacobian(t, x, y), base_fld.jacobian(t, x))
+    assert (base.wiener(t, x)[:, 0, 0] == sigma_w * x[:, 0]).all()
+    assert (base.rough(t, x)[:, 0, 0] == sigma_b * x[:, 0]).all()
 
 
 def test_rho_outside_admissible_range_warns_not_errors():

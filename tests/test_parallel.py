@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mixedsde import (
     DomainError,
-    GeometricParams,
     TimeGrid,
     fernique_tail_check,
     generate_fbm,
@@ -40,7 +39,7 @@ def test_studies_reject_zero_paths_with_a_domain_error():
     with pytest.raises(DomainError):
         grid_stability_tables(model_zoo("bounded_trig"), [MomentTarget("sup", 2.0)], [8], 0, seed=1)
     with pytest.raises(DomainError):
-        geometric_convergence_study(GeometricParams(), 0.75, [8], 0, seed=1)
+        geometric_convergence_study(model_zoo("geometric_mixed", hurst=0.75), [8], 0, seed=1)
 
 
 # ------------------------------------------------ partition invariance
@@ -79,7 +78,7 @@ _STUDIES = {
         model_zoo("bounded_trig"), [MomentTarget("exp", c=1.0, gamma=g) for g in (0.6, 1.5)], [64], 700, seed=4
     ),
     "fernique": lambda: fernique_tail_check(0.75, 0.6, TimeGrid(1.0, 64), 700, seed=5),
-    "convergence": lambda: geometric_convergence_study(GeometricParams(), 0.75, [16, 64], 700, seed=6),
+    "convergence": lambda: geometric_convergence_study(model_zoo("geometric_mixed", hurst=0.75), [16, 64], 700, seed=6),
 }
 
 

@@ -8,7 +8,6 @@ from mixedsde import (
     CoefficientField,
     DomainError,
     DriverSpec,
-    GeometricParams,
     GridMismatchError,
     ModelSpec,
     TimeGrid,
@@ -80,11 +79,10 @@ def test_dimension_mismatch_raises():
 
 
 def test_geometric_euler_tracks_closed_form():
-    params = GeometricParams(1.0, 0.1, 0.2, 0.3)
-    model = model_zoo("geometric_mixed", mu=0.1, sigma_w=0.2, sigma_b=0.3)
+    model = model_zoo("geometric_mixed", mu=0.1, sigma_w=0.2, sigma_b=0.3, initial_value=1.0)
     grid = TimeGrid(1.0, 2**12)
     out = solve_model(model, grid, 100, seed=42)
-    exact = closed_form_geometric_batch(params, out.wiener, out.rough)
+    exact = closed_form_geometric_batch(model, out.wiener, out.rough)
     rel = np.abs(out.paths.values[:, -1, 0] - exact.values[:, -1, 0]) / exact.values[:, -1, 0]
     assert rel.mean() < 0.01
 
@@ -92,11 +90,22 @@ def test_geometric_euler_tracks_closed_form():
 def test_closed_form_reductions():
     grid = TimeGrid(1.0, 64)
     w, z = generate_drivers(DriverSpec(1, 1, (0.75,)), grid, 1, seed=5)
-    flat = closed_form_geometric_batch(GeometricParams(2.0, 0.3, 0.0, 0.0), w, z).values[0, :, 0]
+    flat = closed_form_geometric_batch(
+        model_zoo("geometric_mixed", initial_value=2.0, mu=0.3, sigma_w=0.0, sigma_b=0.0), w, z
+    ).values[0, :, 0]
     np.testing.assert_allclose(flat, 2.0 * np.exp(0.3 * grid.points))
-    gbm = closed_form_geometric_batch(GeometricParams(1.0, 0.0, 0.5, 0.0), w, z).values[0, :, 0]
+    gbm = closed_form_geometric_batch(
+        model_zoo("geometric_mixed", initial_value=1.0, mu=0.0, sigma_w=0.5, sigma_b=0.0), w, z
+    ).values[0, :, 0]
     expected = np.exp(-0.125 * grid.points + 0.5 * w.values[0, :, 0])
     np.testing.assert_allclose(gbm, expected)
+
+
+def test_closed_form_refuses_a_model_other_than_geometric_mixed():
+    grid = TimeGrid(1.0, 8)
+    w, z = generate_drivers(DriverSpec(1, 1, (0.75,)), grid, 2, seed=5)
+    with pytest.raises(DomainError, match="'geometric_mixed' only, got 'linear_mixed'"):
+        closed_form_geometric_batch(model_zoo("linear_mixed"), w, z)
 
 
 def test_malliavin_sensitivity_tracks_price_ratio():
@@ -152,7 +161,8 @@ def test_zero_coupled_coefficients_keep_initial_value():
 
 def test_grid_halving_errors_shrink():
     rows = geometric_convergence_study(
-        GeometricParams(1.0, 0.1, 0.2, 0.3), 0.75, [2**6, 2**7, 2**8, 2**9], 500, seed=42
+        model_zoo("geometric_mixed", initial_value=1.0, mu=0.1, sigma_w=0.2, sigma_b=0.3, hurst=0.75),
+        [2**6, 2**7, 2**8, 2**9], 500, seed=42,
     )
     errors = [r.mean_abs_terminal_error for r in rows]
     for a, b in zip(errors, errors[1:]):
