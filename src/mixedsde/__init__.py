@@ -6,7 +6,7 @@ noise types with one Euler scheme, and runs the Monte Carlo studies that
 probe moment and exponential-moment finiteness of the solutions.
 """
 
-from .analysis import holder_seminorm, sup_norm
+from .analysis import holder_seminorm_batch
 from .errors import (
     ConfigError,
     DomainError,
@@ -41,7 +41,7 @@ from .moments import (
     moment_estimate,
     exp_moment_exponent_bound,
 )
-from .paths import DiscretePath, PathBatch
+from .paths import PathBatch
 from .solver import (
     SolveOutput,
     closed_form_geometric_batch,

@@ -1,4 +1,4 @@
-"""Sup norms and Holder seminorms of discrete paths.
+"""Exact grid Holder seminorms of path batches.
 
 All quantities are grid-native: the Holder seminorm is the exact maximum
 over grid pairs, which underestimates the continuous seminorm but compares
@@ -10,11 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .paths import DiscretePath
 
 __all__ = [
-    "sup_norm",
-    "holder_seminorm",
     "holder_seminorm_batch",
     "SEMINORM_CAP",
 ]
@@ -29,34 +26,6 @@ _SCAN_VALUES = 2**17  # values per row block of the lag scan (1 MB of float64)
 # ulps by which pow, or the norm's sum in another memory order, can break
 # monotonicity, and far below any gap worth pruning.
 _SLACK = 1.0 + 2.0**-40
-
-
-def _window_values(path: DiscretePath, a, b) -> tuple[np.ndarray, float]:
-    ia, ib = path.grid.window(a, b)
-    return path.values[ia : ib + 1], path.grid.dt
-
-
-def sup_norm(path: DiscretePath, a: float | None = None, b: float | None = None) -> float:
-    """Max Euclidean norm of the path over grid points in [a, b]."""
-    values, _ = _window_values(path, a, b)
-    return float(np.linalg.norm(values, axis=1).max())
-
-
-def holder_seminorm(
-    path: DiscretePath,
-    a: float | None = None,
-    b: float | None = None,
-    exponent: float = 0.5,
-) -> float:
-    """Exact grid seminorm sup_{t_i < t_j} |f(t_j) - f(t_i)| / (t_j - t_i)^gamma.
-
-    The window's values go through ``holder_seminorm_batch`` as a batch of
-    one path, so the scalar and batch results are the same bits. Windows
-    longer than ``SEMINORM_CAP`` steps are refused rather than silently
-    subsampled.
-    """
-    values, dt = _window_values(path, a, b)
-    return float(holder_seminorm_batch(values[None], dt, exponent)[0])
 
 
 def _lag_group_bounds(values: np.ndarray, dt: float, exponent: float) -> np.ndarray:

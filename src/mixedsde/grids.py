@@ -50,25 +50,6 @@ class TimeGrid:
     def points(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.step_count + 1)
 
-    def index_of(self, t: float) -> int:
-        """Index k with t_k == t, within floating tolerance.
-
-        Off-grid times are a caller error: the analytics are grid-native and
-        never interpolate.
-        """
-        k = int(round(t / self.dt))
-        if k < 0 or k > self.step_count or abs(t - k * self.dt) > 1e-9 * max(self.horizon, 1.0):
-            raise DomainError(f"t={t!r} is not a point of the grid (T={self.horizon}, n={self.step_count})")
-        return k
-
-    def window(self, a: float | None, b: float | None) -> tuple[int, int]:
-        """Resolve an [a, b] sub-interval to grid indices (ia, ib), ia < ib."""
-        ia = 0 if a is None else self.index_of(a)
-        ib = self.step_count if b is None else self.index_of(b)
-        if ia >= ib:
-            raise DomainError(f"need a < b on the grid, got indices ({ia}, {ib})")
-        return ia, ib
-
     def coarsen(self, stride: int) -> "TimeGrid":
         stride = int(stride)
         if stride < 1 or self.step_count % stride != 0:

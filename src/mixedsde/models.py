@@ -359,6 +359,14 @@ def _jac_diff(fld, a, b):
     return _row_norm(fld.jacobian(*a) - fld.jacobian(*b))
 
 
+def _time_beta(model) -> float:
+    """A stage's time-Holder beta: its own, else the midpoint of (1-mu, 1/2), else 0.25 with no mu."""
+    if model.holder_beta is not None:
+        return model.holder_beta
+    mu = model.driver.holder_order
+    return 0.75 - 0.5 * mu if mu is not None else 0.25
+
+
 def _conditions(model, set_id: str):
     """(condition id, sample names, ratio) for every condition of a set.
 
@@ -367,10 +375,7 @@ def _conditions(model, set_id: str):
     coupled one.
     """
     m = model
-    mu = m.driver.holder_order
-    beta = m.holder_beta
-    if beta is None:
-        beta = 0.75 - 0.5 * mu if mu is not None else 0.25  # midpoint of (1-mu, 1/2)
+    beta = _time_beta(m)
     norm = lambda v: np.linalg.norm(v, axis=1)
     if set_id in ("A", "B"):
         growth = lambda t, x: _norm(m.drift, t, x) + _norm(m.wiener, t, x) + _norm(m.rough, t, x)
@@ -736,9 +741,6 @@ def _bounded_trig(
     wiener_rate = _as_rates(wiener_rate, m, "wiener_rate", "wiener_dim")
     hs = (hurst,) * l if np.isscalar(hurst) else tuple(hurst)
     driver = DriverSpec(m, l, hs, holder_order)
-    if holder_beta is None and l > 0:
-        holder_beta = 0.75 - 0.5 * driver.holder_order
-    beta = holder_beta if holder_beta is not None else 0.25
     bound = (
         drift_amp * np.sqrt(d) + wiener_amp * np.sqrt(d * m) + rough_amp * np.sqrt(d * l)
     )
@@ -755,6 +757,7 @@ def _bounded_trig(
         holder_beta=holder_beta,
     )
     # Only now is the horizon known positive, so horizon ** (1 - beta) is real.
+    beta = _time_beta(spec)
     spec = replace(spec, claimed_constants={
         "B1": float(bound),
         "B2": float(rough_amp * np.sqrt(l)),

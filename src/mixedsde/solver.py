@@ -233,8 +233,8 @@ def solve_coupled(
     model_x: ModelSpec,
     model_y: CoupledModelSpec,
     grid: TimeGrid,
-    seed: int,
     count: int,
+    seed: int,
 ) -> tuple[SolveOutput, SolveOutput]:
     """Solve the primary stage, then the coupled stage along its state.
 
@@ -249,6 +249,11 @@ def solve_coupled(
     return out_x, out_y
 
 
+def _check_geometric(model: ModelSpec) -> None:
+    if model.name != "geometric_mixed":
+        raise DomainError(f"the closed form holds for 'geometric_mixed' only, got {model.name!r}")
+
+
 def closed_form_geometric_batch(model: ModelSpec, wiener: PathBatch, rough: PathBatch) -> PathBatch:
     """S_t = S_0 exp((mu - s_W^2/2) t + s_W W_t + s_B Z_t) on the grid.
 
@@ -257,8 +262,7 @@ def closed_form_geometric_batch(model: ModelSpec, wiener: PathBatch, rough: Path
     Only the Ito part carries the -s_W^2/2 correction; the Young part obeys
     the first-order chain rule, so the rough volatility enters plainly.
     """
-    if model.name != "geometric_mixed":
-        raise DomainError(f"the closed form holds for 'geometric_mixed' only, got {model.name!r}")
+    _check_geometric(model)
     if wiener.dim != 1 or rough.dim != 1:
         raise DomainError("the closed form needs scalar drivers")
     if wiener.grid != rough.grid:
@@ -346,6 +350,7 @@ def geometric_convergence_study(
     error from sampling noise. Each level's closed-form reference reads its
     own terminal driver values, which are the finest grid's.
     """
+    _check_geometric(model)
     levels = check_levels(levels)
 
     def terminal_errors(out):

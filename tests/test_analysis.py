@@ -7,21 +7,19 @@ from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from mixedsde import (
-    DiscretePath,
     DomainError,
     ResourceError,
     TimeGrid,
     generate_fbm,
-    holder_seminorm,
-    sup_norm,
+    holder_seminorm_batch,
 )
 from mixedsde import analysis
-from mixedsde.analysis import holder_seminorm_batch
 
 
-def path_from(values, horizon=1.0):
+def seminorm(values, exponent, horizon=1.0):
+    """Grid seminorm of one path on [0, horizon], as a batch of one."""
     values = np.asarray(values, dtype=float)
-    return DiscretePath(TimeGrid(horizon, len(values) - 1), values)
+    return holder_seminorm_batch(values[None], TimeGrid(horizon, len(values) - 1).dt, exponent)[0]
 
 
 def brute_force_seminorm(values, dt, gamma):
@@ -54,58 +52,28 @@ def assert_exact(values, dt, gamma):
     return got
 
 
-# ------------------------------------------------------------------ sup norm
-
-
-def test_sup_norm_constant_path():
-    p = path_from(np.full(17, -3.0))
-    assert sup_norm(p) == pytest.approx(3.0)
-
-
-def test_sup_norm_linear_path():
-    t = np.linspace(0, 1, 65)
-    assert sup_norm(path_from(t)) == pytest.approx(1.0)
-
-
-def test_sup_norm_matches_brute_scan(fbm_750_1024):
-    p = fbm_750_1024.path(0)
-    direct = max(np.linalg.norm(v) for v in p.values)
-    assert sup_norm(p) == pytest.approx(direct)
-
-
-def test_sup_norm_window_and_offgrid_errors():
-    t = np.linspace(0, 1, 9)
-    p = path_from(t)
-    assert sup_norm(p, 0.25, 0.5) == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        sup_norm(p, 0.3, 0.5)  # 0.3 is not a grid point of n=8
-    with pytest.raises(DomainError):
-        sup_norm(p, 0.5, 0.25)
-
-
 # ------------------------------------------------------------------ seminorm
 
 
 def test_seminorm_linear_path_gamma_one():
     t = np.linspace(0, 1, 33)
-    assert holder_seminorm(path_from(t), exponent=1.0) == pytest.approx(1.0)
+    assert seminorm(t, 1.0) == pytest.approx(1.0)
 
 
 def test_seminorm_constant_path_is_zero():
-    assert holder_seminorm(path_from(np.full(33, 2.5)), exponent=0.5) == 0.0
+    assert seminorm(np.full(33, 2.5), 0.5) == 0.0
 
 
 def test_seminorm_sqrt_path_attains_one_at_origin():
     t = np.linspace(0, 1, 1025)
-    p = path_from(np.sqrt(t))
     # |sqrt(t) - sqrt(s)| <= |t-s|^{1/2}, equality at s=0: the (0, t_1) pair
-    assert holder_seminorm(p, exponent=0.5) == pytest.approx(1.0, abs=1e-12)
+    assert seminorm(np.sqrt(t), 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_seminorm_matches_brute_force_on_rough_path(fbm_750_1024):
-    p = fbm_750_1024.path(1).restrict(16)  # n=64: brute force is affordable
-    expected = brute_force_seminorm(p.values, p.grid.dt, 0.7)
-    assert holder_seminorm(p, exponent=0.7) == pytest.approx(expected)
+    p = fbm_750_1024.restrict(16)  # n=64: brute force is affordable
+    expected = brute_force_seminorm(p.values[1], p.grid.dt, 0.7)
+    assert seminorm(p.values[1, :, 0], 0.7) == pytest.approx(expected)
 
 
 def test_seminorm_batch_agrees_with_scalar(fbm_750_1024):
@@ -113,7 +81,7 @@ def test_seminorm_batch_agrees_with_scalar(fbm_750_1024):
     grid = TimeGrid(1.0, 64)
     batch = holder_seminorm_batch(sub, grid.dt, 0.65)
     for i in range(5):
-        single = holder_seminorm(DiscretePath(grid, sub[i]), exponent=0.65)
+        single = holder_seminorm_batch(sub[i : i + 1], grid.dt, 0.65)[0]
         assert batch[i] == single
 
 
@@ -178,7 +146,7 @@ def test_seminorm_batch_non_finite_values_keep_their_meaning():
     assert np.isnan(got[1]) and got[2] == np.inf and np.isnan(got[3]) and got[4] == np.inf
     assert np.isnan(got[5])
     with np.errstate(invalid="ignore"):
-        assert np.isnan(holder_seminorm(path_from(values[1]), exponent=0.65))
+        assert np.isnan(seminorm(values[1], 0.65))
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,9 +166,10 @@ def test_seminorm_batch_exact_on_heavy_tailed_walks(seed, n, dim, gamma, tail):
 
 
 def test_seminorm_monotone_in_window(fbm_750_1024):
-    p = fbm_750_1024.path(2)
-    full = holder_seminorm(p, exponent=0.7)
-    inner = holder_seminorm(p, 0.25, 0.75, exponent=0.7)
+    # the window [0.25, 0.75] is the slice of grid points 256..768 of n = 1024
+    values = fbm_750_1024.values[2, :, 0]
+    full = seminorm(values, 0.7)
+    inner = seminorm(values[256:769], 0.7, horizon=0.5)
     assert full >= inner
 
 
@@ -209,33 +178,31 @@ def test_seminorm_monotone_in_window(fbm_750_1024):
 def test_seminorm_absolute_homogeneity(scale):
     rng = np.random.default_rng(3)
     values = rng.standard_normal(33)
-    base = holder_seminorm(path_from(values), exponent=0.6)
-    scaled = holder_seminorm(path_from(scale * values), exponent=0.6)
+    base = seminorm(values, 0.6)
+    scaled = seminorm(scale * values, 0.6)
     assert scaled == pytest.approx(abs(scale) * base, rel=1e-12, abs=1e-12)
 
 
 def test_grid_sup_bounded_by_start_plus_seminorm(fbm_750_1024):
     # sup over [s,t] of |f| <= |f(s)| + seminorm * (t-s)^gamma, exact on the grid
-    p = fbm_750_1024.path(3)
+    values = fbm_750_1024.values[3]
     gamma = 0.7
-    for (a, b) in ((0.0, 1.0), (0.25, 0.75), (0.5, 1.0)):
-        semi = holder_seminorm(p, a, b, exponent=gamma)
-        start = np.linalg.norm(p.values[p.grid.index_of(a)])
-        assert sup_norm(p, a, b) <= start + semi * (b - a) ** gamma + 1e-12
+    for (ia, ib) in ((0, 1024), (256, 768), (512, 1024)):  # [0, 1], [0.25, 0.75], [0.5, 1] at n = 1024
+        window = values[ia : ib + 1]
+        semi = seminorm(window[:, 0], gamma, horizon=(ib - ia) / 1024)
+        start = np.linalg.norm(window[0])
+        assert np.linalg.norm(window, axis=1).max() <= start + semi * ((ib - ia) / 1024) ** gamma + 1e-12
 
 
 def test_seminorm_exponent_domain():
-    p = path_from(np.linspace(0, 1, 9))
     for gamma in (0.0, -0.3, 1.5):
         with pytest.raises(DomainError):
-            holder_seminorm(p, exponent=gamma)
+            seminorm(np.linspace(0, 1, 9), gamma)
 
 
 def test_seminorm_cap():
-    values = np.zeros(8194)
-    p = DiscretePath(TimeGrid(1.0, 8193), values)
     with pytest.raises(ResourceError):
-        holder_seminorm(p, exponent=0.5)
+        seminorm(np.zeros(8194), 0.5)
 
 
 # ------------------------------------------------- row blocks of the lag scan

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mixedsde import model_zoo
+from mixedsde import cli, model_zoo, parallel, young_integrate
 from mixedsde.cli import main, parse_config_file, resolve_config
 from mixedsde.errors import ConfigError
 from mixedsde.moments import MomentTarget, _level_ratio, exp_moment_exponent_bound, grid_stability_tables
@@ -157,6 +157,20 @@ def test_integrate_command(tmp_path):
     assert len(rows) == 20
     assert all(r["young_love_ok"] == "true" for r in rows)
     assert all(float(r["rel_error"]) < 1e-3 for r in rows)
+
+
+def test_integrate_runs_young_integrate_once_per_chunk(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(g, h, **kwargs):
+        calls.append(g.count)
+        return young_integrate(g, h, **kwargs)
+
+    monkeypatch.setattr(cli, "young_integrate", counted)
+    monkeypatch.setattr(parallel, "CHUNK_PATHS", 16)
+    cfg = write_config(tmp_path, "i.cfg", "n: 64\npaths: 40\nseed: 7\n")
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert calls == [16, 16, 8]
 
 
 def test_solve_command(tmp_path):
@@ -367,6 +381,8 @@ BAD_VALUE_CASES = {
                            "key 'hurst': Hurst parameter must lie in (0, 1), got 1.2"),
     "fernique-mu-1.5": ("fernique", "hurst: 0.75\nn: 16\nmu: 1.5\nseed: 1\npaths: 200\n", 3,
                         "key 'mu': holder_order must lie in (0, 1), got 1.5"),
+    "fernique-growth-n-15": ("fernique", "hurst: 0.75\nmu: 0.8\nn: 15\nseed: 1\npaths: 200\n", 3,
+                             "key 'n': stride 2 does not divide step_count 15"),
     "fernique-paths-50": ("fernique", "hurst: 0.75\nmu: 0.6\nn: 16\nseed: 1\npaths: 50\n", 5,
                           "key 'paths': must be >= 100, got 50"),
     "integrate-holder_order-0.2": ("integrate", "seed: 1\nn: 8\npaths: 2\nholder_order: 0.2\n", 4,
@@ -393,6 +409,11 @@ BAD_VALUE_CASES = {
                           "key 'horizon': 1e400 is not a finite number"),
     "model-sigma_b-1e400": ("moments", "model: geometric_mixed\nstatistic: sup\np: [2]\nlevels: [8]\nseed: 1\n"
                             "paths: 2\nmodel.sigma_b: [1e400]\n", 7, "key 'model.sigma_b': 1e400 is not a finite number"),
+    # a key the chosen statistic needs is missing: the statistic's line is named
+    "moments-sup-no-p": ("moments", "model: bounded_trig\nstatistic: sup\nlevels: [8]\nseed: 1\npaths: 2\n", 2,
+                         "statistic 'sup' needs key 'p'"),
+    "moments-exp-no-gamma": ("moments", "model: bounded_trig\nlevels: [8]\nstatistic: exp\nc: 1.0\nseed: 1\n"
+                             "paths: 2\n", 3, "statistic 'exp' needs keys 'c' and 'gamma'"),
     # a key the chosen statistic does not read
     "moments-sup-c": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\nc: 1.0\nlevels: [8]\nseed: 1\n"
                       "paths: 2\n", 4, "key 'c': statistic 'sup' does not read it"),

@@ -17,6 +17,7 @@ from mixedsde import (
     solve_model,
     exp_moment_exponent_bound,
 )
+from mixedsde import parallel
 from mixedsde.moments import _level_ratio, grid_stability_tables
 
 
@@ -223,6 +224,15 @@ def test_fernique_above_hurst_reports_growth_and_skips_fit():
     assert report.mode == "growth"
     assert math.isnan(report.slope)
     assert report.growth_ratio > 1.05  # seminorm grows under refinement
+
+
+def test_fernique_growth_mode_refuses_an_odd_grid_before_any_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("paths synthesised for a grid that growth mode cannot halve")
+
+    monkeypatch.setattr(parallel, "map_paths", fail)
+    with pytest.raises(DomainError, match="stride 2 does not divide step_count 15"):
+        fernique_tail_check(0.75, 0.8, TimeGrid(1.0, 15), 200, seed=1)
 
 
 def test_fernique_input_validation():

@@ -108,6 +108,15 @@ def test_closed_form_refuses_a_model_other_than_geometric_mixed():
         closed_form_geometric_batch(model_zoo("linear_mixed"), w, z)
 
 
+def test_convergence_study_refuses_another_model_before_drawing_drivers(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("drivers drawn for a model the closed form cannot check")
+
+    monkeypatch.setattr(solver, "stage_drivers", fail)
+    with pytest.raises(DomainError, match="'geometric_mixed' only, got 'linear_mixed'"):
+        geometric_convergence_study(model_zoo("linear_mixed"), [8, 16], 4, seed=1)
+
+
 def test_malliavin_sensitivity_tracks_price_ratio():
     base, sens = model_zoo("malliavin_linearized", mu=0.1, sigma_w=0.2, sigma_b=0.3)
     grid = TimeGrid(1.0, 512)
