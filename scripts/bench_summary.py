@@ -16,6 +16,12 @@ folded into a ``per_layer`` block per side: the medians and the
 [min, max] ranges of their ``per_layer`` metrics, and the medians of their
 ``self_s_by_layer`` times.
 
+``summary_machine`` holds the numpy version and SIMD dispatch level (its
+``__cpu_baseline__`` and enabled ``AVX512*``/``AVX2`` features) of the
+machine that wrote the summary, which is not necessarily the one that ran
+the invocations: several ufuncs give other last bits and other speeds
+under AVX-512, AVX2 and baseline loops.
+
 ``--parent-importtime`` and ``--change-importtime`` take the stderr logs of
 ``python -X importtime -c "import mixedsde.cli"``, one file per run, and add
 an ``import_mixedsde_cli`` block: per side, the cumulative microseconds of
@@ -101,6 +107,20 @@ def _importtime(files: list[Path]) -> dict:
     }
 
 
+def _summary_machine() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_baseline__, __cpu_features__
+    return {
+        "numpy": np.__version__,
+        "cpu_baseline": list(__cpu_baseline__),
+        "cpu_features_enabled": [
+            name for name, on in __cpu_features__.items() if on and name.startswith(("AVX512", "AVX2"))
+        ],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, type=Path)
@@ -110,7 +130,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change-importtime", nargs="+", default=[], type=Path)
     args = parser.parse_args(argv)
     parent, change = _side(args.parent), _side(args.change)
-    summary = {}
+    summary = {"summary_machine": _summary_machine()}
     for workload in sorted(parent.keys() & change.keys()):
         summary[workload] = {"parent": parent[workload], "change": change[workload]}
         if "metrics" not in parent[workload] or "metrics" not in change[workload]:

@@ -313,6 +313,12 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
     if command in ("fbm", "integrate", "fernique"):
         for hurst in config["hurst"] if command == "fbm" else [config["hurst"]]:
             library_check("hurst", check_hurst, hurst)
+    if command == "fbm":  # the standard errors square t^(2H): t^(4H) stays normal, 2 t^(4H) finite
+        high, n = math.log2(config["horizon"]), config["n"]
+        for h in config["hurst"]:
+            check(4 * h * (high - math.log2(n)) >= sys.float_info.min_exp - 1
+                  and 4 * h * high + 1 < sys.float_info.max_exp, "horizon",
+                  f"key 'horizon': {config['horizon']} takes t^(4H) out of the float range at hurst {h} on {n} steps")
     if command == "integrate":
         mu = _integrate_order(config)
         name = "holder_order" if "holder_order" in config else "hurst"

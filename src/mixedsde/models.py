@@ -108,11 +108,12 @@ class StageKernel(NamedTuple):
     ``prepare(ts, dt, dw, dz, xs)`` runs once per block of steps: ``ts``
     holds the block's left-point times, ``dw`` and ``dz`` its (steps, paths,
     columns) driver increments or None, and ``xs`` a coupled stage's
-    (steps, paths, base_dim) base states or None. ``xs`` is a read-only
-    view of the primary stage's output, so ``prepare`` must not write it.
-    It computes every factor that does not read the stage's own state.
-    ``increment(prepared, j, state)`` returns step j's increment as a new
-    array.
+    (steps, paths, base_dim) base states or None. The next block overwrites
+    ``dw`` and ``dz``; ``xs`` is a read-only view of the primary stage's
+    output, so ``prepare`` must not write it. It computes every factor that
+    does not read the stage's own state. ``increment(prepared, j, state)``
+    returns step j's increment as a new array. ``xs`` and ``state`` are
+    component-major: each state component is a contiguous row of paths.
 
     A spec's ``kernel`` is set only by the zoo builder that made its fields,
     and ``dataclasses.replace`` never copies it, so a kernel cannot outlive
@@ -681,20 +682,25 @@ def _trig_kernel(drift_amp, drift_rate, wiener, rough):
     """
 
     def prepare(ts, dt, dw, dz, xs):
+        # The sin factors are doubled here, not their sums: x2 is exact. Each
+        # sum is built in place in one new array, through one product buffer.
         angle = drift_rate * ts
-        on_sin = (drift_amp * np.cos(angle) * dt)[:, None]
+        on_sin = (2.0 * drift_amp * np.cos(angle) * dt)[:, None]
         on_cos = (drift_amp * np.sin(angle) * dt)[:, None]
+        product = None
         for block, inc in ((wiener, dw), (rough, dz)):
             if block is None:
                 continue
             amp, rate, phases, kind = block
             angle = rate * ts[:, None] + phases
             cos_a, sin_a = amp * np.cos(angle), amp * np.sin(angle)
-            a, b = (-sin_a, cos_a) if kind == "cos" else (cos_a, sin_a)
+            a, b = (-2.0 * sin_a, cos_a) if kind == "cos" else (2.0 * cos_a, sin_a)
             for c in range(len(phases)):
-                on_sin = on_sin + a[:, c : c + 1] * inc[:, :, c]
-                on_cos = on_cos + b[:, c : c + 1] * inc[:, :, c]
-        return 2.0 * on_sin[:, :, None], on_cos[:, :, None]
+                product = np.multiply(a[:, c : c + 1], inc[:, :, c], out=product)
+                on_sin = np.add(on_sin, product, out=on_sin if on_sin.shape == product.shape else None)
+                product = np.multiply(b[:, c : c + 1], inc[:, :, c], out=product)
+                on_cos = np.add(on_cos, product, out=on_cos if on_cos.shape == product.shape else None)
+        return on_sin[:, :, None], on_cos[:, :, None]
 
     def increment(prepared, j, state):
         twice_on_sin, on_cos = prepared
@@ -828,8 +834,7 @@ def _stochvol(
     )
     mu_p, s_w, s_b, rho = price_drift, wiener_price_vol, rough_price_vol, rho_power
 
-    # The scales read the base state's last axis, so they serve the fields
-    # (paths, 2) and the kernel's (steps, paths, 2) blocks alike.
+    # The scales serve the fields, on (paths, 2) base states.
     def wiener_scale(x):
         return s_w * np.tanh(x[..., 0:1])
 
@@ -850,9 +855,20 @@ def _stochvol(
 
     # Linear in y: a step is y * G_k, and the growth factor G_k = mu dt +
     # s_w tanh(X0_k) dW_k + s_b (1 + X1_k^2)^(rho/2) dZ_k reads only the base
-    # states and the drivers, so it is computed for a whole block at once.
+    # states and the drivers, so it is computed for a whole block at once,
+    # in place, by the scales' operations in the scales' order.
     def price_prepare(ts, dt, dw, dz, xs):
-        return mu_p * dt + wiener_scale(xs) * dw + rough_scale(xs) * dz
+        growth = np.tanh(xs[..., 0:1])
+        growth *= s_w
+        growth *= dw
+        growth += mu_p * dt
+        rough = np.square(xs[..., 1:2])
+        rough += 1.0
+        rough **= rho / 2.0
+        rough *= s_b
+        rough *= dz
+        growth += rough
+        return growth
 
     def price_increment(growth, j, state):
         return state * growth[j]

@@ -88,29 +88,32 @@ def _check_driver_batch(batch: PathBatch | None, dim: int, grid: TimeGrid, count
 _BLOCK_STEPS = 64
 
 
-def _time_major_increments(values, k0, k1):
-    """(k1 - k0, count, dim) driver increments over steps k0..k1-1, or None."""
+def _time_major_increments(values, k0, k1, previous):
+    """(k1 - k0, count, dim) driver increments over steps k0..k1-1, into ``previous`` if given, or None."""
     if values is not None:
         rows = values.transpose(1, 0, 2)
-        return rows[k0 + 1 : k1 + 1] - rows[k0:k1]
+        return np.subtract(rows[k0 + 1 : k1 + 1], rows[k0:k1], out=None if previous is None else previous[: k1 - k0])
 
 
 def _euler_loop(model, grid, count, w_values, z_values, x_states=None):
     """Left-point Euler over the grid in time-major blocks of ``_BLOCK_STEPS``.
 
-    Each step's sum is written straight into its row of one C-contiguous
-    (n+1, count, dim) array, returned as its (count, n+1, dim) transposed
-    view. Each block hands the kernel's ``prepare`` its (steps, count, dim)
-    driver increments, new arrays, and ``xs``, a read-only view of the base
-    states that ``prepare`` must not write; on time-major inputs both are
-    contiguous row slices. A finite sum proves the whole state finite, so
-    the per-path check runs only when the sum is not; a blown path stays
-    NaN and keeps it so. A kernel's increment is never written into here.
+    States are component-major: one C-contiguous (n+1, dim, count) array,
+    returned as its (count, n+1, dim) transposed view, so each step's
+    ``state`` is a (count, dim) view whose path axis numpy walks innermost,
+    and each step's sum is written straight into its row. Each block hands
+    the kernel's ``prepare`` its (steps, count, dim) driver increments, in
+    one buffer per driver, and ``xs``, a read-only view of the base states.
+    A kernel's increment is never written into here. A non-finite value
+    stays so under ``state + increment``, so one finite sum proves a block
+    finite; otherwise each newly bad path gets its first non-finite row as
+    ``first_bad`` and NaN from that row on, as a per-step check leaves it.
     """
     kernel = model.kernel if model.kernel is not None else field_kernel(model)
     n = grid.step_count
     dt = grid.dt
-    out = np.empty((n + 1, count, len(model.initial_value)))
+    store = np.empty((n + 1, len(model.initial_value), count))
+    out = store.transpose(0, 2, 1)
     out[0] = model.initial_value
     state = out[0]
     blown = np.zeros(count, dtype=bool)
@@ -118,22 +121,24 @@ def _euler_loop(model, grid, count, w_values, z_values, x_states=None):
     if x_states is not None:
         base = x_states.transpose(1, 0, 2)
         base.flags.writeable = False
+    dw = dz = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n, _BLOCK_STEPS):
             k1 = min(n, k0 + _BLOCK_STEPS)
-            dw = _time_major_increments(w_values, k0, k1)
-            dz = _time_major_increments(z_values, k0, k1)
+            dw = _time_major_increments(w_values, k0, k1, dw)
+            dz = _time_major_increments(z_values, k0, k1, dz)
             xs = None if x_states is None else base[k0:k1]
             prepared = kernel.prepare(np.arange(k0, k1) * dt, dt, dw, dz, xs)
             for j in range(k1 - k0):
                 state = np.add(state, kernel.increment(prepared, j, state), out=out[k0 + 1 + j])
-                if not math.isfinite(state.sum()):
-                    newly_bad = ~blown & ~np.isfinite(state).all(axis=1)
-                    if newly_bad.any():
-                        first_bad[newly_bad] = k0 + j + 1
-                        blown |= newly_bad
-                        state[blown] = np.nan
-    return out.transpose(1, 0, 2), blown, first_bad
+            rows = store[k0 + 1 : k1 + 1]
+            if not math.isfinite(np.add.reduce(rows, axis=None)):
+                bad = ~np.isfinite(rows).all(axis=1)
+                newly_bad, first = ~blown & bad.any(axis=0), bad.argmax(axis=0)
+                first_bad[newly_bad] = k0 + 1 + first[newly_bad]
+                blown |= newly_bad
+                np.copyto(rows, np.nan, where=(newly_bad & (np.arange(k1 - k0)[:, None] >= first))[:, None, :])
+    return store.transpose(2, 0, 1), blown, first_bad
 
 
 def _euler_stage(model, grid, count, wiener, rough, x_states=None) -> SolveOutput:

@@ -407,6 +407,11 @@ BAD_VALUE_CASES = {
                      "key 'radius': 1e400 is not a finite number"),
     "fbm-horizon-1e400": ("fbm", "hurst: [0.75]\nn: 4\nhorizon: 1e400\npaths: 2\nseed: 1\n", 3,
                           "key 'horizon': 1e400 is not a finite number"),
+    # a finite horizon whose covariance t^(2H), squared for the standard errors, leaves the float range
+    "fbm-horizon-1e-300": ("fbm", "hurst: [0.3, 0.75]\nn: 4\nhorizon: 1e-300\npaths: 2\nseed: 1\n", 3,
+                           "key 'horizon': 1e-300 takes t^(4H) out of the float range at hurst 0.3 on 4 steps"),
+    "fbm-horizon-1e300": ("fbm", "hurst: [0.2, 0.75]\nhorizon: 1e300\nn: 4\npaths: 2\nseed: 1\n", 2,
+                          "key 'horizon': 1e+300 takes t^(4H) out of the float range at hurst 0.75 on 4 steps"),
     "model-sigma_b-1e400": ("moments", "model: geometric_mixed\nstatistic: sup\np: [2]\nlevels: [8]\nseed: 1\n"
                             "paths: 2\nmodel.sigma_b: [1e400]\n", 7, "key 'model.sigma_b': 1e400 is not a finite number"),
     # a key the chosen statistic needs is missing: the statistic's line is named

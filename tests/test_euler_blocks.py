@@ -19,7 +19,7 @@ from mixedsde import CoefficientField, DriverSpec, ModelSpec, TimeGrid, model_zo
 from mixedsde.models import CoupledModelSpec
 from mixedsde.paths import PathBatch
 from mixedsde.solver import _BLOCK_STEPS as B
-from mixedsde.solver import euler_coupled, euler_mixed
+from mixedsde.solver import euler_coupled, euler_mixed, stage_drivers
 
 PATHS = 9
 
@@ -228,3 +228,92 @@ def test_fields_that_return_their_input_are_not_written_into():
             driver=DriverSpec(1, 0),
         )
         _check_coupled(coupled, n, _walks(n, 1, seed=22), _walks(n, 1, seed=23), None)
+
+
+def _row_before_nan_fill(model, n, w_values, z_values, got, path, row):
+    """``path``'s state at ``row`` as the step from ``row - 1`` computes it, before any NaN fill."""
+    grid = TimeGrid(1.0, n)
+    k = row - 1
+
+    def step(values):
+        return None if values is None else values[path : path + 1, k + 1] - values[path : path + 1, k]
+
+    state = got.paths.values[path : path + 1, k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        increment = _reference_increment(model, grid.dt)(k * grid.dt, step(w_values), step(z_values), None, state)
+    return (state + increment)[0]
+
+
+def _assert_one_component_blows(model, n, w, z, got, path, row):
+    """Only the second component of the row is non-finite; the output has NaN in both from it on."""
+    assert np.isfinite(_row_before_nan_fill(model, n, w, z, got, path, row)).tolist() == [True, False]
+    assert got.first_nonfinite_index[path] == row
+    assert np.isnan(got.paths.values[path, row:]).all()
+    assert np.isfinite(got.paths.values[path, :row]).all()
+
+
+def _trig_d2():
+    """With x = (0, 3), a finite driver jump of 1e308 overflows only the second component."""
+    return model_zoo("bounded_trig", state_dim=2, wiener_dim=1, rough_dim=1, initial_value=[0.0, 3.0])
+
+
+def test_trig_component_blowup_mid_block_matches_reference():
+    n, path, row = 3 * B + 5, 4, B + B // 2
+    w, z = _poison(_walks(n, 1, seed=31), path, row, 1e308), _walks(n, 1, seed=32)
+    got = _check_mixed(_trig_d2(), n, w, z)
+    _assert_one_component_blows(_trig_d2(), n, w, z, got, path, row)
+    assert got.blowup_count == 1
+
+
+def test_linear_coupled_component_blowup_mid_block_matches_reference():
+    # Wiener column 1 drives only the second component; the drift then couples the first to it.
+    model = model_zoo(
+        "linear_mixed",
+        state_dim=2,
+        wiener_dim=2,
+        rough_dim=1,
+        drift_matrix=[[0.5, 0.2], [0.1, -0.3]],
+        wiener_matrix=[[[0.3, 0.0], [0.0, 0.3]], [[0.0, 0.0], [0.0, 10.0]]],
+        wiener_offset=0.0,
+    )
+    n, path, row = 3 * B + 5, 6, 2 * B + 7
+    w, z = _walks(n, 2, seed=33), _walks(n, 1, seed=34)
+    w[:, :, 1] = 0.0
+    w[path, row:, 1] = 1e308
+    got = _check_mixed(model, n, w, z)
+    _assert_one_component_blows(model, n, w, z, got, path, row)
+    assert got.blowup_count == 1
+
+
+@pytest.mark.parametrize("edge", [B, 2 * B])
+def test_blowups_on_the_last_step_of_a_block_and_the_first_of_the_next(edge):
+    n = 3 * B + 5
+    w, z = _walks(n, 1, seed=35), _walks(n, 1, seed=36)
+    _poison(w, 2, edge, 1e308)
+    _poison(w, 3, edge + 1, 1e308)
+    got = _check_mixed(_trig_d2(), n, w, z)
+    for path, row in ((2, edge), (3, edge + 1)):
+        _assert_one_component_blows(_trig_d2(), n, w, z, got, path, row)
+    assert got.blowup_count == 2
+
+
+def test_path_blown_in_an_earlier_block_next_to_a_new_one():
+    n = 3 * B + 5
+    w = _walks(n, 1, seed=37)
+    _poison(w, 2, 5, np.inf)
+    _poison(w, 3, 2 * B + 7, -np.inf)
+    got = _check_mixed(_linear_model(), n, w, None)
+    assert got.first_nonfinite_index.tolist() == [-1, -1, 5, 2 * B + 7] + [-1] * (PATHS - 4)
+
+
+def test_quadratic_control_blowups_match_reference_and_pinned_counts():
+    # x' = x^2 from 1 blows up near t = 1: 124 of 300 paths, spread over blocks 2-4 at n = 256.
+    model = model_zoo("quadratic_control")
+    grid = TimeGrid(1.0, 256)
+    w, z, _, _ = stage_drivers(model, None, grid, 300, 9, 0)
+    got = euler_mixed(model, grid, w, z)
+    _assert_same_bytes(got, _reference_loop(grid, model, 300, w.values, z.values))
+    first = got.first_nonfinite_index
+    assert got.blowup_count == 124
+    assert np.bincount(first[got.blown] // B).tolist() == [0, 0, 7, 115, 2]
+    assert int(first[got.blown].sum()) == 28409

@@ -17,10 +17,11 @@ with ``method: both``, also pins the Cholesky oracle.
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from mixedsde.cli import main
+
+from conftest import numpy_dispatch
 
 CASES = {
     "check-conditions-A": (
@@ -93,5 +94,5 @@ def test_cli_csv_matches_golden_sha256(tmp_path, case, workers):
     digest = hashlib.sha256((out / f"{command.replace('-', '_')}.csv").read_bytes()).hexdigest()
     assert digest == expected, (
         f"{case} CSV sha256 {digest} != golden {expected} "
-        f"(numpy {np.__version__})"
+        f"({numpy_dispatch()})"
     )

@@ -24,6 +24,8 @@ import pytest
 from mixedsde import TimeGrid, euler_mixed, generate_drivers, generate_fbm, generate_wiener, model_zoo
 from mixedsde.solver import euler_coupled
 
+from conftest import numpy_dispatch
+
 PATHS = 300
 
 
@@ -81,5 +83,5 @@ def test_layer_output_matches_golden_sha256(case):
     digest = _digest(build())
     assert digest == expected, (
         f"{case} sha256 {digest} != golden {expected} "
-        f"(numpy {np.__version__})"
+        f"({numpy_dispatch()})"
     )

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -65,6 +67,32 @@ def test_bench_summary_pairs_parent_and_change_results(tmp_path):
     assert summary["change"]["per_layer"]["self_s_by_layer"] == {"analysis": 1.0, "fbm": 1.0}
     assert summary["change"]["per_layer"]["invocations"] == 3
     assert summary["change"]["per_layer"]["files"] == [f"change-traced-{i}.json" for i in range(3)]
+
+
+def test_bench_summary_records_the_summary_machines_dispatch_level(tmp_path):
+    try:
+        from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_baseline__, __cpu_features__
+
+    result = tmp_path / "r.json"
+    result.write_text(json.dumps({
+        "workload": "fernique_tail", "seed": 5, "failed": 0, "csv_sha256": "abc", "samples": {"runs": 1},
+        "environment": {}, "end_to_end": {"paths_per_s": 1.0, "setup_s": 1.0, "peak_rss_mb": 1.0},
+    }))
+    out = tmp_path / "BENCH.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_summary.py"), "--out", str(out),
+         "--parent", str(result), "--change", str(result)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    machine = json.loads(out.read_text())["summary_machine"]
+    assert machine["numpy"] == np.__version__
+    assert machine["cpu_baseline"] == list(__cpu_baseline__)
+    assert machine["cpu_features_enabled"] == [
+        name for name, on in __cpu_features__.items() if on and name.startswith(("AVX512", "AVX2"))
+    ]
 
 
 def test_bench_summary_reads_importtime_logs(tmp_path):

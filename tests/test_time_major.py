@@ -1,11 +1,13 @@
 """Time-major storage in the solver: layout never changes a byte, and it stays time-major.
 
-The level ladder keeps its drivers and Euler states as transposed views of
-C-contiguous (n+1, count, dim) arrays. The public API still takes and
-returns (count, n+1, dim) batches, so the Euler scheme must give the same
-bytes on a path-major and a time-major copy of the same inputs, restricted
-or not. The pins below fail if the drivers or states go back to path-major
-storage, whose coarse-level block copies read one cache line per element.
+The level ladder keeps its drivers as transposed views of C-contiguous
+(n+1, count, dim) arrays and its Euler states as transposed views of
+C-contiguous, component-major (n+1, dim, count) arrays. The public API
+still takes and returns (count, n+1, dim) batches, so the Euler scheme
+must give the same bytes on a path-major and a time-major copy of the same
+inputs, restricted or not. The pins below fail if the drivers or states go
+back to path-major storage, whose coarse-level block copies read one cache
+line per element.
 """
 
 import tracemalloc
@@ -36,6 +38,17 @@ def _is_time_major(values):
         base is not None
         and base.flags.c_contiguous
         and base.shape == (values.shape[1], values.shape[0], values.shape[2])
+        and np.shares_memory(base, values)
+    )
+
+
+def _is_component_major(values):
+    """A view of a C-contiguous (n+1, dim, count) array."""
+    base = values.base
+    return (
+        base is not None
+        and base.flags.c_contiguous
+        and base.shape == (values.shape[1], values.shape[2], values.shape[0])
         and np.shares_memory(base, values)
     )
 
@@ -165,18 +178,22 @@ def test_driver_drawing_holds_four_finest_arrays_plus_block_scratch():
 
 
 def test_euler_outputs_are_time_major():
+    """Time outermost, then one contiguous row of paths per state component."""
     model_x, model_y = model_zoo("stochvol")
     grid = TimeGrid(1.0, 2 * B + 3)
     w, z, w_y, z_y = stage_drivers(model_x, model_y, grid, PATHS, 12, 0)
     out_x = euler_mixed(model_x, grid, w, z)
     out_y = euler_coupled(model_y, grid, out_x.paths, w_y, z_y)
     for out in (out_x, out_y):
-        assert _is_time_major(out.paths.values)
+        assert _is_component_major(out.paths.values)
+        assert _is_time_major(out.wiener.values) and _is_time_major(out.rough.values)
     # from path-major drivers too: the layout belongs to the solver, not to its inputs
     w, z = (PathBatch(grid, _path_major(b.values)) for b in (w, z))
-    assert _is_time_major(euler_mixed(model_x, grid, w, z).paths.values)
+    assert _is_component_major(euler_mixed(model_x, grid, w, z).paths.values)
 
-    seen = solve_levels(model_x, model_y, (B, 4 * B), PATHS, 12, 0, lambda out: _is_time_major(out.paths.values))
+    seen = solve_levels(
+        model_x, model_y, (B, 4 * B), PATHS, 12, 0, lambda out: _is_component_major(out.paths.values)
+    )
     assert seen == {B: True, 4 * B: True}
 
 
