@@ -10,8 +10,9 @@ Every run writes one CSV, whose columns are the keys of its rows, plus a
 JSON manifest next to it; each CSV row carries the manifest's result hash,
 which covers the command, the resolved config, the seed and the package
 version - but not the worker count or output location, because results
-are invariant to both. Identical config and seed therefore give
-bit-identical CSVs at any worker count.
+are invariant to both: jobs return per-path arrays, which
+``parallel.map_paths`` joins before any reduction, so identical config
+and seed give bit-identical CSVs at any worker count and chunk size.
 
 Exit codes: 0 success, 2 invalid config (message is line-addressed),
 3 runtime estimation failure.
@@ -238,6 +239,13 @@ def _check_model_params(model: str, params: dict, entries, path) -> None:
             raise ConfigError(f"key 'model.{param}': expected {wanted}, got {value!r}", path=path, line=line)
 
 
+def _check_horizon(horizon: float, hurst: float, n: int) -> None:
+    """t^(4H), a squared covariance or a product of two path values, stays normal on [horizon/n, horizon]."""
+    high, floor, ceiling = math.log2(horizon), sys.float_info.min_exp - 1, sys.float_info.max_exp
+    if 4 * hurst * (high - math.log2(n)) < floor or 4 * hurst * high + 1 >= ceiling:
+        raise DomainError(f"{horizon} takes t^(4H) out of the float range at hurst {hurst} on {n} steps")
+
+
 def resolve_config(command: str, entries, path, overrides) -> dict:
     """Validate raw entries against the command schema, apply CLI overrides."""
     schema = {k.name: k for k in _COMMON_KEYS + _SCHEMAS[command]}
@@ -313,12 +321,8 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
     if command in ("fbm", "integrate", "fernique"):
         for hurst in config["hurst"] if command == "fbm" else [config["hurst"]]:
             library_check("hurst", check_hurst, hurst)
-    if command == "fbm":  # the standard errors square t^(2H): t^(4H) stays normal, 2 t^(4H) finite
-        high, n = math.log2(config["horizon"]), config["n"]
-        for h in config["hurst"]:
-            check(4 * h * (high - math.log2(n)) >= sys.float_info.min_exp - 1
-                  and 4 * h * high + 1 < sys.float_info.max_exp, "horizon",
-                  f"key 'horizon': {config['horizon']} takes t^(4H) out of the float range at hurst {h} on {n} steps")
+            if command != "fernique":
+                library_check("horizon", _check_horizon, config["horizon"], hurst, config["n"])
     if command == "integrate":
         mu = _integrate_order(config)
         name = "holder_order" if "holder_order" in config else "hurst"
@@ -389,16 +393,16 @@ def _run_fbm(config: dict) -> list[dict]:
     methods = ("cholesky", "circulant") if config["method"] == "both" else (config["method"],)
     rows = []
     paths, workers, seed = config["paths"], config["workers"], config["seed"]
+    points = grid.points[1:]
     for hurst in config["hurst"]:
         exact = fbm_covariance_matrix(grid, hurst)
         se = np.sqrt((exact**2 + np.outer(np.diag(exact), np.diag(exact))) / paths)
         for method in methods:
             def job(lo, hi, hurst=hurst, method=method):
-                v = generate_fbm(grid, hurst, hi - lo, seed, method, path_offset=lo).values[:, 1:, 0]
-                return v.T @ v
-            pieces = parallel.map_paths(job, paths, workers)
-            sample = sum(pieces) / paths
-            points = grid.points[1:]
+                return generate_fbm(grid, hurst, hi - lo, seed, method, path_offset=lo).values[:, 1:, 0]
+            v = parallel.map_paths(job, paths, workers)
+            sample = v.T @ v / paths  # one BLAS product over all paths, whatever the chunk size
+            del v  # frees these values before the next method draws its own
             for i in range(grid.step_count):
                 for j in range(i, grid.step_count):
                     dev = abs(sample[i, j] - exact[i, j])
@@ -423,37 +427,33 @@ def _integrate_order(config: dict) -> float:
 
 
 def _run_integrate(config: dict) -> list[dict]:
-    hurst = config["hurst"]
-    mu = _integrate_order(config)
-    grid = TimeGrid(config["horizon"], config["n"])
-    seed, paths, workers = config["seed"], config["paths"], config["workers"]
-    width = config["horizon"]
+    hurst, mu, width = config["hurst"], _integrate_order(config), config["horizon"]
+    grid = TimeGrid(width, config["n"])
 
     def job(lo, hi):
-        batch = generate_fbm(grid, hurst, hi - lo, seed, path_offset=lo)
-        sups = np.abs(batch.values[:, :, 0]).max(axis=1)
-        hols = holder_seminorm_batch(batch.values, grid.dt, mu)
-        result = young_integrate(batch, batch, tol=config["tol"])
-        out = []
-        for i, value in enumerate(result.value):
-            # a numpy scalar ** 2 goes through pow, an array's through square: the pinned CSVs hold pow's bits
-            oracle = float(batch.values[i, -1, 0] ** 2 / 2.0)
-            bound = young_love_rhs(sups[i], hols[i], hols[i], 0.0, width, mu, mu)
-            out.append({
-                "path": lo + i,
-                "value": value,
-                "oracle": oracle,
-                "abs_error": abs(value - oracle),
-                "rel_error": abs(value - oracle) / abs(oracle) if oracle else float("inf"),
-                "converged": result.converged[i],
-                "error_estimate": result.error_estimate[i],
-                "young_love_bound": bound,
-                "young_love_ok": abs(value) <= bound,
-            })
-        return out
+        batch = generate_fbm(grid, hurst, hi - lo, config["seed"], path_offset=lo)
+        result, x = young_integrate(batch, batch, tol=config["tol"]), batch.values
+        return (np.abs(x[:, :, 0]).max(axis=1), holder_seminorm_batch(x, grid.dt, mu), x[:, -1, 0],
+                result.value, result.converged, result.error_estimate)
 
-    results = parallel.map_paths(job, paths, workers)
-    return [row for piece in results for row in piece]
+    sups, hols, terminal, values, converged, gaps = parallel.map_paths(job, config["paths"], config["workers"])
+    rows = []
+    for i, value in enumerate(values):
+        # a numpy scalar ** 2 goes through pow, an array's through square: the pinned CSVs hold pow's bits
+        oracle = float(terminal[i] ** 2 / 2.0)
+        bound = young_love_rhs(sups[i], hols[i], hols[i], 0.0, width, mu, mu)
+        rows.append({
+            "path": i,
+            "value": value,
+            "oracle": oracle,
+            "abs_error": abs(value - oracle),
+            "rel_error": abs(value - oracle) / abs(oracle) if oracle else float("inf"),
+            "converged": converged[i],
+            "error_estimate": gaps[i],
+            "young_love_bound": bound,
+            "young_love_ok": abs(value) <= bound,
+        })
+    return rows
 
 
 def _run_solve(config: dict) -> list[dict]:

@@ -172,27 +172,6 @@ def _unpack_model(model):
     return model, None
 
 
-def _sups_by_level(model, levels, paths, seed, workers):
-    """{level: (survivor sup norms, blowup count)} under common random numbers.
-
-    :func:`solve_levels` draws each path chunk's drivers once on the finest
-    grid and every level solves on their restriction, so level-to-level
-    differences carry no fresh sampling noise.
-    """
-    levels = check_levels(levels)
-    model_x, model_y = _unpack_model(model)
-
-    def job(lo, hi):
-        return solve_levels(
-            model_x, model_y, levels, hi - lo, seed, lo, lambda out: (out.survivor_sup_norms(), out.blowup_count)
-        )
-
-    results = parallel.map_paths(job, paths, workers)
-    return {
-        n: (np.concatenate([r[n][0] for r in results]), sum(r[n][1] for r in results)) for n in levels
-    }
-
-
 def _level_ratio(prev: float, nxt: float) -> float:
     """nxt / prev; inf when only prev is 0 (escaping), nan when both are (no move)."""
     if prev != 0:
@@ -214,18 +193,26 @@ def grid_stability_tables(
     pair the statistic is taken on the coupled stage. The stability ratio
     r_n = estimate(2n)/estimate(n) should hover near 1 for a model whose
     moments are finite; blowups or escaping ratios are the failure signal.
+
+    Common random numbers: each path chunk is one :func:`solve_levels` call,
+    which draws the chunk's drivers once on the finest grid and solves every
+    level on their restriction, so level-to-level differences carry no fresh
+    sampling noise.
     """
-    per_level = _sups_by_level(model, levels, paths, seed, workers)
-    levels = tuple(per_level)
+    levels = check_levels(levels)
+    model_x, model_y = _unpack_model(model)
+
+    def job(lo, hi):
+        return solve_levels(
+            model_x, model_y, levels, hi - lo, seed, lo, lambda out: (out.survivor_sup_norms(), out.blown)
+        )
+
+    per_level = parallel.map_paths(job, paths, workers)
     tables = []
     for target in targets:
-        estimates = tuple(
-            _estimate_from_sups(per_level[n][0], per_level[n][1], target) for n in levels
-        )
+        estimates = tuple(_estimate_from_sups(sups, blown.sum(), target) for sups, blown in per_level.values())
         ratios = tuple(_level_ratio(a.estimate, b.estimate) for a, b in zip(estimates, estimates[1:]))
-        tables.append(
-            StabilityTable(target=target.label, levels=levels, estimates=estimates, ratios=ratios)
-        )
+        tables.append(StabilityTable(target=target.label, levels=levels, estimates=estimates, ratios=ratios))
     return tables
 
 
@@ -282,17 +269,13 @@ def fernique_tail_check(
 
     def job(lo, hi):
         batch = generate_fbm(grid, hurst, hi - lo, seed, path_offset=lo)
-        fine = holder_seminorm_batch(batch.values, grid.dt, holder_order)
-        if fit_mode:
-            return fine, None
-        return fine, holder_seminorm_batch(batch.values[:, ::2], coarse_grid.dt, holder_order)
+        coarse = None if fit_mode else holder_seminorm_batch(batch.values[:, ::2], coarse_grid.dt, holder_order)
+        return holder_seminorm_batch(batch.values, grid.dt, holder_order), coarse
 
-    results = parallel.map_paths(job, paths, workers)
-    seminorms = np.concatenate([r[0] for r in results])
+    seminorms, coarse = parallel.map_paths(job, paths, workers)
     median = float(np.median(seminorms))
 
     if not fit_mode:
-        coarse = np.concatenate([r[1] for r in results])
         coarse_median = float(np.median(coarse))
         return FerniqueTailReport(
             mode="growth",

@@ -1,16 +1,18 @@
-"""Path-parallel execution with worker-count-invariant results.
+"""Path-parallel execution with partition-invariant results.
 
-Work is split into fixed-size contiguous path ranges. Per-path random
-streams make every range's values independent of the partition, and the
-ranges are merged in path order, so estimates are bit-identical for any
-worker count: workers only decide who computes a range, never what it
-contains.
+Work is split into fixed-size contiguous path ranges, and per-path random
+streams make every range's values independent of the partition.
+``map_paths`` is the one place that merges ranges: it joins per-path
+results in path order and studies reduce only after the join, so results
+are bit-identical at any worker count and any chunk size.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -26,9 +28,26 @@ def run_jobs(jobs: Sequence[Callable[[], object]], workers: int = 1) -> list:
         return [f.result() for f in futures]
 
 
-def map_paths(job: Callable[[int, int], object], paths: int, workers: int) -> list:
-    """``job(lo, hi)`` on each ``CHUNK_PATHS`` range of paths; results in path order."""
+def _join(pieces: list):
+    """Per-chunk results joined in path order: arrays along axis 0, tuples and dicts by item."""
+    first = pieces[0]
+    if first is None:
+        return None
+    if isinstance(first, tuple):
+        return tuple(_join(list(items)) for items in zip(*pieces))
+    if isinstance(first, dict):
+        return {key: _join([piece[key] for piece in pieces]) for key in first}
+    if isinstance(first, np.ndarray) and first.ndim:
+        return np.concatenate(pieces)
+    raise TypeError(f"a path job returns per-path arrays, tuples, dicts or None, not {first!r}")
+
+
+def map_paths(job: Callable[[int, int], object], paths: int, workers: int):
+    """``job(lo, hi)`` on each ``CHUNK_PATHS`` range of paths, the results joined in path order.
+
+    A job returns arrays over paths ``lo`` to ``hi``, tuples or dicts of them, or None; never a reduction.
+    """
     if paths < 1:
         raise DomainError(f"need at least one path, got {paths}")
     ranges = [(lo, min(paths, lo + CHUNK_PATHS)) for lo in range(0, paths, CHUNK_PATHS)]
-    return run_jobs([lambda lo=lo, hi=hi: job(lo, hi) for lo, hi in ranges], workers)
+    return _join(run_jobs([lambda lo=lo, hi=hi: job(lo, hi) for lo, hi in ranges], workers))

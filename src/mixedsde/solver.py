@@ -369,16 +369,13 @@ def geometric_convergence_study(
     def job(lo, hi):
         return solve_levels(model, None, levels, hi - lo, seed, lo, terminal_errors)
 
-    results = parallel.map_paths(job, paths, workers)
-    abs_exact = np.concatenate([r[levels[-1]][1] for r in results])
-    rows = []
-    for n in levels:
-        err = np.concatenate([r[n][0] for r in results])
-        rows.append(
-            ConvergenceRow(
-                step_count=n,
-                mean_abs_terminal_error=float(err.mean()),
-                mean_rel_terminal_error=float(err.mean() / abs_exact.mean()),
-            )
+    per_level = parallel.map_paths(job, paths, workers)
+    abs_exact = per_level[levels[-1]][1]
+    return [
+        ConvergenceRow(
+            step_count=n,
+            mean_abs_terminal_error=float(err.mean()),
+            mean_rel_terminal_error=float(err.mean() / abs_exact.mean()),
         )
-    return rows
+        for n, (err, _) in per_level.items()
+    ]

@@ -5,13 +5,15 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixedsde import cli, model_zoo, parallel, young_integrate
 from mixedsde.cli import main, parse_config_file, resolve_config
-from mixedsde.errors import ConfigError
+from mixedsde.errors import ConfigError, DomainError
 from mixedsde.moments import MomentTarget, _level_ratio, exp_moment_exponent_bound, grid_stability_tables
 
 
@@ -412,6 +414,10 @@ BAD_VALUE_CASES = {
                            "key 'horizon': 1e-300 takes t^(4H) out of the float range at hurst 0.3 on 4 steps"),
     "fbm-horizon-1e300": ("fbm", "hurst: [0.2, 0.75]\nhorizon: 1e300\nn: 4\npaths: 2\nseed: 1\n", 2,
                           "key 'horizon': 1e+300 takes t^(4H) out of the float range at hurst 0.75 on 4 steps"),
+    # integrate's Riemann-Stieltjes sums multiply two path values of size t^H: the same t^(4H) rule
+    "integrate-horizon-1e300": ("integrate", "seed: 1\nn: 8\nhorizon: 1e300\npaths: 2\n", 3,
+                                "key 'horizon': 1e+300 takes t^(4H) out of the float range "
+                                "at hurst 0.75 on 8 steps"),
     "model-sigma_b-1e400": ("moments", "model: geometric_mixed\nstatistic: sup\np: [2]\nlevels: [8]\nseed: 1\n"
                             "paths: 2\nmodel.sigma_b: [1e400]\n", 7, "key 'model.sigma_b': 1e400 is not a finite number"),
     # a key the chosen statistic needs is missing: the statistic's line is named
@@ -484,6 +490,41 @@ def test_bad_value_exits_2_naming_the_line(tmp_path, capsys, case):
     assert err.startswith("config error:")
     assert f"bad.cfg:{line}: {message}" in err
     assert not out.exists()
+
+
+def _edge_horizons(hurst, n):
+    """The largest and the smallest horizon that the t^(4H) rule accepts."""
+    def accepted(horizon):
+        try:
+            cli._check_horizon(horizon, hurst, n)
+        except DomainError:
+            return False
+        return True
+
+    edges = []
+    for horizon, inward, outward in ((2.0 ** ((sys.float_info.max_exp - 1) / (4 * hurst)), 0.0, math.inf),
+                                     (n * 2.0 ** ((sys.float_info.min_exp - 1) / (4 * hurst)), math.inf, 0.0)):
+        while not accepted(horizon):
+            horizon = np.nextafter(horizon, inward)
+        while accepted(np.nextafter(horizon, outward)):
+            horizon = np.nextafter(horizon, outward)
+        edges.append(float(horizon))
+    return edges
+
+
+@pytest.mark.parametrize("hurst", [0.6, 0.99])
+def test_integrate_at_the_edge_horizons_runs_clean_and_finite(tmp_path, hurst):
+    for k, horizon in enumerate(_edge_horizons(hurst, 8)):
+        body = f"hurst: {hurst}\nn: 8\nhorizon: {horizon!r}\npaths: 20\nseed: 1\n"
+        cfg = write_config(tmp_path, f"edge{k}.cfg", body)
+        out = tmp_path / f"o{k}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["integrate", "--config", cfg, "--out", str(out)]) == 0, horizon
+        rows = read_rows(out / "integrate.csv")
+        for column in ("value", "oracle", "abs_error", "rel_error", "error_estimate", "young_love_bound"):
+            assert all(math.isfinite(float(row[column])) for row in rows), (horizon, column)
+        assert all(row["young_love_ok"] == "true" for row in rows), horizon
 
 
 @pytest.mark.parametrize("rates", ["model.state_dim: 2\nmodel.drift_rate: [0.5, 3.0]\n",

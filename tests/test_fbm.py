@@ -386,6 +386,20 @@ def test_einsum_cholesky_rejects_an_indefinite_matrix():
         _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def _stdout_at_one_and_two_blas_threads(code, *args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    return outputs
+
+
 def test_cholesky_bits_do_not_depend_on_the_blas_thread_count():
     code = (
         "import hashlib\n"
@@ -394,15 +408,31 @@ def test_cholesky_bits_do_not_depend_on_the_blas_thread_count():
         "    values = generate_fbm(TimeGrid(1.0, n), 0.75, 70, seed=3, method='cholesky').values\n"
         "    print(n, hashlib.sha256(values.tobytes()).hexdigest())\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    sums = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        sums.append(done.stdout)
+    sums = _stdout_at_one_and_two_blas_threads(code)
     assert sums[0] == sums[1]
+
+
+def test_fbm_command_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the sample covariance is one BLAS product v.T @ v over every path; the
+    # first config is the golden case, the second the benchmark's shape
+    code = (
+        "import hashlib, pathlib, sys\n"
+        "from mixedsde.cli import main\n"
+        "root = pathlib.Path(sys.argv[1])\n"
+        "for k, body in enumerate(sys.argv[2:]):\n"
+        "    (root / f'{k}.cfg').write_text(body)\n"
+        "    assert main(['fbm', '--config', str(root / f'{k}.cfg'), '--out', str(root / str(k))]) == 0\n"
+        "    print('sha256', k, hashlib.sha256((root / str(k) / 'fbm.csv').read_bytes()).hexdigest())\n"
+    )
+    bodies = (
+        "hurst: [0.6, 0.8]\nn: 4\npaths: 2100\nmethod: both\nseed: 15\n",
+        "hurst: [0.75]\nn: 32\npaths: 40000\nmethod: circulant\nseed: 3\n",
+    )
+    sums = [
+        [line for line in out.splitlines() if line.startswith("sha256")]
+        for out in _stdout_at_one_and_two_blas_threads(code, str(tmp_path), *bodies)
+    ]
+    assert len(sums[0]) == len(bodies) and sums[0] == sums[1]
 
 
 # ------------------------------------------ caller-chosen destinations, re-keying

@@ -2,13 +2,15 @@
 
 The output bits depend on the package and also on numpy's ziggurat normals,
 drawn from SFC64 streams keyed by a Philox hash, and its pocketfft FFT, not
-on scipy. fBm synthesis runs no BLAS, and the sums hold under one and two
-OpenBLAS threads. Pinning the CSV bytes makes any change to a random
-stream, a study's arithmetic or a library an explicit event: update the
-sums only for a change that alters the outputs on purpose.
+on scipy. fBm synthesis runs no BLAS. The ``fbm`` case's sample
+covariance is one BLAS product, ``v.T @ v`` over all paths once the chunks
+are joined; its sum, like every other, holds under one and two OpenBLAS
+threads. Pinning the CSV bytes makes any change to a random stream, a
+study's arithmetic or a library an explicit event: update the sums only
+for a change that alters the outputs on purpose.
 
 Path counts above ``parallel.CHUNK_PATHS`` put two chunks in every sampled
-study, so workers 1 and 2 exercise both the serial and the pooled merge.
+study, so workers 1 and 2 exercise both the serial and the pooled join.
 
 Every study synthesises fBm by circulant embedding at every n, so the study
 sums pin the route that runs at benchmark scale. Only the ``fbm`` case,
@@ -63,7 +65,7 @@ CASES = {
     "fbm": (
         "fbm",
         "hurst: [0.6, 0.8]\nn: 4\npaths: 2100\nmethod: both\nseed: 15\n",
-        "5f1e4fcbbcd36e0223ab823830b6ebecfeda31eaea6b39cf22f5f5b435f2ecab",
+        "69e5a8cdcf27ade169ee701e1f71c98222bd6c4bb0094ccd44647c34ec1a3c0a",
     ),
     "integrate": (
         "integrate",

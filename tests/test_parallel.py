@@ -13,18 +13,54 @@ from mixedsde import (
     model_zoo,
 )
 from mixedsde import parallel
+from mixedsde.cli import main
 from mixedsde.moments import MomentTarget, grid_stability_tables
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_map_paths_covers_the_paths_in_order(workers):
     paths = 2 * parallel.CHUNK_PATHS + 5
-    ranges = parallel.map_paths(lambda lo, hi: (lo, hi), paths, workers)
-    assert ranges == [
-        (0, parallel.CHUNK_PATHS),
-        (parallel.CHUNK_PATHS, 2 * parallel.CHUNK_PATHS),
-        (2 * parallel.CHUNK_PATHS, paths),
-    ]
+    joined = parallel.map_paths(lambda lo, hi: np.arange(lo, hi), paths, workers)
+    assert np.array_equal(joined, np.arange(paths))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_paths_joins_tuples_item_by_item_and_passes_none_through(workers):
+    paths = 2 * parallel.CHUNK_PATHS + 5
+    index, nothing, rows = parallel.map_paths(
+        lambda lo, hi: (np.arange(lo, hi), None, np.arange(2 * lo, 2 * hi).reshape(-1, 2)), paths, workers
+    )
+    assert np.array_equal(index, np.arange(paths))
+    assert nothing is None
+    assert np.array_equal(rows, np.arange(2 * paths).reshape(paths, 2))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_paths_joins_dicts_key_by_key_in_the_first_chunk_order(workers):
+    paths = 2 * parallel.CHUNK_PATHS + 5
+
+    def job(lo, hi):
+        return {8: (np.arange(lo, hi), -np.arange(lo, hi)), 4: (np.arange(lo, hi) ** 2, None)}
+
+    joined = parallel.map_paths(job, paths, workers)
+    assert list(joined) == [8, 4]
+    assert np.array_equal(joined[8][0], np.arange(paths)) and np.array_equal(joined[8][1], -np.arange(paths))
+    assert np.array_equal(joined[4][0], np.arange(paths) ** 2) and joined[4][1] is None
+
+
+_REDUCTIONS = {
+    "float": lambda lo, hi: float(hi - lo),
+    "numpy-scalar": lambda lo, hi: np.arange(lo, hi).sum(),
+    "zero-d-array": lambda lo, hi: np.array(hi - lo),
+    "count-in-a-tuple": lambda lo, hi: (np.arange(lo, hi), hi - lo),
+}
+
+
+@pytest.mark.parametrize("reduction", sorted(_REDUCTIONS))
+def test_map_paths_refuses_a_chunk_level_reduction(reduction):
+    # a per-chunk sum or count would make the result depend on the partition
+    with pytest.raises(TypeError, match="per-path arrays"):
+        parallel.map_paths(_REDUCTIONS[reduction], 2 * parallel.CHUNK_PATHS + 5, 1)
 
 
 @pytest.mark.parametrize("paths", [0, -1])
@@ -89,3 +125,22 @@ def test_studies_are_invariant_to_the_chunk_size(monkeypatch, study):
     for chunk in (1, 7, 333):
         monkeypatch.setattr(parallel, "CHUNK_PATHS", chunk)
         assert repr(_STUDIES[study]()) == reference, f"CHUNK_PATHS={chunk}"
+
+
+_CLI_STUDIES = {
+    "fbm": "hurst: [0.6, 0.8]\nn: 8\npaths: 700\nmethod: both\nseed: 15\n",
+    "integrate": "n: 8\npaths: 700\nseed: 16\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_STUDIES))
+def test_cli_csv_bytes_are_invariant_to_the_chunk_size(tmp_path, monkeypatch, command):
+    config = tmp_path / "study.cfg"
+    config.write_text(_CLI_STUDIES[command])
+    written = {}
+    for chunk in (2048, 333, 7, 1):
+        monkeypatch.setattr(parallel, "CHUNK_PATHS", chunk)
+        out = tmp_path / f"chunk{chunk}"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        written[chunk] = (out / f"{command}.csv").read_bytes()
+    assert [chunk for chunk, data in written.items() if data != written[2048]] == []
