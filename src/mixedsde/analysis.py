@@ -19,7 +19,7 @@ __all__ = [
 SEMINORM_CAP = 8192
 
 _LAG_GROUP = 16  # consecutive lags that share one pruning bound
-_BLOCK_RATIO = 32  # bounds read blocks of b points, the largest power of two <= window // 32
+_BLOCK_RATIO = 32  # bounds read blocks of b points, the largest power of two <= window // 32, at least 4
 _PATH_BLOCK = 256  # paths per block while the lag-group bounds are built
 _SCAN_VALUES = 2**17  # values per row block of the lag scan (1 MB of float64)
 # Relative headroom on a bound before it may skip a group: far above the few
@@ -40,16 +40,18 @@ def _lag_group_bounds(values: np.ndarray, dt: float, exponent: float) -> np.ndar
 
     The ranges are taken over blocks rather than points. The group reads
     the extrema of aligned b-point blocks (the last block may be shorter),
-    where b is the largest power of two with b <= s // _BLOCK_RATIO (and
-    at least 1), so b = 1 up to s = 63. A window of s points starts inside some block and
-    touches at most k = ceil((s-1)/b) + 1 consecutive blocks, so the
-    largest range over runs of k blocks is still an upper bound, and it is
-    at most the exact range over windows of hi + 2b points. The range over
-    k blocks comes from doubling windows over the block extrema as in a
-    sparse table, so a group costs about n/b values instead of n. Block
-    extrema are merged pairwise as b grows, the doubling levels of the
-    previous b are dropped first, and paths go one block of 256 at a time,
-    so the scratch stays small.
+    where b is the largest power of two with b <= s // _BLOCK_RATIO, but
+    at least 4, so b = 4 up to s = 255: on the shortest lags, finer blocks
+    prune almost nothing more and cost most of the pass. A window of s
+    points starts inside some block and touches at most
+    k = ceil((s-1)/b) + 1 consecutive blocks, so the largest range over
+    runs of k blocks is still an upper bound, and it is at most the exact
+    range over windows of hi + 2b points. The range over k blocks comes
+    from doubling windows over the block extrema as in a sparse table, so
+    a group costs about n/b values instead of n. Block extrema are merged
+    pairwise as b grows, the doubling levels of the previous b are dropped
+    first, and paths go one block of 256 at a time, so the scratch stays
+    small.
     """
     count, points = values.shape[:2]
     n = points - 1
@@ -59,18 +61,16 @@ def _lag_group_bounds(values: np.ndarray, dt: float, exponent: float) -> np.ndar
         for start in range(0, count, _PATH_BLOCK):
             block_top = block_bottom = values[start : start + _PATH_BLOCK]
             size = 1  # grid points per block
-            top = bottom = block_top
-            width = 1  # blocks per window at the current doubling level
             for g, hi in enumerate(his):
                 span = int(hi) + 1
-                b = 1 << max(0, (span // _BLOCK_RATIO).bit_length() - 1)
-                if b > size:
+                b = 1 << max(2, (span // _BLOCK_RATIO).bit_length() - 1)
+                if b > size:  # always so at g = 0
                     top = bottom = None
                     while size < b:
                         block_top = _merge_pairs(np.maximum, block_top)
                         block_bottom = _merge_pairs(np.minimum, block_bottom)
                         size *= 2
-                    top, bottom, width = block_top, block_bottom, 1
+                    top, bottom, width = block_top, block_bottom, 1  # blocks per window
                 blocks = block_top.shape[1]
                 k = min(-(-(span - 1) // b) + 1, blocks)
                 while 2 * width <= k:

@@ -275,8 +275,8 @@ def window_range_bounds(values, dt, gamma, extra=lambda span: 0):
 
 
 def promised_block(span):
-    """The block size the bounds promise: the largest power of two <= span // 32."""
-    b = 1
+    """The block size the bounds promise: the largest power of two <= span // 32, at least 4."""
+    b = 4
     while 2 * b <= span // 32:
         b *= 2
     return b
