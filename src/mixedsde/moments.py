@@ -300,7 +300,11 @@ def fernique_tail_check(
     if np.std(tail) == 0:
         raise EstimationError("degenerate seminorm sample; cannot fit a tail")
     survival = 1.0 - (np.arange(start, n - 1) + 1) / n
-    x = tail**2
+    # x^2 over 2^e, the power of two just above its median: an exact
+    # scaling: on raw x^2 the fit swung with the horizon's scale, and lstsq
+    # dropped the x^2 column as rank-deficient at tiny horizons
+    e = np.frexp(np.median(tail**2))[1]
+    x = np.ldexp(tail**2, -e)
     y = np.log(survival)
     design = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -313,7 +317,7 @@ def fernique_tail_check(
         holder_order=holder_order,
         step_count=grid.step_count,
         paths=paths,
-        slope=float(coef[0]),
+        slope=float(np.ldexp(coef[0], -e)),
         r_squared=1.0 - ss_res / ss_tot,
         tail_start=float(order[start]),
         seminorm_median=median,

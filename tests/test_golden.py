@@ -75,7 +75,7 @@ CASES = {
     "fernique": (
         "fernique",
         "hurst: 0.75\nmu: 0.6\nn: 16\npaths: 2100\nseed: 17\n",
-        "ae00b229f947ca987faf507e012a013ae0b7812055124f6fd4ce5ac592291182",
+        "43d99a47b0b9bea3613f08d79aac7de467865e494fcea531c54f6717df369714",
     ),
     "solve": (
         "solve",

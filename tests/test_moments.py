@@ -212,6 +212,19 @@ def test_fernique_fit_mode_negative_slope():
     assert report.r_squared > 0.9
 
 
+def test_fernique_fit_does_not_depend_on_the_horizon_scale():
+    # The seminorm scales as horizon^(H - mu), so the fitted R^2 and the
+    # slope times horizon^(2(H - mu)) are scale-free; a fit on raw x^2 lost
+    # the x^2 column (R^2 0, slope about 0) at 1e-100 and gave R^2 0.89 at 1e150.
+    hurst, mu = 0.75, 0.6
+    base = fernique_tail_check(hurst, mu, TimeGrid(1.0, 16), 200, seed=1)
+    for horizon in (1e-20, 1e-100, 1e-200, 1e150, 1e300):
+        report = fernique_tail_check(hurst, mu, TimeGrid(horizon, 16), 200, seed=1)
+        assert report.r_squared == pytest.approx(base.r_squared, rel=1e-9), horizon
+        scaled = report.slope * horizon ** (2 * (hurst - mu))
+        assert scaled == pytest.approx(base.slope, rel=1e-9), horizon
+
+
 def test_fernique_wiener_control():
     report = fernique_tail_check(0.5, 0.4, TimeGrid(1.0, 256), 4000, seed=6)
     assert report.mode == "fit"
