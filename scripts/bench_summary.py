@@ -11,6 +11,17 @@ from its own checkout, then pass both sets of files:
 Per workload, seed and side, the summary holds the median and quartiles of each
 end-to-end metric over the invocations, the invocation and study-run
 counts, the CSV sha256, the environment, and the source file names.
+
+Per workload, seed and metric, ``claim`` applies the rule for claiming a
+gain. The k-th parent invocation and the k-th change invocation, each side
+in the time order of its result-file names, form pair k. It records the
+number of ``pairs``, ``change_won`` (pairs in which the change is better;
+ties count for neither side), ``median_gap`` (the change's median minus the
+parent's, signed so that a positive gap is better), ``parent_iqr`` (the
+distance between the parent's quartiles), ``gap_exceeds_parent_iqr``, and
+``holds``: the change won at least nine tenths of the pairs and the gap
+exceeds the parent's interquartile range.
+
 Result files of ``--trace 1`` invocations, passed in the same lists, are
 folded into a ``per_layer`` block per side: the medians and the
 [min, max] ranges of their ``per_layer`` metrics, and the medians of their
@@ -53,7 +64,7 @@ def _ranges(records: list[dict], field: str) -> dict:
 def _side(files: list[Path]) -> dict:
     untraced: dict[str, list[dict]] = {}
     traced: dict[str, list[dict]] = {}
-    for path in sorted(files):
+    for path in sorted(files, key=lambda p: p.name):  # result-file names sort in time order
         record = json.loads(path.read_text())
         key = f"{record['workload']}-seed{record['seed']}"
         if "end_to_end" in record:
@@ -87,6 +98,23 @@ def _side(files: list[Path]) -> dict:
             "files": [r["file"] for r in records],
         }
     return out
+
+
+def _claim(before: dict, after: dict, sign: int) -> dict:
+    """The claim rule on one metric; ``sign`` is +1 when higher is better."""
+    pairs = list(zip(before["values"], after["values"]))
+    won = sum(sign * (b - a) > 0 for a, b in pairs)
+    gap = sign * (after["median"] - before["median"])
+    iqr = before["q3"] - before["q1"]
+    exceeds = bool(gap > iqr)
+    return {
+        "pairs": len(pairs),
+        "change_won": won,
+        "median_gap": float(gap),
+        "parent_iqr": float(iqr),
+        "gap_exceeds_parent_iqr": exceeds,
+        "holds": 10 * won >= 9 * len(pairs) and exceeds,
+    }
 
 
 def _importtime(files: list[Path]) -> dict:
@@ -139,11 +167,7 @@ def main(argv=None) -> int:
         summary[workload]["change_over_parent_median"] = {
             name: after[name]["median"] / before[name]["median"] for name in METRICS
         }
-        # the i-th invocations of both sides (in file-name, hence time, order) form pair i
-        summary[workload]["pairs_change_better"] = {
-            name: sum(sign * (b - a) > 0 for a, b in zip(before[name]["values"], after[name]["values"]))
-            for name, sign in METRICS.items()
-        }
+        summary[workload]["claim"] = {name: _claim(before[name], after[name], sign) for name, sign in METRICS.items()}
     if args.parent_importtime and args.change_importtime:
         summary["import_mixedsde_cli"] = {
             "parent": _importtime(args.parent_importtime),

@@ -300,13 +300,13 @@ def fernique_tail_check(
     if np.std(tail) == 0:
         raise EstimationError("degenerate seminorm sample; cannot fit a tail")
     survival = 1.0 - (np.arange(start, n - 1) + 1) / n
-    # x^2 over 2^e, the power of two just above its median: an exact
-    # scaling: on raw x^2 the fit swung with the horizon's scale, and lstsq
-    # dropped the x^2 column as rank-deficient at tiny horizons
-    e = np.frexp(np.median(tail**2))[1]
-    x = np.ldexp(tail**2, -e)
+    x = tail**2
+    # the fit reads x^2 over 2^e, the power of two just above its median: an
+    # exact scaling that keeps it free of the horizon's scale (unscaled, lstsq
+    # drops the x^2 column as rank-deficient at tiny horizons)
+    e = np.frexp(np.median(x))[1]
     y = np.log(survival)
-    design = np.vstack([x, np.ones_like(x)]).T
+    design = np.vstack([np.ldexp(x, -e), np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ coef
     ss_res = float(np.sum((y - fitted) ** 2))

@@ -283,7 +283,7 @@ def promised_block(span):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("n", BOUND_NS)
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 17] + BOUND_NS)  # the first ones hold at most a few 4-point blocks
 def test_lag_group_bounds_cover_every_ratio_and_stay_within_two_blocks(n, dim):
     rng = np.random.default_rng(n + dim)
     values = np.cumsum(rng.standard_normal((6, n + 1, dim)), axis=1)
@@ -295,6 +295,19 @@ def test_lag_group_bounds_cover_every_ratio_and_stay_within_two_blocks(n, dim):
     # a run of ceil((s-1)/b) + 1 blocks of b points spans fewer than s + 2b points
     looser = window_range_bounds(values, dt, gamma, extra=lambda span: 2 * promised_block(span) - 1)
     assert np.all(bounds <= looser)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_lag_group_bounds_scratch_stays_under_two_path_blocks_of_values(n):
+    rng = np.random.default_rng(n)
+    values = np.cumsum(rng.standard_normal((2 * analysis._PATH_BLOCK, n + 1)), axis=1)
+    tracemalloc.start()
+    try:
+        bounds = analysis._lag_group_bounds(values, 1.0 / n, 0.65)
+        scratch = tracemalloc.get_traced_memory()[1] - bounds.nbytes
+    finally:
+        tracemalloc.stop()
+    assert scratch < 2 * analysis._PATH_BLOCK * (n + 1) * 8
 
 
 @pytest.mark.parametrize("dim", [1, 2])

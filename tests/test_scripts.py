@@ -59,7 +59,8 @@ def test_bench_summary_pairs_parent_and_change_results(tmp_path):
     assert summary["change"]["metrics"]["peak_rss_mb"]["q1"] == 100.75
     assert summary["change"]["invocations"] == 4 and summary["change"]["study_runs"] == 12
     assert summary["change_over_parent_median"]["peak_rss_mb"] == 101.5 / 301.5
-    assert summary["pairs_change_better"] == {"paths_per_s": 0, "setup_s": 0, "peak_rss_mb": 4}
+    assert {name: claim["change_won"] for name, claim in summary["claim"].items()} == {
+        "paths_per_s": 0, "setup_s": 0, "peak_rss_mb": 4}
     assert summary["change"]["files"] == [f"change-{i}.json" for i in range(4)]
     assert summary["parent"]["per_layer"]["medians"] == {"analysis.seminorm.s": 3.0, "fbm.generate_fbm.s": 1.0}
     assert summary["change"]["per_layer"]["medians"]["analysis.seminorm.s"] == 1.0
@@ -67,6 +68,43 @@ def test_bench_summary_pairs_parent_and_change_results(tmp_path):
     assert summary["change"]["per_layer"]["self_s_by_layer"] == {"analysis": 1.0, "fbm": 1.0}
     assert summary["change"]["per_layer"]["invocations"] == 3
     assert summary["change"]["per_layer"]["files"] == [f"change-traced-{i}.json" for i in range(3)]
+
+
+def test_bench_summary_applies_the_claim_rule_to_pairs_in_time_order(tmp_path):
+    def result(side, k, paths_per_s, rss):
+        record = {
+            "workload": "fernique_tail", "seed": 5, "failed": 0, "csv_sha256": "abc", "samples": {"runs": 1},
+            "environment": {}, "end_to_end": {"paths_per_s": paths_per_s, "setup_s": 0.5, "peak_rss_mb": rss},
+        }
+        # change files in two directories: only their names sort in time order
+        folder = tmp_path / (f"change-{k % 2}" if side == "change" else "parent")
+        folder.mkdir(exist_ok=True)
+        path = folder / f"fernique_tail-seed5-trace0-20261020T0{k}0000.json"
+        path.write_text(json.dumps(record))
+        return str(path)
+
+    # the change loses pair 3 only; paired by full path it would lose 4 of 10 on paths_per_s
+    parent = [result("parent", k, 100.0 + k, 300.0) for k in range(10)]
+    change = [result("change", k, 100.0 + k + (-0.5 if k == 3 else 0.5), 301.0 if k == 3 else 290.0)
+              for k in range(10)]
+    out = tmp_path / "BENCH.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_summary.py"), "--out", str(out),
+         "--parent", *parent[::-1], "--change", *change[::-1]],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    claim = json.loads(out.read_text())["fernique_tail-seed5"]["claim"]
+    # 9 of 10 pairs won, but the medians differ by less than the parent's quartiles
+    assert claim["paths_per_s"] == {
+        "pairs": 10, "change_won": 9, "median_gap": 105.0 - 104.5, "parent_iqr": 106.75 - 102.25,
+        "gap_exceeds_parent_iqr": False, "holds": False,
+    }
+    assert claim["peak_rss_mb"] == {
+        "pairs": 10, "change_won": 9, "median_gap": 10.0, "parent_iqr": 0.0,
+        "gap_exceeds_parent_iqr": True, "holds": True,
+    }
+    assert claim["setup_s"]["change_won"] == 0 and not claim["setup_s"]["holds"]
 
 
 def test_bench_summary_records_the_summary_machines_dispatch_level(tmp_path):
