@@ -505,8 +505,8 @@ def _run_moments(config: dict) -> list[dict]:
 def _run_check_conditions(config: dict) -> list[dict]:
     model = _build_model(config)
     set_id = config["set"]
-    if isinstance(model, tuple):
-        model = model[1] if set_id == "C" else model[0]
+    if isinstance(model, CoupledModelSpec) and set_id != "C":
+        model = model.base
     if set_id == "C" and not isinstance(model, CoupledModelSpec):
         raise _ModelParamsError(f"model {config['model']!r} has no coupled stage for set C")
     report = validate_assumptions(
@@ -547,7 +547,7 @@ def _run_boundary(config: dict) -> list[dict]:
         config["paths"], config["seed"], workers=config["workers"],
     )
     estimates = [table.estimates[0] for table in tables]
-    mu = (model[0] if isinstance(model, tuple) else model).driver.holder_order
+    mu = model.driver.holder_order
     threshold = exp_moment_exponent_bound(mu) if mu is not None else float("nan")
     first_unstable = next((g for g, est in zip(gammas, estimates) if est.unstable), "")
     rows = []

@@ -108,7 +108,7 @@ class StageKernel(NamedTuple):
     ``prepare(ts, dt, dw, dz, xs)`` runs once per block of steps: ``ts``
     holds the block's left-point times, ``dw`` and ``dz`` its (steps, paths,
     columns) driver increments or None, and ``xs`` a coupled stage's
-    (steps, paths, base_dim) base states or None. The next block overwrites
+    (steps, paths, base.state_dim) base states or None. The next block overwrites
     ``dw`` and ``dz``; ``xs`` is a read-only view of the primary stage's
     output, so ``prepare`` must not write it. It computes every factor that
     does not read the stage's own state. ``increment(prepared, j, state)``
@@ -220,11 +220,15 @@ def coupled_growth_power_bound(mu: float) -> float:
 
 @dataclass(frozen=True)
 class CoupledModelSpec:
-    """Second-stage equation whose coefficients read the first-stage state."""
+    """Second-stage equation whose coefficients read the state of ``base``.
+
+    ``base`` is the primary stage, solved first; with ``share_drivers`` this
+    stage steps on the base's driver batches, so both declare one driver.
+    """
 
     name: str
     state_dim: int  # k
-    base_dim: int  # d of the driving stage
+    base: ModelSpec
     initial_value: np.ndarray
     horizon: float
     drift: CoefficientField
@@ -239,6 +243,8 @@ class CoupledModelSpec:
 
     def __post_init__(self):
         _check_stage(self)
+        if self.share_drivers and self.driver != self.base.driver:
+            raise DomainError("shared drivers require identical driver specs on both stages")
         if not 0.0 <= self.declared_rho < 2.0 / 3.0:
             raise DomainError(f"growth power rho must lie in [0, 2/3), got {self.declared_rho}")
         if self.driver.rough_dim > 0:
@@ -456,7 +462,7 @@ def validate_assumptions(
     conditions = _conditions(model, set_id)
     ts = np.linspace(0.0, model.horizon, _TIME_SAMPLES)
     per_t = max(8, -(-samples // _TIME_SAMPLES))
-    xdim = model.base_dim if coupled else model.state_dim
+    xdim = model.base.state_dim if coupled else model.state_dim
 
     def sampler(component):
         return rnd.path_stream(seed, 0, rnd.stream_tag(rnd.VALIDATOR, component))
@@ -877,7 +883,7 @@ def _stochvol(
     coupled = CoupledModelSpec(
         name="stochvol",
         state_dim=1,
-        base_dim=2,
+        base=vol_model,
         initial_value=np.asarray([initial_price], dtype=float),
         horizon=horizon,
         drift=CoefficientField("price-drift", "coupled", 1, 0, price_drift_eval),
@@ -896,7 +902,7 @@ def _stochvol(
             "C6-cy": 0.0,
         },
     )
-    return vol_model, _with_kernel(coupled, StageKernel(price_prepare, price_increment))
+    return _with_kernel(coupled, StageKernel(price_prepare, price_increment))
 
 
 def _malliavin_linearized(initial_value=1.0, **base_params):
@@ -914,10 +920,10 @@ def _malliavin_linearized(initial_value=1.0, **base_params):
             name, "coupled", d, fld.columns, lambda t, x, y: fld.evaluate(t, y), lambda t, x, y: fld.jacobian(t, y)
         )
 
-    coupled = CoupledModelSpec(
+    return CoupledModelSpec(
         name="malliavin_linearized",
         state_dim=d,
-        base_dim=d,
+        base=base,
         initial_value=_as_vector_stack(initial_value, 0, d),
         horizon=base.horizon,
         drift=at_y(base.drift, "sensitivity-drift"),
@@ -927,7 +933,6 @@ def _malliavin_linearized(initial_value=1.0, **base_params):
         share_drivers=True,
         declared_rho=0.0,
     )
-    return base, coupled
 
 
 def _quadratic_control():
@@ -953,7 +958,7 @@ ZOO_MODELS = tuple(_ZOO_BUILDERS)
 
 
 def model_zoo(name: str, **params):
-    """Ready-made models for the studies; coupled entries return a pair.
+    """Ready-made models for the studies, one spec per name.
 
     ``linear_mixed`` satisfies A1–A4, ``bounded_trig`` satisfies B1–B4,
     ``geometric_mixed`` is the constant-volatility price equation with a
@@ -962,7 +967,9 @@ def model_zoo(name: str, **params):
     power, ``malliavin_linearized`` is the linearized sensitivity
     equation of a differentiable base model on shared drivers, and
     ``quadratic_control`` is a quadratic-drift equation whose moments blow
-    up, the negative control of the moment studies.
+    up, the negative control of the moment studies. The two coupled
+    entries return their coupled stage, which holds its primary stage as
+    ``base``.
     """
     if name not in _ZOO_BUILDERS:
         raise DomainError(f"unknown zoo model {name!r}; choose from {sorted(_ZOO_BUILDERS)}")

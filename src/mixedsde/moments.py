@@ -23,7 +23,6 @@ from .analysis import holder_seminorm_batch
 from .errors import DomainError, EstimationError
 from .fbm import generate_fbm
 from .grids import TimeGrid
-from .models import CoupledModelSpec
 from .solver import SolveOutput, check_levels, solve_levels
 
 __all__ = [
@@ -161,17 +160,6 @@ class StabilityTable:
         return sum(e.blowup_count for e in self.estimates)
 
 
-def _unpack_model(model):
-    if isinstance(model, tuple):
-        model_x, model_y = model
-        if not isinstance(model_y, CoupledModelSpec):
-            raise DomainError("a model pair must be (ModelSpec, CoupledModelSpec)")
-        return model_x, model_y
-    if isinstance(model, CoupledModelSpec):
-        raise DomainError("a coupled model needs its primary stage: pass (model_x, model_y)")
-    return model, None
-
-
 def _level_ratio(prev: float, nxt: float) -> float:
     """nxt / prev; inf when only prev is 0 (escaping), nan when both are (no move)."""
     if prev != 0:
@@ -189,8 +177,8 @@ def grid_stability_tables(
 ) -> list[StabilityTable]:
     """One stability table per target, all sharing the same solved paths.
 
-    ``model`` is a ModelSpec or a (ModelSpec, CoupledModelSpec) pair; for a
-    pair the statistic is taken on the coupled stage. The stability ratio
+    ``model`` is a ModelSpec or a CoupledModelSpec; for a coupled model the
+    statistic is taken on the coupled stage. The stability ratio
     r_n = estimate(2n)/estimate(n) should hover near 1 for a model whose
     moments are finite; blowups or escaping ratios are the failure signal.
 
@@ -200,12 +188,9 @@ def grid_stability_tables(
     sampling noise.
     """
     levels = check_levels(levels)
-    model_x, model_y = _unpack_model(model)
 
     def job(lo, hi):
-        return solve_levels(
-            model_x, model_y, levels, hi - lo, seed, lo, lambda out: (out.survivor_sup_norms(), out.blown)
-        )
+        return solve_levels(model, levels, hi - lo, seed, lo, lambda out: (out.survivor_sup_norms(), out.blown))
 
     per_level = parallel.map_paths(job, paths, workers)
     tables = []

@@ -141,6 +141,14 @@ def _euler_loop(model, grid, count, w_values, z_values, x_states=None):
     return store.transpose(2, 0, 1), blown, first_bad
 
 
+def _check_kind(model, coupled: bool) -> None:
+    """Refuse a stage of the wrong kind, naming the solver that takes it."""
+    if isinstance(model, CoupledModelSpec) != coupled:
+        if coupled:
+            raise DomainError(f"{model.name!r} is a single-stage model: solve it with solve_model")
+        raise DomainError(f"{model.name!r} is a coupled model: solve it with solve_coupled")
+
+
 def _euler_stage(model, grid, count, wiener, rough, x_states=None) -> SolveOutput:
     """Check a stage's driver batches, run the Euler loop, wrap the result."""
     count = _check_driver_batch(wiener, model.driver.wiener_dim, grid, count, "wiener")
@@ -164,18 +172,20 @@ def euler_mixed(
     X_{k+1} = X_k + a(t_k, X_k) dt + b(t_k, X_k) dW_k + c(t_k, X_k) dZ_k,
     evaluated at the left endpoint of every cell for both noise terms.
     """
+    _check_kind(model, coupled=False)
     model.probe()
     return _euler_stage(model, grid, None, wiener, rough)
 
 
 def solve_model(model: ModelSpec, grid: TimeGrid, count: int, seed: int) -> SolveOutput:
     """Generate the model's drivers from the seed, then run the Euler scheme."""
-    w, z, _, _ = stage_drivers(model, None, grid, count, seed, 0)
+    _check_kind(model, coupled=False)
+    w, z, _, _ = stage_drivers(model, grid, count, seed, 0)
     return euler_mixed(model, grid, w, z)
 
 
 def euler_coupled(
-    model_y: CoupledModelSpec,
+    model: CoupledModelSpec,
     grid: TimeGrid,
     base_states: PathBatch,
     wiener: PathBatch | None = None,
@@ -186,18 +196,18 @@ def euler_coupled(
     Y_{k+1} = Y_k + a~(t_k, X_k, Y_k) dt + b~ dW~_k + c~ dZ~_k; the primary
     state enters the coefficients but is never modified.
     """
+    _check_kind(model, coupled=True)
     if base_states.grid != grid:
         raise GridMismatchError("base state batch must live on the solve grid")
-    if base_states.dim != model_y.base_dim:
+    if base_states.dim != model.base.state_dim:
         raise DomainError(
-            f"coupled model reads a base state of dim {model_y.base_dim}, got {base_states.dim}"
+            f"coupled model reads a base state of dim {model.base.state_dim}, got {base_states.dim}"
         )
-    return _euler_stage(model_y, grid, base_states.count, wiener, rough, base_states.values)
+    return _euler_stage(model, grid, base_states.count, wiener, rough, base_states.values)
 
 
 def stage_drivers(
-    model_x: ModelSpec,
-    model_y: CoupledModelSpec | None,
+    model: ModelSpec | CoupledModelSpec,
     grid: TimeGrid,
     count: int,
     seed: int,
@@ -205,52 +215,41 @@ def stage_drivers(
 ) -> tuple[PathBatch | None, PathBatch | None, PathBatch | None, PathBatch | None]:
     """(w, z, w_y, z_y): primary drivers, then the coupled stage's.
 
-    The coupled stage reuses the primary batches when it shares drivers and
-    draws independent ones otherwise; without a coupled stage w_y and z_y
-    are None. Each batch is as :func:`generate_drivers` wrote it: a view of
-    time-major (n+1, count, dim) storage, the Euler loop's layout, filled
-    block by block with no conversion copy.
+    A coupled model's primary drivers are its ``base``'s. The coupled stage
+    reuses the primary batches when it shares drivers and draws independent
+    ones otherwise; a single-stage model's w_y and z_y are None. Each batch
+    is as :func:`generate_drivers` wrote it: a view of time-major
+    (n+1, count, dim) storage, the Euler loop's layout, filled block by
+    block with no conversion copy.
     """
-    if model_y is not None:
-        if model_y.base_dim != model_x.state_dim:
-            raise DomainError(
-                f"coupled model reads a base state of dim {model_y.base_dim}, "
-                f"primary model has dim {model_x.state_dim}"
-            )
-        if model_y.share_drivers and (
-            (model_y.driver.wiener_dim, model_y.driver.rough_dim, model_y.driver.rough_hurst)
-            != (model_x.driver.wiener_dim, model_x.driver.rough_dim, model_x.driver.rough_hurst)
-        ):
-            raise DomainError("shared drivers require identical driver specs on both stages")
-
     def draw(spec, stage):
         return generate_drivers(spec, grid, count, seed, stage=stage, path_offset=path_offset)
 
-    w, z = draw(model_x.driver, "x")
-    if model_y is None:
-        return w, z, None, None
-    if model_y.share_drivers:
+    if not isinstance(model, CoupledModelSpec):
+        return draw(model.driver, "x") + (None, None)
+    w, z = draw(model.base.driver, "x")
+    if model.share_drivers:
         return w, z, w, z
-    return (w, z) + draw(model_y.driver, "y")
+    return (w, z) + draw(model.driver, "y")
 
 
 def solve_coupled(
-    model_x: ModelSpec,
-    model_y: CoupledModelSpec,
+    model: CoupledModelSpec,
     grid: TimeGrid,
     count: int,
     seed: int,
 ) -> tuple[SolveOutput, SolveOutput]:
-    """Solve the primary stage, then the coupled stage along its state.
+    """Solve the primary stage ``model.base``, then the coupled stage along its state.
 
     The coupled stage never feeds back: X is solved completely first, then Y
     along it on the same clock. Drivers for the second stage are independent
     of the first unless the coupled model requests shared ones (the
     linearized sensitivity equation does).
     """
-    w, z, w_y, z_y = stage_drivers(model_x, model_y, grid, count, seed, 0)
-    out_x = euler_mixed(model_x, grid, w, z)
-    out_y = euler_coupled(model_y, grid, out_x.paths, w_y, z_y)
+    _check_kind(model, coupled=True)
+    w, z, w_y, z_y = stage_drivers(model, grid, count, seed, 0)
+    out_x = euler_mixed(model.base, grid, w, z)
+    out_y = euler_coupled(model, grid, out_x.paths, w_y, z_y)
     return out_x, out_y
 
 
@@ -298,36 +297,37 @@ def _restricted(batch: PathBatch | None, stride: int) -> PathBatch | None:
     return None if batch is None else batch.restrict(stride)
 
 
-def solve_levels(model_x, model_y, levels, count, seed, path_offset, reduce) -> dict:
+def solve_levels(model, levels, count, seed, path_offset, reduce) -> dict:
     """{level: reduce(output)} over dyadic grid levels on common drivers.
 
     Draws the (w, z, w_y, z_y) drivers of paths ``path_offset`` onwards once,
     with :func:`stage_drivers` on the finest level's grid, and holds the only
-    reference to them. Each level solves on their exact restriction, then
-    runs the coupled stage when ``model_y`` is given, and reduces the last
-    stage's output; only the reductions are kept. Each finest-size array is
-    freed after its last reader: a level's output once it is reduced, the
-    primary output once its paths reach the coupled stage, and the primary
-    drivers before the finest coupled solve. So a chunk holds at most the
+    reference to them. Each level solves the primary stage (a coupled
+    model's ``base``) on their exact restriction, then the coupled stage of
+    a coupled model, and reduces the last stage's output; only the
+    reductions are kept. Each finest-size array is freed after its last
+    reader: a level's output once it is reduced, the primary output once
+    its paths reach the coupled stage, and the primary drivers before the
+    finest coupled solve. So a chunk holds at most the
     four drivers and the primary states at once. The drivers are written with
     no conversion copy, so drawing them holds at most four finest-size
     arrays plus one synthesis block's scratch.
     """
+    coupled = isinstance(model, CoupledModelSpec)
+    primary = model.base if coupled else model
     finest = levels[-1]
-    w, z, w_y, z_y = stage_drivers(
-        model_x, model_y, TimeGrid(model_x.horizon, finest), count, seed, path_offset
-    )
+    w, z, w_y, z_y = stage_drivers(model, TimeGrid(primary.horizon, finest), count, seed, path_offset)
     results = {}
     for n in levels:
         stride = finest // n
-        grid = TimeGrid(model_x.horizon, n)
-        out = euler_mixed(model_x, grid, _restricted(w, stride), _restricted(z, stride))
-        if model_y is not None:
+        grid = TimeGrid(primary.horizon, n)
+        out = euler_mixed(primary, grid, _restricted(w, stride), _restricted(z, stride))
+        if coupled:
             base = out.paths
             del out
             if n == finest:
                 del w, z
-            out = euler_coupled(model_y, grid, base, _restricted(w_y, stride), _restricted(z_y, stride))
+            out = euler_coupled(model, grid, base, _restricted(w_y, stride), _restricted(z_y, stride))
             del base
         results[n] = reduce(out)
         del out
@@ -367,7 +367,7 @@ def geometric_convergence_study(
         return np.abs(out.paths.values[:, -1, 0] - exact_terminal), np.abs(exact_terminal)
 
     def job(lo, hi):
-        return solve_levels(model, None, levels, hi - lo, seed, lo, terminal_errors)
+        return solve_levels(model, levels, hi - lo, seed, lo, terminal_errors)
 
     per_level = parallel.map_paths(job, paths, workers)
     abs_exact = per_level[levels[-1]][1]

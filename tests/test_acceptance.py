@@ -174,16 +174,16 @@ def test_s7_coupled_system_rendering():
     rho = 0.2
     bound = mx.coupled_growth_power_bound(hurst)
     assert bound == pytest.approx(0.3)
-    pair = model_zoo("stochvol", rho_power=rho, hurst=hurst)
+    price = model_zoo("stochvol", rho_power=rho, hurst=hurst)
     (table,) = grid_stability_tables(
-        pair, [MomentTarget("sup", p=2.0)], LEVELS, 10_000, seed=101
+        price, [MomentTarget("sup", p=2.0)], LEVELS, 10_000, seed=101
     )
     in_band = all(0.8 <= r <= 1.25 for r in table.ratios)
     # exploratory boundary artifact around the admissible exponent bound
     boundary = grid_stability_tables(
-        pair, [MomentTarget("exp", c=1.0, gamma=g) for g in (0.6, 1.0, 1.19, 1.4)], [2**9], 2000, seed=101
+        price, [MomentTarget("exp", c=1.0, gamma=g) for g in (0.6, 1.0, 1.19, 1.4)], [2**9], 2000, seed=101
     )
-    threshold = mx.exp_moment_exponent_bound(pair[0].driver.holder_order)
+    threshold = mx.exp_moment_exponent_bound(price.base.driver.holder_order)
     produced = sum(len(table.estimates) for table in boundary) == 4 and np.isfinite(threshold)
     ok = 0.0 < rho < bound and table.total_blowups == 0 and in_band and produced
     _report(

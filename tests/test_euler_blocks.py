@@ -126,7 +126,8 @@ def test_mixed_stage_matches_reference_at_block_edges(n):
 
 @pytest.mark.parametrize("n", EDGE_STEPS)
 def test_coupled_stage_matches_reference_at_block_edges(n):
-    model_x, model_y = model_zoo("stochvol")
+    model_y = model_zoo("stochvol")
+    model_x = model_y.base
     grid = TimeGrid(1.0, n)
     w, z = _walks(n, 1, seed=n), _walks(n, 1, seed=n + 1)
     base = euler_mixed(model_x, grid, PathBatch(grid, w), PathBatch(grid, z))
@@ -190,7 +191,8 @@ def test_overflowing_state_sum_is_not_a_blowup():
 
 @pytest.mark.parametrize("nan_from", [1, B, B + 1])
 def test_coupled_stage_over_nan_base_states_matches_reference(nan_from):
-    model_x, model_y = model_zoo("stochvol")
+    model_y = model_zoo("stochvol")
+    model_x = model_y.base
     n = 2 * B + 3
     grid = TimeGrid(1.0, n)
     w, z = _walks(n, 1, seed=11), _walks(n, 1, seed=12)
@@ -219,7 +221,7 @@ def test_fields_that_return_their_input_are_not_written_into():
         coupled = CoupledModelSpec(
             name="identity-coupled",
             state_dim=1,
-            base_dim=1,
+            base=mixed,
             initial_value=[1.0],
             horizon=1.0,
             drift=CoefficientField("id", "coupled", 1, 0, identity),
@@ -310,7 +312,7 @@ def test_quadratic_control_blowups_match_reference_and_pinned_counts():
     # x' = x^2 from 1 blows up near t = 1: 124 of 300 paths, spread over blocks 2-4 at n = 256.
     model = model_zoo("quadratic_control")
     grid = TimeGrid(1.0, 256)
-    w, z, _, _ = stage_drivers(model, None, grid, 300, 9, 0)
+    w, z, _, _ = stage_drivers(model, grid, 300, 9, 0)
     got = euler_mixed(model, grid, w, z)
     _assert_same_bytes(got, _reference_loop(grid, model, 300, w.values, z.values))
     first = got.first_nonfinite_index

@@ -53,7 +53,8 @@ def _euler_bounded_trig():
 
 
 def _euler_stochvol():
-    model_x, model_y = model_zoo("stochvol")
+    model_y = model_zoo("stochvol")
+    model_x = model_y.base
     grid = TimeGrid(1.0, 200)
     w, z = generate_drivers(model_x.driver, grid, PATHS, seed=25)
     base = euler_mixed(model_x, grid, w, z)

@@ -97,7 +97,7 @@ def test_every_zoo_model_passes_its_claimed_set():
         (model_zoo("linear_mixed"), "A"),
         (model_zoo("bounded_trig"), "B"),
         (model_zoo("geometric_mixed"), "A"),
-        (model_zoo("stochvol")[1], "C"),
+        (model_zoo("stochvol"), "C"),
     ]
     for model, set_id in checks:
         report = validate_assumptions(model, set_id, box_radius=10.0, samples=10_000, seed=5)
@@ -150,7 +150,7 @@ def test_validator_rejects_low_sample_budget_and_wrong_arity():
     with pytest.raises(DomainError):
         validate_assumptions(model, "C", samples=2000)
     with pytest.raises(DomainError):
-        validate_assumptions(model_zoo("stochvol")[1], "B", samples=2000)
+        validate_assumptions(model_zoo("stochvol"), "B", samples=2000)
 
 
 @pytest.mark.parametrize("radius", [0.0, -2.0, float("nan")])
@@ -187,10 +187,9 @@ def test_linear_mixed_zero_matrices_reduce_to_constant_coefficients():
 
 
 def test_stochvol_pair_wiring():
-    vol, price = model_zoo("stochvol", rho_power=0.2)
-    assert vol.state_dim == 2
+    price = model_zoo("stochvol", rho_power=0.2)
     assert isinstance(price, CoupledModelSpec)
-    assert price.base_dim == 2
+    assert price.base.state_dim == 2
     assert price.declared_rho == 0.2
     assert not price.share_drivers
     # price coefficients are linear in y
@@ -201,7 +200,8 @@ def test_stochvol_pair_wiring():
 
 
 def test_malliavin_linearized_shares_drivers_and_is_linear():
-    base, sens = model_zoo("malliavin_linearized", mu=0.1, sigma_w=0.2, sigma_b=0.3)
+    sens = model_zoo("malliavin_linearized", mu=0.1, sigma_w=0.2, sigma_b=0.3)
+    base = sens.base
     assert sens.share_drivers
     assert sens.driver == base.driver
     x = np.array([[1.5]])
@@ -213,7 +213,8 @@ def test_malliavin_linearized_shares_drivers_and_is_linear():
 
 def test_malliavin_sensitivity_fields_are_the_base_jacobians_applied_to_y():
     mu, sigma_w, sigma_b = -0.37, 0.61, 1.3
-    base, sens = model_zoo("malliavin_linearized", mu=mu, sigma_w=sigma_w, sigma_b=sigma_b)
+    sens = model_zoo("malliavin_linearized", mu=mu, sigma_w=sigma_w, sigma_b=sigma_b)
+    base = sens.base
     rng = np.random.default_rng(5)
     t, x, y = 0.4, rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
     # the drift field carries no analytic derivative; its Jacobian is [[mu]]
@@ -271,7 +272,8 @@ def test_model_spec_validation():
 
 @pytest.mark.parametrize("stage", ["primary", "coupled"])
 def test_both_stage_specs_run_the_same_stage_checks(stage):
-    spec = model_zoo("stochvol")[0 if stage == "primary" else 1]
+    price = model_zoo("stochvol")
+    spec = price.base if stage == "primary" else price
     bad = {
         "horizon": {"horizon": -1.0},
         "nan horizon": {"horizon": float("nan")},

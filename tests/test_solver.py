@@ -1,11 +1,13 @@
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mixedsde import (
     CoefficientField,
+    CoupledModelSpec,
     DomainError,
     DriverSpec,
     GridMismatchError,
@@ -117,23 +119,40 @@ def test_convergence_study_refuses_another_model_before_drawing_drivers(monkeypa
         geometric_convergence_study(model_zoo("linear_mixed"), [8, 16], 4, seed=1)
 
 
+def test_a_stage_of_the_wrong_kind_is_refused_before_drawing_drivers(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("drivers drawn for a stage of the wrong kind")
+
+    monkeypatch.setattr(solver, "stage_drivers", fail)
+    price, vol = model_zoo("stochvol"), model_zoo("linear_mixed")
+    grid = TimeGrid(1.0, 8)
+    w, z = generate_drivers(vol.driver, grid, 2, seed=1)
+    for run in (lambda: solve_model(price, grid, 2, 1), lambda: euler_mixed(price, grid, w, z)):
+        with pytest.raises(DomainError, match="'stochvol' is a coupled model: solve it with solve_coupled"):
+            run()
+    base = euler_mixed(vol, grid, w, z).paths
+    for run in (lambda: solve_coupled(vol, grid, 2, 1), lambda: euler_coupled(vol, grid, base, w, z)):
+        with pytest.raises(DomainError, match="'linear_mixed' is a single-stage model: solve it with solve_model"):
+            run()
+
+
 def test_malliavin_sensitivity_tracks_price_ratio():
-    base, sens = model_zoo("malliavin_linearized", mu=0.1, sigma_w=0.2, sigma_b=0.3)
+    sens = model_zoo("malliavin_linearized", mu=0.1, sigma_w=0.2, sigma_b=0.3)
     grid = TimeGrid(1.0, 512)
-    out_x, out_y = solve_coupled(base, sens, grid, seed=7, count=30)
+    out_x, out_y = solve_coupled(sens, grid, seed=7, count=30)
     # the linearized equation shares the linear closed form: Y_t/Y_0 == S_t/S_0
     ratio = out_y.paths.values[:, :, 0] / out_x.paths.values[:, :, 0]
     assert np.abs(ratio / ratio[:, :1] - 1.0).max() < 1e-9
 
 
 def test_stochvol_with_frozen_volatility_reduces_to_geometric():
-    vol, price = model_zoo("stochvol", rho_power=0.2)
+    price = model_zoo("stochvol", rho_power=0.2)
     frozen_vol = model_zoo(
         "bounded_trig", state_dim=2, drift_amp=0.0, wiener_amp=0.0, rough_amp=0.0,
         initial_value=np.array([0.2, 0.3]),
     )
     grid = TimeGrid(1.0, 256)
-    out_x, out_y = solve_coupled(frozen_vol, price, grid, seed=8, count=40)
+    out_x, out_y = solve_coupled(replace(price, base=frozen_vol), grid, seed=8, count=40)
     assert np.all(out_x.paths.values[:, -1, 0] == 0.2)
     # constant volatility state: the price stage is the geometric equation
     sigma_w = 0.5 * np.tanh(0.2)
@@ -144,8 +163,6 @@ def test_stochvol_with_frozen_volatility_reduces_to_geometric():
 
 
 def _zeroed_coupled_fields(price):
-    from dataclasses import replace
-
     def zero_drift(t, x, y):
         return np.zeros_like(y)
 
@@ -162,9 +179,9 @@ def _zeroed_coupled_fields(price):
 
 
 def test_zero_coupled_coefficients_keep_initial_value():
-    vol, price = model_zoo("stochvol")
+    price = model_zoo("stochvol")
     grid = TimeGrid(1.0, 64)
-    _, out_y = solve_coupled(vol, _zeroed_coupled_fields(price), grid, seed=9, count=10)
+    _, out_y = solve_coupled(_zeroed_coupled_fields(price), grid, seed=9, count=10)
     assert np.all(out_y.paths.values == 1.0)
 
 
@@ -179,9 +196,10 @@ def test_grid_halving_errors_shrink():
 
 
 def test_stage_drivers_rough_values_are_circulant_fbm():
-    model_x, model_y = model_zoo("stochvol")
+    model_y = model_zoo("stochvol")
+    model_x = model_y.base
     grid, count, seed, offset = TimeGrid(1.0, 16), 5, 7, 3
-    _, z, _, z_y = stage_drivers(model_x, model_y, grid, count, seed, offset)
+    _, z, _, z_y = stage_drivers(model_y, grid, count, seed, offset)
     for batch, spec, role in ((z, model_x.driver, rnd.ROUGH_X), (z_y, model_y.driver, rnd.ROUGH_Y)):
         for j, hurst in enumerate(spec.rough_hurst):
             want = generate_fbm(
@@ -197,9 +215,10 @@ def _memory_owner(values):
 @pytest.mark.parametrize("name", ["linear_mixed", "stochvol"])
 def test_solve_levels_reduces_each_level_before_solving_the_next(monkeypatch, name):
     model = model_zoo(name)
-    model_x, model_y = model if isinstance(model, tuple) else (model, None)
+    coupled = isinstance(model, CoupledModelSpec)
+    model_x = model.base if coupled else model
     levels = (8, 16, 32)
-    drivers = stage_drivers(model_x, model_y, TimeGrid(1.0, 32), 6, 3, 0)
+    drivers = stage_drivers(model, TimeGrid(1.0, 32), 6, 3, 0)
     outputs = []
     primary_drivers = []
 
@@ -208,7 +227,7 @@ def test_solve_levels_reduces_each_level_before_solving_the_next(monkeypatch, na
         primary_drivers.extend(weakref.ref(_memory_owner(d.values)) for d in drawn[:2] if d is not None)
         return drawn
 
-    def coupled(model_y, grid, base_states, wiener, rough):
+    def coupled_stage(model_y, grid, base_states, wiener, rough):
         if grid.step_count == levels[-1]:
             assert primary_drivers and all(ref() is None for ref in primary_drivers), (
                 "the primary finest drivers are still alive at the finest coupled solve"
@@ -216,20 +235,20 @@ def test_solve_levels_reduces_each_level_before_solving_the_next(monkeypatch, na
         return euler_coupled(model_y, grid, base_states, wiener, rough)
 
     monkeypatch.setattr(solver, "stage_drivers", drawing)
-    monkeypatch.setattr(solver, "euler_coupled", coupled)
+    monkeypatch.setattr(solver, "euler_coupled", coupled_stage)
 
     def reduce(out):
         assert all(ref() is None for ref in outputs), "the previous level's output is still alive"
         outputs.append(weakref.ref(out))
         return out.paths.values.copy()
 
-    got = solve_levels(model_x, model_y, levels, 6, 3, 0, reduce)
+    got = solve_levels(model, levels, 6, 3, 0, reduce)
     assert list(got) == list(levels)
     for n in levels:
         w, z, w_y, z_y = (None if d is None else d.restrict(32 // n) for d in drivers)
         direct = euler_mixed(model_x, TimeGrid(1.0, n), w, z)
-        if model_y is not None:
-            direct = euler_coupled(model_y, TimeGrid(1.0, n), direct.paths, w_y, z_y)
+        if coupled:
+            direct = euler_coupled(model, TimeGrid(1.0, n), direct.paths, w_y, z_y)
         assert np.array_equal(got[n], direct.paths.values, equal_nan=True)
 
 
@@ -240,13 +259,14 @@ def test_solve_levels_chunk_peaks_under_six_finest_arrays():
     the finest primary solve. The Euler loop's 64-step block scratch came to
     about ten (block, paths) arrays when this was written.
     """
-    model_x, model_y = model_zoo("stochvol")
+    model_y = model_zoo("stochvol")
+    model_x = model_y.base
     count, levels = 512, (2048, 4096)
     finest = count * (levels[-1] + 1) * 8
     block = solver._BLOCK_STEPS * count * 8
     tracemalloc.start()
     try:
-        solve_levels(model_x, model_y, levels, count, 3, 0, lambda out: out.survivor_sup_norms())
+        solve_levels(model_y, levels, count, 3, 0, lambda out: out.survivor_sup_norms())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mixedsde import CoefficientField, TimeGrid, euler_mixed, generate_drivers, model_zoo
+from mixedsde import CoefficientField, CoupledModelSpec, TimeGrid, euler_mixed, generate_drivers, model_zoo
 from mixedsde.models import field_kernel
 from mixedsde.solver import euler_coupled
 
@@ -60,7 +60,7 @@ def test_trig_kernel_increments_match_the_fields(rough_dim, wiener_rate):
 
 
 def test_price_kernel_increments_match_the_fields():
-    _, price = model_zoo("stochvol", rho_power=0.25)
+    price = model_zoo("stochvol", rho_power=0.25)
     rng = np.random.default_rng(5)
     dt = 1.0 / 256
     ts = np.sort(rng.uniform(0.0, 1.0, STEPS))
@@ -82,7 +82,8 @@ def _without_kernel(model):
 
 
 def test_kernel_paths_keep_the_field_sup_over_4096_steps():
-    vol, price = model_zoo("stochvol")
+    price = model_zoo("stochvol")
+    vol = price.base
     grid = TimeGrid(1.0, 4096)
     w, z = generate_drivers(vol.driver, grid, 32, seed=31)
     w_y, z_y = generate_drivers(price.driver, grid, 32, seed=31, stage="y")
@@ -112,7 +113,8 @@ def _field_calls(monkeypatch, run):
 @pytest.mark.parametrize("name", ["bounded_trig", "stochvol"])
 def test_kernel_models_call_no_field_per_step(monkeypatch, name):
     model = model_zoo(name, **({"wiener_dim": 2} if name == "bounded_trig" else {}))
-    model_x, model_y = model if isinstance(model, tuple) else (model, None)
+    model_y = model if isinstance(model, CoupledModelSpec) else None
+    model_x = model if model_y is None else model.base
 
     def calls_at(n):
         grid = TimeGrid(1.0, n)
@@ -130,8 +132,10 @@ def test_kernel_models_call_no_field_per_step(monkeypatch, name):
 
 
 def test_only_the_trig_and_price_stages_carry_a_kernel():
-    vol, price = model_zoo("stochvol")
-    base, sensitivity = model_zoo("malliavin_linearized")
+    price = model_zoo("stochvol")
+    vol = price.base
+    sensitivity = model_zoo("malliavin_linearized")
+    base = sensitivity.base
     assert model_zoo("bounded_trig").kernel is not None
     assert vol.kernel is not None and price.kernel is not None
     for spec in (model_zoo("linear_mixed"), model_zoo("geometric_mixed"), base, sensitivity):
@@ -148,7 +152,8 @@ def test_trig_drift_rates_per_component_keep_the_fields():
 
 
 def test_a_spec_rebuilt_with_other_fields_drops_its_kernel():
-    vol, price = model_zoo("stochvol")
+    price = model_zoo("stochvol")
+    vol = price.base
     zero = CoefficientField("zero", "coupled", 1, 0, lambda t, x, y: np.zeros_like(y))
     block = CoefficientField("zero", "coupled", 1, 1, lambda t, x, y: np.zeros((len(y), 1, 1)))
     for changes in ({"drift": zero}, {"wiener": block}, {"rough": block}):

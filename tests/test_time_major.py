@@ -107,7 +107,8 @@ def test_linear_mixed_through_field_kernel_is_layout_independent(stride):
 @pytest.mark.parametrize("driver_layout", [_path_major, _time_major])
 @pytest.mark.parametrize("base_layout", [_path_major, _time_major])
 def test_stochvol_coupled_stage_is_layout_independent(base_layout, driver_layout, stride):
-    model_x, model_y = model_zoo("stochvol")
+    model_y = model_zoo("stochvol")
+    model_x = model_y.base
     n = 2 * B + 3
     m = n * stride
     grid = TimeGrid(1.0, n)
@@ -143,9 +144,10 @@ def test_staggered_blowups_are_layout_independent():
 
 
 def test_stage_drivers_are_time_major_copies_of_the_generated_drivers():
-    model_x, model_y = model_zoo("stochvol")
+    model_y = model_zoo("stochvol")
+    model_x = model_y.base
     grid = TimeGrid(1.0, 2 * B + 3)
-    drivers = stage_drivers(model_x, model_y, grid, PATHS, 11, 5)
+    drivers = stage_drivers(model_y, grid, PATHS, 11, 5)
     want = generate_drivers(model_x.driver, grid, PATHS, 11, stage="x", path_offset=5) + generate_drivers(
         model_y.driver, grid, PATHS, 11, stage="y", path_offset=5
     )
@@ -164,12 +166,13 @@ def test_driver_drawing_holds_four_finest_arrays_plus_block_scratch():
     cost a fifth. At 1,024 paths one synthesis block's scratch is about
     half of one array.
     """
-    model_x, model_y = model_zoo("stochvol")
+    model_y = model_zoo("stochvol")
+    model_x = model_y.base
     count, n = 1024, 4096
     finest = count * (n + 1) * 8
     tracemalloc.start()
     try:
-        drivers = stage_drivers(model_x, model_y, TimeGrid(1.0, n), count, 3, 0)
+        drivers = stage_drivers(model_y, TimeGrid(1.0, n), count, 3, 0)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -179,9 +182,10 @@ def test_driver_drawing_holds_four_finest_arrays_plus_block_scratch():
 
 def test_euler_outputs_are_time_major():
     """Time outermost, then one contiguous row of paths per state component."""
-    model_x, model_y = model_zoo("stochvol")
+    model_y = model_zoo("stochvol")
+    model_x = model_y.base
     grid = TimeGrid(1.0, 2 * B + 3)
-    w, z, w_y, z_y = stage_drivers(model_x, model_y, grid, PATHS, 12, 0)
+    w, z, w_y, z_y = stage_drivers(model_y, grid, PATHS, 12, 0)
     out_x = euler_mixed(model_x, grid, w, z)
     out_y = euler_coupled(model_y, grid, out_x.paths, w_y, z_y)
     for out in (out_x, out_y):
@@ -191,16 +195,15 @@ def test_euler_outputs_are_time_major():
     w, z = (PathBatch(grid, _path_major(b.values)) for b in (w, z))
     assert _is_component_major(euler_mixed(model_x, grid, w, z).paths.values)
 
-    seen = solve_levels(
-        model_x, model_y, (B, 4 * B), PATHS, 12, 0, lambda out: _is_component_major(out.paths.values)
-    )
+    seen = solve_levels(model_y, (B, 4 * B), PATHS, 12, 0, lambda out: _is_component_major(out.paths.values))
     assert seen == {B: True, 4 * B: True}
 
 
 def test_coupled_stage_cannot_write_its_base_states():
-    model_x, model_y = model_zoo("stochvol")
+    model_y = model_zoo("stochvol")
+    model_x = model_y.base
     grid = TimeGrid(1.0, B)
-    w, z, w_y, z_y = stage_drivers(model_x, model_y, grid, PATHS, 13, 0)
+    w, z, w_y, z_y = stage_drivers(model_y, grid, PATHS, 13, 0)
     base = euler_mixed(model_x, grid, w, z).paths
     kernel = model_y.kernel
 
