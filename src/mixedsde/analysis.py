@@ -118,6 +118,11 @@ def _check_exponent(exponent: float) -> None:
         raise DomainError(f"Holder exponent must lie in (0, 1], got {exponent}")
 
 
+def _check_seminorm_cap(n: int) -> None:
+    if n > SEMINORM_CAP:
+        raise ResourceError(f"seminorm scan capped at {SEMINORM_CAP} steps, got {n}")
+
+
 def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.ndarray:
     """Per-path exact grid seminorms for a (count, n+1[, dim]) value block.
 
@@ -155,8 +160,7 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
     if values.ndim == 3 and values.shape[2] == 1:
         values = values[:, :, 0]
     n = values.shape[1] - 1
-    if n > SEMINORM_CAP:
-        raise ResourceError(f"seminorm scan capped at {SEMINORM_CAP} steps, got {n}")
+    _check_seminorm_cap(n)
     best = np.zeros(values.shape[0])
     bounds = _lag_group_bounds(values, dt, exponent)
     block = max(1, _SCAN_VALUES // values[0].size)

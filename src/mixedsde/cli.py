@@ -34,9 +34,9 @@ import numpy as np
 import scipy  # noqa: F401  unused here; perfbench/child.py reads sys.modules['scipy'].__version__
 
 from . import __version__, parallel
-from .analysis import _check_exponent, holder_seminorm_batch
-from .errors import ConfigError, DomainError, MixedSdeError
-from .fbm import fbm_covariance_matrix, generate_fbm
+from .analysis import _check_exponent, _check_seminorm_cap, holder_seminorm_batch
+from .errors import ConfigError, DomainError, MixedSdeError, ResourceError
+from .fbm import _check_cholesky_cap, fbm_covariance_matrix, generate_fbm
 from .grids import TimeGrid, check_hurst
 from .models import VALIDATOR_MIN_SAMPLES, CoupledModelSpec, model_zoo, validate_assumptions, zoo_defaults, ZOO_MODELS
 from .moments import (
@@ -49,7 +49,7 @@ from .moments import (
     grid_stability_tables,
 )
 from .solver import check_levels, geometric_convergence_study
-from .young import young_integrate, young_love_constant, young_love_rhs
+from .young import _dyadic_depth, young_integrate, young_love_constant, young_love_rhs
 
 
 # --------------------------------------------------------------------------
@@ -313,11 +313,17 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
     def library_check(name, rule, *args):
         try:
             rule(*args)
-        except DomainError as exc:
+        except (DomainError, ResourceError) as exc:
             check(False, name, f"key {name!r}: {exc}")
 
     if "levels" in config:
         library_check("levels", check_levels, config["levels"])
+    if command == "fbm" and config["method"] != "circulant":
+        library_check("n", _check_cholesky_cap, config["n"])
+    if command in ("integrate", "fernique"):  # both scan each path's seminorm at full resolution
+        library_check("n", _check_seminorm_cap, config["n"])
+    if command == "integrate":
+        library_check("n", _dyadic_depth, config["n"], None)
     if command in ("fbm", "integrate", "fernique"):
         for hurst in config["hurst"] if command == "fbm" else [config["hurst"]]:
             library_check("hurst", check_hurst, hurst)

@@ -98,12 +98,16 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     return low
 
 
-def _fbm_cholesky(grid, hurst, count, seed, tag, offset, out):
-    n = grid.step_count
+def _check_cholesky_cap(n: int) -> None:
     if n > CHOLESKY_CAP:
         raise ResourceError(
             f"cholesky synthesis is capped at n={CHOLESKY_CAP} (requested {n}); use method='circulant'"
         )
+
+
+def _fbm_cholesky(grid, hurst, count, seed, tag, offset, out):
+    n = grid.step_count
+    _check_cholesky_cap(n)
     factor_t = _cholesky(fbm_covariance_matrix(grid, hurst)).T
     out = _destination(out, (count, n + 1))
     scratch = np.empty((_BLOCK_ROWS, n))

@@ -70,6 +70,17 @@ def rs_sum(g: PathBatch, h: PathBatch) -> np.ndarray:
     return _level_sums(g, h, [1], left=True)[0]
 
 
+def _dyadic_depth(cells: int, max_level: int | None) -> int:
+    """``max_level``, by default the largest up to 16 whose dyadic ladder divides ``cells``, checked."""
+    if max_level is None:
+        max_level = min(16, (cells & -cells).bit_length() - 1)
+    if max_level < 1:
+        raise DomainError("young_integrate needs at least two dyadic levels")
+    if cells % (2**max_level) != 0:
+        raise DomainError(f"grid has {cells} cells, not divisible by 2^{max_level}: use a dyadic refinement")
+    return max_level
+
+
 def young_integrate(
     g: PathBatch, h: PathBatch, tol: float = 1e-6, max_level: int | None = None
 ) -> YoungResult:
@@ -87,13 +98,7 @@ def young_integrate(
     """
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    cells = g.grid.step_count
-    if max_level is None:
-        max_level = min(16, (cells & -cells).bit_length() - 1)
-    if max_level < 1:
-        raise DomainError("young_integrate needs at least two dyadic levels")
-    if cells % (2**max_level) != 0:
-        raise DomainError(f"grid has {cells} cells, not divisible by 2^{max_level}: use a dyadic refinement")
+    max_level = _dyadic_depth(g.grid.step_count, max_level)
     history = _level_sums(g, h, [2 ** (max_level - j) for j in range(max_level + 1)], left=False)
     step = history[-1] - history[-2]
     # a vector gap is sqrt(v.v) per row, as np.linalg.norm takes it for one vector

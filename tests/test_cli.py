@@ -348,6 +348,16 @@ BAD_VALUE_CASES = {
     "workers-0": ("solve", "levels: [8]\nworkers: 0\nseed: 1\npaths: 2\n", 2, "workers must be >= 1"),
     "integrate-n-12": ("integrate", "seed: 1\nn: 12\npaths: 2\n", 2, "key 'n' must be a power of two"),
     "integrate-n-0": ("integrate", "seed: 1\nn: 0\npaths: 2\n", 2, "key 'n': must be >= 1, got 0"),
+    "integrate-n-1": ("integrate", "seed: 1\nn: 1\npaths: 2\n", 2,
+                      "key 'n': young_integrate needs at least two dyadic levels"),
+    "integrate-n-16384": ("integrate", "seed: 1\nn: 16384\npaths: 2\n", 2,
+                          "key 'n': seminorm scan capped at 8192 steps, got 16384"),
+    "fernique-n-8193": ("fernique", "hurst: 0.75\nmu: 0.6\nn: 8193\npaths: 100\nseed: 1\n", 3,
+                        "key 'n': seminorm scan capped at 8192 steps, got 8193"),
+    "fbm-cholesky-n-4097": ("fbm", "hurst: [0.75]\nn: 4097\npaths: 1\nseed: 1\nmethod: cholesky\n", 2,
+                            "key 'n': cholesky synthesis is capped at n=4096 (requested 4097); use method='circulant'"),
+    "fbm-both-n-4097": ("fbm", "hurst: [0.75]\nn: 4097\npaths: 1\nseed: 1\n", 2,
+                        "key 'n': cholesky synthesis is capped at n=4096 (requested 4097); use method='circulant'"),
     "fbm-n-negative": ("fbm", "hurst: [0.75]\nn: -4\npaths: 2\nseed: 1\n", 2, "key 'n': must be >= 1, got -4"),
     "fbm-method-auto": ("fbm", "hurst: [0.75]\nn: 4\nmethod: auto\npaths: 2\nseed: 1\n", 3,
                         "key 'method': must be one of ['both', 'cholesky', 'circulant'], got 'auto'"),
@@ -624,12 +634,13 @@ def test_every_command_with_paths_is_covered():
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):
-    # cholesky synthesis above its size cap is a runtime resource failure
+    # an accepted config whose every path overflows is a runtime estimation failure
     cfg = write_config(
-        tmp_path, "big.cfg", "hurst: [0.75]\nn: 8192\npaths: 1\nseed: 1\nmethod: cholesky\n"
+        tmp_path, "huge.cfg",
+        "model: linear_mixed\nmodel.horizon: 1e300\ngamma: [1.0]\nc: 1.0\nn: 16\npaths: 8\nseed: 1\n",
     )
-    assert main(["fbm", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
-    assert "capped" in capsys.readouterr().err
+    assert main(["boundary", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+    assert "run failed: every path blew up" in capsys.readouterr().err
 
 
 def test_out_of_memory_exits_3_with_one_line_and_no_csv(tmp_path, capsys, monkeypatch):
