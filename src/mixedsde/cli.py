@@ -323,7 +323,7 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
     if command in ("integrate", "fernique"):  # both scan each path's seminorm at full resolution
         library_check("n", _check_seminorm_cap, config["n"])
     if command == "integrate":
-        library_check("n", _dyadic_depth, config["n"], None)
+        library_check("n", _dyadic_depth, config["n"])
     if command in ("fbm", "integrate", "fernique"):
         for hurst in config["hurst"] if command == "fbm" else [config["hurst"]]:
             library_check("hurst", check_hurst, hurst)

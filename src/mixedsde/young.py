@@ -70,7 +70,7 @@ def rs_sum(g: PathBatch, h: PathBatch) -> np.ndarray:
     return _level_sums(g, h, [1], left=True)[0]
 
 
-def _dyadic_depth(cells: int, max_level: int | None) -> int:
+def _dyadic_depth(cells: int, max_level: int | None = None) -> int:
     """``max_level``, by default the largest up to 16 whose dyadic ladder divides ``cells``, checked."""
     if max_level is None:
         max_level = min(16, (cells & -cells).bit_length() - 1)
