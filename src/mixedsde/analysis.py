@@ -143,18 +143,23 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
     what the full scan returns (nan for a nan, inf for a lone inf). The
     worst case, when no bound prunes, is still O(n^2) per path.
 
-    For vector paths each lag squares its differences in the scratch
-    buffer, sums the squares in coordinate order as ``np.linalg.norm``
-    does, and takes one square root of each row's largest sum; ``sqrt`` is
-    monotone and correctly rounded, so that is the largest norm bit for bit.
-    For scalar paths a lag's largest ``|x_j - x_i|`` is read from the
-    difference buffer as ``max(max d, -min d)``, so the buffer is never
-    rewritten. That is the largest ``abs`` bit for bit except on an
-    all-zero row, where ``-min d`` is -0.0, and ``np.maximum`` on x86
-    returns its second argument on a tie of zeros, so the -0.0 can survive
-    into the path's maximum (a subnormal path with dt > 2 shows it). Adding
-    +0.0 turns it into the +0.0 that ``abs`` gives and changes no other
-    value; nan and inf pass through max and min as through ``abs``.
+    Each row block is gathered into one C-contiguous buffer, and each lag
+    is one 1-D subtract over the block's rows laid end to end, read back as
+    the (rows, n+1-lag) prefix of each row; the last ``lag`` differences of
+    a row pair it with the next row and are never read, and the scan runs
+    under ``errstate`` because such an unread entry can be inf - inf. For
+    vector paths each lag squares its differences in place, sums the
+    squares in coordinate order as ``np.linalg.norm`` does, and takes one
+    square root of each row's largest sum; ``sqrt`` is monotone and
+    correctly rounded, so that is the largest norm bit for bit. For scalar
+    paths a lag's largest ``|x_j - x_i|`` is read from the difference
+    buffer as ``max(max d, -min d)``, so the buffer is never rewritten.
+    That is the largest ``abs`` bit for bit except on an all-zero row,
+    where ``-min d`` is -0.0, and ``np.maximum`` on x86 returns its second
+    argument on a tie of zeros, so the -0.0 can survive into the path's
+    maximum (a subnormal path with dt > 2 shows it). Adding +0.0 turns it
+    into the +0.0 that ``abs`` gives and changes no other value; nan and
+    inf pass through max and min as through ``abs``.
     """
     _check_exponent(exponent)
     if values.ndim == 3 and values.shape[2] == 1:
@@ -163,25 +168,35 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
     _check_seminorm_cap(n)
     best = np.zeros(values.shape[0])
     bounds = _lag_group_bounds(values, dt, exponent)
-    block = max(1, _SCAN_VALUES // values[0].size)
-    scratch = np.empty((min(block, values.shape[0]), n) + values.shape[2:])
-    squares = np.empty(scratch.shape[:2]) if values.ndim == 3 else None
-    for g, rows in _groups_to_scan(bounds, best):
-        lags = range(_LAG_GROUP * g + 1, min(_LAG_GROUP * (g + 1), n) + 1)
-        for start in range(0, rows.size, block):
-            chunk = rows[start : start + block]
-            sub = values[chunk]
-            group_best = best[chunk]
-            for lag in lags:
-                diff = np.subtract(sub[:, lag:], sub[:, :-lag], out=scratch[: chunk.size, : n + 1 - lag])
-                if diff.ndim == 3:  # squared norms summed in coordinate order, root of the max
-                    np.multiply(diff, diff, out=diff)
-                    total = np.add(diff[:, :, 0], diff[:, :, 1], out=squares[: chunk.size, : n + 1 - lag])
-                    for c in range(2, diff.shape[2]):
-                        total += diff[:, :, c]
-                    inc = np.sqrt(total.max(axis=1))
-                else:  # max |d| without writing |d|; + 0.0 as in the docstring
-                    inc = np.maximum(diff.max(axis=1), -diff.min(axis=1)) + 0.0
-                np.maximum(group_best, inc / (lag * dt) ** exponent, out=group_best)
-            best[chunk] = group_best
+    row_size = values[0].size
+    dim = row_size // (n + 1)
+    block = max(1, _SCAN_VALUES // row_size)
+    rows_max = min(block, values.shape[0])
+    gathered = np.empty((rows_max,) + values.shape[1:])
+    flat = np.empty(rows_max * row_size)
+    squares = np.empty(rows_max * (n + 1)) if values.ndim == 3 else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, rows in _groups_to_scan(bounds, best):
+            lags = range(_LAG_GROUP * g + 1, min(_LAG_GROUP * (g + 1), n) + 1)
+            for start in range(0, rows.size, block):
+                chunk = rows[start : start + block]
+                r = chunk.size
+                line = np.take(values, chunk, axis=0, out=gathered[:r]).reshape(-1)
+                group_best = best[chunk]
+                for lag in lags:
+                    used = r * row_size - lag * dim  # the last lag points of a row pair it with the next
+                    np.subtract(line[lag * dim :], line[: used], out=flat[:used])
+                    if squares is not None:  # squared norms summed in coordinate order, root of the max
+                        np.multiply(flat[:used], flat[:used], out=flat[:used])
+                        points = flat[:used].reshape(-1, dim)
+                        total = np.add(points[:, 0], points[:, 1], out=squares[: used // dim])
+                        for c in range(2, dim):
+                            total += points[:, c]
+                        sums = squares[: r * (n + 1)].reshape(r, n + 1)[:, : n + 1 - lag]
+                        inc = np.sqrt(sums.max(axis=1))
+                    else:  # max |d| without writing |d|; + 0.0 as in the docstring
+                        diff = flat[: r * row_size].reshape(r, n + 1)[:, : n + 1 - lag]
+                        inc = np.maximum(diff.max(axis=1), -diff.min(axis=1)) + 0.0
+                    np.maximum(group_best, inc / (lag * dt) ** exponent, out=group_best)
+                best[chunk] = group_best
     return best

@@ -224,6 +224,7 @@ class CoupledModelSpec:
 
     ``base`` is the primary stage, solved first; with ``share_drivers`` this
     stage steps on the base's driver batches, so both declare one driver.
+    Both stages are solved on one grid, so they declare one horizon.
     """
 
     name: str
@@ -245,6 +246,8 @@ class CoupledModelSpec:
         _check_stage(self)
         if self.share_drivers and self.driver != self.base.driver:
             raise DomainError("shared drivers require identical driver specs on both stages")
+        if self.horizon != self.base.horizon:
+            raise DomainError(f"coupled horizon {self.horizon} differs from the base stage's horizon {self.base.horizon}")
         if not 0.0 <= self.declared_rho < 2.0 / 3.0:
             raise DomainError(f"growth power rho must lie in [0, 2/3), got {self.declared_rho}")
         if self.driver.rough_dim > 0:
