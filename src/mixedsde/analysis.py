@@ -171,10 +171,9 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
     row_size = values[0].size
     dim = row_size // (n + 1)
     block = max(1, _SCAN_VALUES // row_size)
-    rows_max = min(block, values.shape[0])
-    gathered = np.empty((rows_max,) + values.shape[1:])
-    flat = np.empty(rows_max * row_size)
-    squares = np.empty(rows_max * (n + 1)) if values.ndim == 3 else None
+    gathered = np.empty((min(block, values.shape[0]),) + values.shape[1:])
+    flat = np.empty(gathered.size)
+    squares = np.empty(gathered.shape[0] * (n + 1)) if values.ndim == 3 else None
     with np.errstate(over="ignore", invalid="ignore"):
         for g, rows in _groups_to_scan(bounds, best):
             lags = range(_LAG_GROUP * g + 1, min(_LAG_GROUP * (g + 1), n) + 1)
@@ -185,17 +184,17 @@ def holder_seminorm_batch(values: np.ndarray, dt: float, exponent: float) -> np.
                 group_best = best[chunk]
                 for lag in lags:
                     used = r * row_size - lag * dim  # the last lag points of a row pair it with the next
-                    np.subtract(line[lag * dim :], line[: used], out=flat[:used])
+                    d = np.subtract(line[lag * dim :], line[:used], out=flat[:used])
                     if squares is not None:  # squared norms summed in coordinate order, root of the max
-                        np.multiply(flat[:used], flat[:used], out=flat[:used])
-                        points = flat[:used].reshape(-1, dim)
+                        np.multiply(d, d, out=d)
+                        points = d.reshape(-1, dim)
                         total = np.add(points[:, 0], points[:, 1], out=squares[: used // dim])
                         for c in range(2, dim):
                             total += points[:, c]
                         sums = squares[: r * (n + 1)].reshape(r, n + 1)[:, : n + 1 - lag]
                         inc = np.sqrt(sums.max(axis=1))
                     else:  # max |d| without writing |d|; + 0.0 as in the docstring
-                        diff = flat[: r * row_size].reshape(r, n + 1)[:, : n + 1 - lag]
+                        diff = flat[: line.size].reshape(r, n + 1)[:, : n + 1 - lag]
                         inc = np.maximum(diff.max(axis=1), -diff.min(axis=1)) + 0.0
                     np.maximum(group_best, inc / (lag * dt) ** exponent, out=group_best)
                 best[chunk] = group_best

@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mixedsde import (
     DomainError,
@@ -225,19 +226,53 @@ def test_seminorm_batch_exact_at_row_block_edges(dim):
     assert got[block] == np.inf and got[2 * block + 1] == np.inf
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_seminorm_row_block_scan_never_reads_across_rows(dim):
+    # Every other row holds huge or non-finite points at its head and tail,
+    # so a difference taken across two rows would turn its clean neighbours'
+    # maxima into inf or nan.
+    n = 32
+    block = analysis._SCAN_VALUES // ((n + 1) * dim)
+    rng = np.random.default_rng(10 + dim)
+    walks = np.cumsum(rng.standard_normal((block + 1, n + 1, dim)), axis=1)
+    poison = [1e308, -1e308, np.inf, -np.inf, np.nan]
+    for i in range(1, block + 1, 2):
+        walks[i, 0] = poison[i % 5]
+        walks[i, n] = poison[(i // 5) % 5]
+    for count in (block - 1, block, block + 1):
+        values = walks[:count]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = holder_seminorm_batch(values, 1.0 / n, 0.65)
+        assert np.isfinite(got[::2]).all()
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracle subtracts within each row alone
+            assert np.array_equal(got, lag_scan_seminorm(values, 1.0 / n, 0.65), equal_nan=True)
+
+
+def test_seminorm_cross_row_inf_minus_inf_stays_silent():
+    # the flat scan subtracts row 0's last point from row 1's first: inf - inf
+    values = np.array([[0.0] * 32 + [np.inf], [np.inf] + [0.0] * 32])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = holder_seminorm_batch(values, 1.0 / 32, 0.65)
+    assert np.array_equal(got, lag_scan_seminorm(values, 1.0 / 32, 0.65))
+    assert (got == np.inf).all()
+
+
 def test_seminorm_scratch_does_not_grow_with_the_batch():
     rng = np.random.default_rng(3)
-    walks = np.cumsum(rng.standard_normal((2048, 513)), axis=1)
-    peaks = []
-    for count in (512, 2048):
-        values = walks[:count]
-        tracemalloc.start()
-        try:
-            best = holder_seminorm_batch(values, 1.0 / 512, 0.65)
-            peaks.append(tracemalloc.get_traced_memory()[1] - best.nbytes)
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 2 * 2**20
+    for dim in (1, 2):  # dim 2 also holds the flat squares buffer
+        walks = np.cumsum(rng.standard_normal((2048, 513, dim)), axis=1)
+        peaks = []
+        for count in (512, 2048):
+            values = walks[:count]
+            tracemalloc.start()
+            try:
+                best = holder_seminorm_batch(values, 1.0 / 512, 0.65)
+                peaks.append(tracemalloc.get_traced_memory()[1] - best.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 2**20, dim
 
 
 # ------------------------------------------------------ block-level bounds
@@ -262,12 +297,12 @@ def window_range_bounds(values, dt, gamma, extra=lambda span: 0):
     """Each group's widest exact range over windows of span + extra(span) points, / (lo*dt)^gamma."""
     n = values.shape[1] - 1
     out = np.empty((values.shape[0], -(-n // analysis._LAG_GROUP)))
+    series = np.ascontiguousarray(np.moveaxis(values, 1, -1))  # time last, so each window is contiguous
     for g in range(out.shape[1]):
         lo, hi = analysis._LAG_GROUP * g + 1, min(analysis._LAG_GROUP * (g + 1), n)
-        width = min(hi + 1 + extra(hi + 1), n + 1)
-        # edge windows are clipped to the path, so they add no wider range
-        highs = maximum_filter1d(values, width, axis=1, mode="nearest")
-        widest = (highs - minimum_filter1d(values, width, axis=1, mode="nearest")).max(axis=1)
+        # full windows only: a window clipped at the path's edge lies inside a full one
+        windows = sliding_window_view(series, min(hi + 1 + extra(hi + 1), n + 1), axis=-1)
+        widest = (windows.max(axis=-1) - windows.min(axis=-1)).max(axis=-1)
         if widest.ndim == 2:
             widest = np.linalg.norm(widest, axis=-1)
         out[:, g] = widest / (lo * dt) ** gamma

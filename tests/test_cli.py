@@ -566,6 +566,19 @@ def test_growth_power_outside_the_admissible_range_warns_on_stderr(tmp_path, rho
     assert ("outside the admissible range" in done.stderr) == warned, done.stderr
 
 
+def test_stochvol_horizon_from_the_config_reaches_both_stages(tmp_path):
+    estimates = []
+    for horizon in (1.0, 4.0):
+        cfg = write_config(
+            tmp_path, f"h{horizon}.cfg",
+            f"model: stochvol\nmodel.horizon: {horizon}\nstatistic: sup\np: [2]\nlevels: [8]\npaths: 16\nseed: 1\n",
+        )
+        out = tmp_path / f"o{horizon}"
+        assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+        estimates.append(float(read_rows(out / "moments.csv")[0]["estimate"]))
+    assert estimates[0] != estimates[1]
+
+
 def test_readme_cli_block_and_example_configs_agree():
     root = Path(__file__).resolve().parents[1]
     block = (root / "README.md").read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

@@ -295,3 +295,11 @@ def test_shared_drivers_with_different_hurst_rejected_everywhere():
     other_base = dataclasses.replace(sens.base, driver=DriverSpec(1, 1, (0.9,)))
     with pytest.raises(DomainError, match="shared drivers"):
         dataclasses.replace(sens, base=other_base)
+
+
+def test_coupled_horizon_other_than_the_base_rejected():
+    # the level ladder solves both stages on one grid, the base's
+    with pytest.raises(DomainError, match=r"horizon 4\.0 differs from the base stage's horizon 1\.0"):
+        dataclasses.replace(model_zoo("stochvol"), horizon=4.0)
+    price = model_zoo("stochvol", horizon=4.0)
+    assert price.horizon == price.base.horizon == 4.0
