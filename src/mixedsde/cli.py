@@ -116,13 +116,6 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("horizon", "float", default=1.0),
         _Key("paths", "int", required=True),
     ),
-    "boundary": (
-        _Key("model", "str", required=True, choices=ZOO_MODELS),
-        _Key("gamma", "float_list", required=True),
-        _Key("c", "float", required=True),
-        _Key("n", "int", required=True),
-        _Key("paths", "int", required=True),
-    ),
 }
 
 COMMANDS = tuple(_SCHEMAS)
@@ -304,11 +297,8 @@ def resolve_config(command: str, entries, path, overrides) -> dict:
             values = config[name] if isinstance(config[name], list) else [config[name]]
             bad = next((v for v in values if not v > 0), None)
             check(bad is None, name, f"key {name!r}: must be positive, got {bad}")
-    if command in ("integrate", "boundary"):
+    if command == "integrate":
         check(not config["n"] & (config["n"] - 1), "n", "key 'n' must be a power of two")
-    if command == "boundary":
-        check(config["gamma"] == sorted(config["gamma"]), "gamma",
-              f"key 'gamma': must be sorted ascending, got {config['gamma']}")
 
     def library_check(name, rule, *args):
         try:
@@ -492,9 +482,11 @@ def _build_model(config: dict):
 def _run_moments(config: dict) -> list[dict]:
     model = _build_model(config)
     if config["statistic"] == "sup":
-        targets = [MomentTarget("sup", p=p) for p in config["p"]]
+        targets, extra = [MomentTarget("sup", p=p) for p in config["p"]], {}
     else:
         targets = [MomentTarget("exp", c=config["c"], gamma=g) for g in config["gamma"]]
+        mu = model.driver.holder_order  # None without a rough driver
+        extra = {"threshold_gamma": float("nan") if mu is None else exp_moment_exponent_bound(mu)}
     tables = grid_stability_tables(
         model, targets, config["levels"], config["paths"], config["seed"],
         workers=config["workers"],
@@ -504,7 +496,7 @@ def _run_moments(config: dict) -> list[dict]:
         for (level, est), ratio in zip(table.rows, (float("nan"), *table.ratios)):
             fields = asdict(est)
             del fields["target"]
-            rows.append({"statistic": table.target, "step_count": level, **fields, "ratio_vs_prev": ratio})
+            rows.append({"statistic": table.target, "step_count": level, **fields, "ratio_vs_prev": ratio, **extra})
     return rows
 
 
@@ -545,32 +537,6 @@ def _run_fernique(config: dict) -> list[dict]:
     return [asdict(report)]
 
 
-def _run_boundary(config: dict) -> list[dict]:
-    model = _build_model(config)
-    gammas = config["gamma"]
-    tables = grid_stability_tables(
-        model, [MomentTarget("exp", c=config["c"], gamma=g) for g in gammas], [config["n"]],
-        config["paths"], config["seed"], workers=config["workers"],
-    )
-    estimates = [table.estimates[0] for table in tables]
-    mu = model.driver.holder_order
-    threshold = exp_moment_exponent_bound(mu) if mu is not None else float("nan")
-    first_unstable = next((g for g, est in zip(gammas, estimates) if est.unstable), "")
-    rows = []
-    for gamma, est in zip(gammas, estimates):
-        rows.append({
-            "gamma": gamma,
-            "estimate": est.estimate,
-            "standard_error": est.standard_error,
-            "tail_dominance": est.tail_dominance,
-            "overflow_count": est.overflow_count,
-            "unstable": est.unstable,
-            "threshold_gamma": threshold,
-            "first_unstable_gamma": first_unstable,
-        })
-    return rows
-
-
 _RUNNERS = {
     "fbm": _run_fbm,
     "integrate": _run_integrate,
@@ -578,7 +544,6 @@ _RUNNERS = {
     "moments": _run_moments,
     "check-conditions": _run_check_conditions,
     "fernique": _run_fernique,
-    "boundary": _run_boundary,
 }
 
 

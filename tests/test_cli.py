@@ -198,6 +198,7 @@ def test_moments_command_with_model_params(tmp_path):
     rows = read_rows(out / "moments.csv")
     assert len(rows) == 4  # 2 statistics x 2 levels
     assert {r["statistic"] for r in rows} == {"E sup^p, p=1", "E sup^p, p=2"}
+    assert "threshold_gamma" not in rows[0]  # only exp rows carry the exponent bound
 
 
 def test_moments_command_constant_model_is_exact(tmp_path):
@@ -273,17 +274,26 @@ def test_fernique_command(tmp_path):
     assert float(row["slope"]) < 0
 
 
-def test_boundary_command(tmp_path):
+def test_moments_exp_rows_carry_the_exponent_bound(tmp_path):
     cfg = write_config(
         tmp_path,
-        "b.cfg",
-        "model: bounded_trig\ngamma: [0.5, 1.0]\nc: 1.0\nn: 128\npaths: 1000\nseed: 9\n",
+        "e.cfg",
+        "model: bounded_trig\nstatistic: exp\nc: 1.0\ngamma: [0.5, 1.0]\nlevels: [64, 128]\npaths: 1000\nseed: 9\n",
     )
     out = tmp_path / "run"
-    assert main(["boundary", "--config", cfg, "--out", str(out)]) == 0
-    rows = read_rows(out / "boundary.csv")
-    assert [float(r["gamma"]) for r in rows] == [0.5, 1.0]
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "moments.csv")
+    assert [r["statistic"] for r in rows] == [f"E exp(c sup^gamma), c=1, gamma={g}" for g in ("0.5", "0.5", "1", "1")]
     assert all(float(r["threshold_gamma"]) == pytest.approx(exp_moment_exponent_bound(0.74)) for r in rows)
+    # without a rough driver there is no Holder order to bound the exponent by
+    smooth = write_config(
+        tmp_path, "s.cfg",
+        "model: linear_mixed\nmodel.rough_dim: 0\nstatistic: exp\nc: 0.5\ngamma: [1.0]\nlevels: [16]\npaths: 20\nseed: 9\n",
+    )
+    assert main(["moments", "--config", smooth, "--out", str(out)]) == 0
+    assert [r["threshold_gamma"] for r in read_rows(out / "moments.csv")] == ["nan"]
+    with pytest.raises(SystemExit):  # the exponent sweep is a moments study, not a command of its own
+        main(["boundary", "--config", cfg])
 
 
 def test_check_conditions_without_claimed_constants_reads_no_claim(tmp_path):
@@ -323,7 +333,6 @@ PATHS_BODIES = {
     "solve": "levels: [8]\nseed: 1\npaths: {paths}\n",
     "moments": "model: stochvol\nstatistic: sup\np: [2]\nlevels: [8]\nseed: 1\npaths: {paths}\n",
     "fernique": "hurst: 0.75\nmu: 0.6\nn: 16\nseed: 1\npaths: {paths}\n",
-    "boundary": "model: bounded_trig\ngamma: [1.0]\nc: 1.0\nn: 16\nseed: 1\npaths: {paths}\n",
 }
 
 
@@ -361,8 +370,6 @@ BAD_VALUE_CASES = {
     "fbm-n-negative": ("fbm", "hurst: [0.75]\nn: -4\npaths: 2\nseed: 1\n", 2, "key 'n': must be >= 1, got -4"),
     "fbm-method-auto": ("fbm", "hurst: [0.75]\nn: 4\nmethod: auto\npaths: 2\nseed: 1\n", 3,
                         "key 'method': must be one of ['both', 'cholesky', 'circulant'], got 'auto'"),
-    "boundary-n-12": ("boundary", "model: bounded_trig\ngamma: [1.0]\nc: 1.0\nn: 12\nseed: 1\npaths: 2\n", 4,
-                      "key 'n' must be a power of two"),
     "solve-levels-non-dyadic": ("solve", "seed: 1\nlevels: [8, 12]\npaths: 2\n", 2,
                                 "key 'levels': levels must be dyadic (powers of two), got 12"),
     "moments-levels-decreasing": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\nlevels: [16, 8]\n"
@@ -370,16 +377,12 @@ BAD_VALUE_CASES = {
                                   "key 'levels': levels must be strictly increasing, got (16, 8)"),
     "integrate-tol-negative": ("integrate", "seed: 1\nn: 8\npaths: 2\ntol: -1\n", 4,
                                "key 'tol': must be positive, got -1.0"),
-    "boundary-c-negative": ("boundary", "model: bounded_trig\ngamma: [1.0]\nc: -1\nn: 16\nseed: 1\npaths: 2\n", 3,
-                            "key 'c': must be positive, got -1.0"),
+    "moments-exp-c-negative": ("moments", "model: bounded_trig\nstatistic: exp\nc: -1\ngamma: [1.0]\nlevels: [16]\n"
+                               "seed: 1\npaths: 2\n", 3, "key 'c': must be positive, got -1.0"),
     "moments-p-negative": ("moments", "model: bounded_trig\nstatistic: sup\np: [2, -1]\nlevels: [8]\nseed: 1\n"
                            "paths: 2\n", 3, "key 'p': must be positive, got -1.0"),
-    "boundary-gamma-0": ("boundary", "model: bounded_trig\nc: 1.0\ngamma: [0, 1.0]\nn: 16\nseed: 1\npaths: 2\n", 3,
-                         "key 'gamma': must be positive, got 0.0"),
-    "boundary-gamma-unsorted": ("boundary", "model: bounded_trig\ngamma: [1.5, 0.6]\nc: 1.0\nn: 16\nseed: 1\n"
-                                "paths: 2\n", 2, "key 'gamma': must be sorted ascending, got [1.5, 0.6]"),
-    "boundary-n-0": ("boundary", "model: bounded_trig\ngamma: [1.0]\nc: 1.0\nn: 0\nseed: 1\npaths: 2\n", 4,
-                     "key 'n': must be >= 1, got 0"),
+    "moments-exp-gamma-0": ("moments", "model: bounded_trig\nstatistic: exp\nc: 1.0\ngamma: [0, 1.0]\nlevels: [16]\n"
+                            "seed: 1\npaths: 2\n", 4, "key 'gamma': must be positive, got 0.0"),
     "solve-horizon-negative": ("solve", "levels: [8]\nmodel.horizon: -1\nseed: 1\npaths: 2\n", 2,
                                "bad model parameters for 'geometric_mixed' (model.horizon: -1): "
                                "horizon must be positive"),
@@ -615,10 +618,10 @@ def test_integrate_holder_order_zero_exits_2(tmp_path, capsys):
 # grammar changed: the hash covers every parsed value and its type, so equal
 # hashes mean each example run keeps its identity.
 EXAMPLE_MANIFEST_HASHES = {
-    "boundary.cfg": ("boundary", "2821b3dfdf6c22a9"),
     "check_conditions.cfg": ("check-conditions", "2e2096ba03883c59"),
     "coupled_rho.cfg": ("moments", "f7f743be63137c6d"),
     "exp_moments.cfg": ("moments", "8d044fa7b10d3cbb"),
+    "exp_sweep.cfg": ("moments", "be2519edf6e3dc44"),
     "fbm.cfg": ("fbm", "757f19d8e83afab4"),
     "fernique.cfg": ("fernique", "317fce698150cd2d"),
     "integrate.cfg": ("integrate", "23ade60caa7ff350"),
@@ -650,9 +653,10 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     # an accepted config whose every path overflows is a runtime estimation failure
     cfg = write_config(
         tmp_path, "huge.cfg",
-        "model: linear_mixed\nmodel.horizon: 1e300\ngamma: [1.0]\nc: 1.0\nn: 16\npaths: 8\nseed: 1\n",
+        "model: linear_mixed\nmodel.horizon: 1e300\nstatistic: exp\ngamma: [1.0]\nc: 1.0\nlevels: [16]\npaths: 8\n"
+        "seed: 1\n",
     )
-    assert main(["boundary", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+    assert main(["moments", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
     assert "run failed: every path blew up" in capsys.readouterr().err
 
 

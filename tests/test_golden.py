@@ -50,17 +50,17 @@ CASES = {
         "moments",
         "model: malliavin_linearized\nstatistic: exp\nc: 0.5\ngamma: [1.0, 1.5]\n"
         "levels: [8, 16]\npaths: 2100\nseed: 12\n",
-        "119529638969a84f4f27cbaa9ecfda2318338ba5b0d7556c2b83e1ab47d6eac4",
+        "14d41a822be3dd9251e3a25adda70b909a72914be79d3a38081070eaa279d992",
     ),
     "moments-quadratic_control": (
         "moments",
         "model: quadratic_control\nstatistic: sup\np: [2]\nlevels: [32, 64]\npaths: 2100\nseed: 9\n",
         "1bcb468fcf563f5c7b7571b967d1247004294dc1a235722b8be2c49d15bf6305",
     ),
-    "boundary": (
-        "boundary",
-        "model: bounded_trig\ngamma: [0.6, 1.5]\nc: 1.0\nn: 16\npaths: 2100\nseed: 13\n",
-        "3c32e274d8990f5289fc51477d1b47c5d0b5ae39b0714238d3e36de6d7d24428",
+    "moments-exp-one-level": (
+        "moments",
+        "model: bounded_trig\nstatistic: exp\nc: 1.0\ngamma: [0.6, 1.5]\nlevels: [16]\npaths: 2100\nseed: 13\n",
+        "f964df7c3e319ee5dd6fab9b2fd23a71960b73de13556e5cc4a285a211b8d963",
     ),
     "fbm": (
         "fbm",
