@@ -15,7 +15,7 @@ are invariant to both: jobs return per-path arrays, which
 and seed give bit-identical CSVs at any worker count and chunk size.
 
 Exit codes: 0 success, 2 invalid config (message is line-addressed),
-3 runtime estimation failure.
+3 runtime failure (estimation, out of memory or unwritable outputs).
 """
 
 from __future__ import annotations
@@ -585,7 +585,11 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"run failed: out of memory: {exc}", file=sys.stderr)
         return 3
-    csv_path, manifest_path = _write_outputs(args.command, config, rows, Path(config["out"]))
+    try:
+        csv_path, manifest_path = _write_outputs(args.command, config, rows, Path(config["out"]))
+    except OSError as exc:
+        print(f"run failed: cannot write outputs: {exc}", file=sys.stderr)
+        return 3
     print(f"wrote {csv_path} and {manifest_path}")
     return 0
 

@@ -66,8 +66,14 @@ class MomentTarget:
     @property
     def label(self) -> str:
         if self.kind == "sup":
-            return f"E sup^p, p={self.p:g}"
-        return f"E exp(c sup^gamma), c={self.c:g}, gamma={self.gamma:g}"
+            return f"E sup^p, p={_number(self.p)}"
+        return f"E exp(c sup^gamma), c={_number(self.c)}, gamma={_number(self.gamma)}"
+
+
+def _number(x: float) -> str:
+    """``x`` as ``:g`` writes it when that reads back as ``x``, else its round-trip repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,7 @@ def _estimate_from_sups(sups: np.ndarray, blowup_count: int, target: MomentTarge
             ci = (min(estimate, float("inf")), float("inf"))
         else:
             dominance = float(values.max() / total) if total > 0 else 0.0
-            se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")  # one sample: no spread
             ci = (estimate - 1.96 * se, estimate + 1.96 * se)
     unstable = overflow > 0 or (target.kind == "exp" and dominance > TAIL_DOMINANCE_THRESHOLD)
     return MomentEstimate(

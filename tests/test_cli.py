@@ -296,6 +296,20 @@ def test_moments_exp_rows_carry_the_exponent_bound(tmp_path):
         main(["boundary", "--config", cfg])
 
 
+def test_moments_labels_tell_close_exponents_apart(tmp_path):
+    # 1.1935483 and 1.1935484 agree to the six digits of :g; the label is a sweep's only record of gamma
+    gammas = [0.6, 1.08, 1.1935483, 1.1935484]
+    cfg = write_config(
+        tmp_path, "close.cfg",
+        f"model: bounded_trig\nstatistic: exp\nc: 0.5\ngamma: {gammas}\nlevels: [8]\npaths: 4\nseed: 1\n",
+    )
+    out = tmp_path / "run"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+    labels = [r["statistic"] for r in read_rows(out / "moments.csv")]
+    assert labels[:2] == ["E exp(c sup^gamma), c=0.5, gamma=0.6", "E exp(c sup^gamma), c=0.5, gamma=1.08"]
+    assert [float(label.rpartition("gamma=")[2]) for label in labels] == gammas
+
+
 def test_check_conditions_without_claimed_constants_reads_no_claim(tmp_path):
     # quadratic_control claims no set: its x^2 drift grows past any linear bound,
     # yet with nothing to test the verdict must not read as a pass
@@ -674,6 +688,20 @@ def test_out_of_memory_exits_3_with_one_line_and_no_csv(tmp_path, capsys, monkey
     assert captured.err == "run failed: out of memory: Unable to allocate 64.0 GiB for an array with shape (1048577, 2048, 1)\n"
     assert captured.out == ""
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_unwritable_out_exits_3_with_one_line(tmp_path, capsys, where):
+    # --out names an existing file (FileExistsError) or a path under one (NotADirectoryError)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker if where == "file" else blocker / "run"
+    cfg = write_config(tmp_path, "w.cfg", "hurst: [0.75]\nn: 4\npaths: 2\nseed: 1\n")
+    assert main(["fbm", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("run failed: cannot write outputs: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert blocker.read_text() == ""
 
 
 def test_identical_config_and_seed_give_bit_identical_csv(tmp_path):

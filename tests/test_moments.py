@@ -120,6 +120,15 @@ def test_tail_dominance_bounds_and_target_labels():
     assert "c=0.5" in est2.target and "gamma=1.25" in est2.target
 
 
+def test_one_sample_reports_no_spread():
+    # one surviving path measures no spread: a zero SE and a zero-width CI would be false precision
+    out = solve_model(model_zoo("linear_mixed"), TimeGrid(1.0, 16), 1, seed=9)
+    for target in (MomentTarget("sup", p=2.0), MomentTarget("exp", c=0.5, gamma=1.0)):
+        est = moment_estimate(out, target)
+        assert est.sample_count == 1 and math.isfinite(est.estimate)
+        assert math.isnan(est.standard_error) and math.isnan(est.ci_low) and math.isnan(est.ci_high)
+
+
 def test_all_paths_blown_raises_estimation_error():
     import mixedsde
 
