@@ -49,17 +49,15 @@ __all__ = [
 # coefficient fields and model specs
 
 
-_JACOBIAN_STEP = 1e-6  # central-difference step when a field has no analytic derivative
-
-
 @dataclass(frozen=True)
 class CoefficientField:
     """One evaluatable coefficient of a mixed equation.
 
     ``columns == 0`` marks a drift field (plain vector output); diffusion
     fields carry one output column per driver component. ``derivative`` is
-    the state Jacobian (w.r.t. x for state arity, w.r.t. y for coupled) and
-    is optional: validators fall back to central finite differences.
+    the state Jacobian (w.r.t. x for state arity, w.r.t. y for coupled).
+    The validators differentiate only a stage's rough field, so only a rough
+    field needs one; ``jacobian`` refuses a field built without it.
     """
 
     name: str
@@ -83,23 +81,12 @@ class CoefficientField:
         return np.asarray(self.evaluate(t, x, y), dtype=float)
 
     def jacobian(self, t, x, y=None) -> np.ndarray:
-        """State Jacobian, analytic when supplied, else central differences."""
-        if self.derivative is not None:
-            if self.arity == "state":
-                return np.asarray(self.derivative(t, x), dtype=float)
-            return np.asarray(self.derivative(t, x, y), dtype=float)
-        target = x if self.arity == "state" else y
-        target = np.asarray(target, dtype=float)
-        cols = []
-        for axis in range(target.shape[1]):
-            bump = np.zeros_like(target)
-            bump[:, axis] = _JACOBIAN_STEP
-            if self.arity == "state":
-                hi, lo = self(t, x + bump), self(t, x - bump)
-            else:
-                hi, lo = self(t, x, target + bump), self(t, x, target - bump)
-            cols.append((hi - lo) / (2 * _JACOBIAN_STEP))
-        return np.stack(cols, axis=-1)
+        """State Jacobian from ``derivative``; a field without one is refused."""
+        if self.derivative is None:
+            raise DomainError(f"field {self.name!r} has no derivative to take a Jacobian from")
+        if self.arity == "state":
+            return np.asarray(self.derivative(t, x), dtype=float)
+        return np.asarray(self.derivative(t, x, y), dtype=float)
 
 
 class StageKernel(NamedTuple):
@@ -293,15 +280,6 @@ class AssumptionReport:
         if all(c.claimed is None for c in self.conditions):
             return "no-claim"
         return "no-violation-found"
-
-    def violations(self) -> tuple[ConditionEstimate, ...]:
-        return tuple(c for c in self.conditions if c.violated)
-
-    def constant(self, condition: str) -> float:
-        for c in self.conditions:
-            if c.condition == condition:
-                return c.constant
-        raise KeyError(condition)
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:

@@ -55,10 +55,10 @@ class MomentTarget:
 
     def __post_init__(self):
         if self.kind == "sup":
-            if self.p is None or self.p <= 0:
+            if self.p is None or not self.p > 0:
                 raise DomainError(f"sup target needs p > 0, got {self.p}")
         elif self.kind == "exp":
-            if self.c is None or self.c <= 0 or self.gamma is None or self.gamma <= 0:
+            if self.c is None or not self.c > 0 or self.gamma is None or not self.gamma > 0:
                 raise DomainError(f"exp target needs c > 0 and gamma > 0, got c={self.c}, gamma={self.gamma}")
         else:
             raise DomainError(f"unknown moment target kind {self.kind!r}")
@@ -160,10 +160,6 @@ class StabilityTable:
     @property
     def rows(self):
         return tuple(zip(self.levels, self.estimates))
-
-    @property
-    def total_blowups(self) -> int:
-        return sum(e.blowup_count for e in self.estimates)
 
 
 def _level_ratio(prev: float, nxt: float) -> float:

@@ -70,42 +70,38 @@ def rs_sum(g: PathBatch, h: PathBatch) -> np.ndarray:
     return _level_sums(g, h, [1], left=True)[0]
 
 
-def _dyadic_depth(cells: int, max_level: int | None = None) -> int:
-    """``max_level``, by default the largest up to 16 whose dyadic ladder divides ``cells``, checked."""
-    if max_level is None:
-        max_level = min(16, (cells & -cells).bit_length() - 1)
-    if max_level < 1:
+def _dyadic_depth(cells: int) -> int:
+    """The largest depth, up to 16, whose dyadic ladder divides ``cells``; refused below 1."""
+    depth = min(16, (cells & -cells).bit_length() - 1)
+    if depth < 1:
         raise DomainError("young_integrate needs at least two dyadic levels")
-    if cells % (2**max_level) != 0:
-        raise DomainError(f"grid has {cells} cells, not divisible by 2^{max_level}: use a dyadic refinement")
-    return max_level
+    return depth
 
 
-def young_integrate(
-    g: PathBatch, h: PathBatch, tol: float = 1e-6, max_level: int | None = None
-) -> YoungResult:
+def young_integrate(g: PathBatch, h: PathBatch, tol: float = 1e-6) -> YoungResult:
     """Integrate each path of g against the same path of h through dyadic subsamples.
 
-    Level j uses every 2^(max_level-j)-th point of the caller's grid, so the
+    The ladder's depth is the grid's: the largest, up to 16, whose dyadic
+    ladder divides its cell count, so a grid of odd cell count is refused.
+    Level j uses every 2^(depth-j)-th point of the caller's grid, so the
     coarse sums are exact restrictions of the same path (quadrature error is
     isolated from sampling error). A path's value is its finest-level sum;
     ``converged`` records whether the last refinement moved it by less than
     ``tol``. Non-convergence is an answer, not an exception: for integrand
     pairs below the Young regularity threshold it is the expected outcome.
     An integral over a sub-interval is one over a slice of the batch on its
-    sub-grid. The default ``max_level`` is the largest, up to 16, whose
-    dyadic ladder divides the grid.
+    sub-grid.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    max_level = _dyadic_depth(g.grid.step_count, max_level)
-    history = _level_sums(g, h, [2 ** (max_level - j) for j in range(max_level + 1)], left=False)
+    depth = _dyadic_depth(g.grid.step_count)
+    history = _level_sums(g, h, [2 ** (depth - j) for j in range(depth + 1)], left=False)
     step = history[-1] - history[-2]
     # a vector gap is sqrt(v.v) per row, as np.linalg.norm takes it for one vector
     gap = np.abs(step) if g.dim == 1 else np.sqrt(np.matmul(step[:, None, :], step[:, :, None])[:, 0, 0])
     return YoungResult(
         value=history[-1],
-        refinement_level=max_level,
+        refinement_level=depth,
         error_estimate=gap,
         converged=gap < tol,
         history=tuple(history),
@@ -118,7 +114,7 @@ def young_love_constant(alpha: float, beta: float) -> float:
     The sewing constant plus the trivial first term; any valid constant
     serves the one-sided check, this one is standard and computable.
     """
-    if alpha + beta <= 1:
+    if not alpha + beta > 1:
         raise DomainError(f"Young regime needs alpha + beta > 1, got {alpha} + {beta}")
     return 1.0 + 1.0 / (1.0 - 2.0 ** (1.0 - (alpha + beta)))
 

@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -594,14 +593,6 @@ def test_stochvol_horizon_from_the_config_reaches_both_stages(tmp_path):
         assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
         estimates.append(float(read_rows(out / "moments.csv")[0]["estimate"]))
     assert estimates[0] != estimates[1]
-
-
-def test_readme_cli_block_and_example_configs_agree():
-    root = Path(__file__).resolve().parents[1]
-    block = (root / "README.md").read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    named = set(re.findall(r"--config (configs/\S+\.cfg)", block))
-    on_disk = {f"configs/{p.name}" for p in (root / "configs").glob("*.cfg")}
-    assert named == on_disk
 
 
 def test_model_errors_name_the_first_model_key_else_the_model_line():

@@ -1,4 +1,4 @@
-"""Every public name a module declares exists, and the package re-exports only declared names.
+"""Every public name a module declares exists, the package re-exports only declared names, and none is dead.
 
 ``perfbench/tracer.py`` picks the functions it times from each module's
 ``__all__``, so a stale entry should fail here rather than in the benchmark.
@@ -6,11 +6,13 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import mixedsde
 
 SOURCE = Path(mixedsde.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_name_in_all_exists():
@@ -31,3 +33,31 @@ def test_package_imports_only_names_in_their_modules_all():
                 continue
             undeclared += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in declared]
     assert not undeclared, undeclared
+
+
+def _reads(tree, name):
+    """Whether ``tree`` loads ``name``, as a bare name or an attribute, outside a def of that name."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and tree.name == name:
+        return False
+    loaded = isinstance(getattr(tree, "ctx", None), ast.Load)
+    if loaded and name in (getattr(tree, "id", ""), getattr(tree, "attr", "")):
+        return True
+    return any(_reads(child, name) for child in ast.iter_child_nodes(tree))
+
+
+def test_every_export_and_its_public_methods_are_used_or_documented():
+    # A name counts as used when src/mixedsde reads it. Attributes match by name
+    # only, so a method that shares a name with a read attribute is not caught.
+    trees = [ast.parse(source.read_text()) for source in sorted(SOURCE.glob("*.py"))]
+    exported = [alias.name for node in ast.parse((SOURCE / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    methods = [f"{node.name}.{item.name}" for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name in exported for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")]
+    readme = README.read_text()
+    dead = []
+    for qualified in exported + methods:
+        name = qualified.rsplit(".", 1)[-1]
+        if not any(_reads(tree, name) for tree in trees) and not re.search(rf"\b{name}\b", readme):
+            dead.append(qualified)
+    assert not dead, f"public names that neither src/mixedsde reads nor README.md names: {dead}"

@@ -41,11 +41,11 @@ def reference_rs_sum(gv, hv):
     return float(value[0]) if gv.shape[1] == 1 else value
 
 
-def reference_young(gv, hv, tol, max_level):
+def reference_young(gv, hv, tol, depth):
     """(history, error_estimate, converged) of the trapezoid ladder on one path."""
     history = []
-    for level in range(max_level + 1):
-        s = 2 ** (max_level - level)
+    for level in range(depth + 1):
+        s = 2 ** (depth - level)
         value = (0.5 * (gv[:-s:s] + gv[s::s])).T @ (hv[s::s] - hv[:-s:s])
         history.append(float(value[0]) if gv.shape[1] == 1 else value)
     if gv.shape[1] == 1:
@@ -63,14 +63,15 @@ def _path_major(values):
     return np.ascontiguousarray(values)
 
 
-def assert_matches_reference(g, h, tol, max_level):
-    result = young_integrate(g, h, tol=tol, max_level=max_level)
+def assert_matches_reference(g, h, tol, depth):
+    result = young_integrate(g, h, tol=tol)
+    assert result.refinement_level == depth and len(result.history) == depth + 1
     left = rs_sum(g, h)
     assert result.value.shape == left.shape == ((g.count,) if g.dim == 1 else (g.count, g.dim))
     assert result.converged.shape == result.error_estimate.shape == (g.count,)
     for i in range(g.count):
         gv, hv = np.ascontiguousarray(g.values[i]), np.ascontiguousarray(h.values[i, :, 0])
-        history, gap, converged = reference_young(gv, hv, tol, max_level)
+        history, gap, converged = reference_young(gv, hv, tol, depth)
         for level, want in zip(result.history, history):
             assert np.array_equal(level[i], want)
         assert result.error_estimate[i] == gap and result.converged[i] == converged
@@ -88,7 +89,7 @@ def test_batch_sums_match_the_per_path_reference_bit_for_bit(count, dim, layout)
     g_values = np.concatenate([generate_fbm(grid, 0.75, count, seed=10 + c).values for c in range(dim)], axis=2)
     g = PathBatch(grid, layout(g_values))
     h = PathBatch(grid, layout(h.values))
-    assert_matches_reference(g, h, tol=1e-3, max_level=8)
+    assert_matches_reference(g, h, tol=1e-3, depth=8)
 
 
 def test_batch_sums_match_the_reference_on_solver_output():
@@ -96,8 +97,8 @@ def test_batch_sums_match_the_reference_on_solver_output():
     model = model_zoo("geometric_mixed", mu=0.1, sigma_w=0.2, sigma_b=0.3)
     out = solve_model(model, TimeGrid(1.0, 512), count=70, seed=42)
     assert not out.rough.values.flags.c_contiguous
-    assert_matches_reference(out.paths, out.rough, tol=1e-3, max_level=9)
-    assert_matches_reference(out.rough, out.rough, tol=1e-3, max_level=9)
+    assert_matches_reference(out.paths, out.rough, tol=1e-3, depth=9)
+    assert_matches_reference(out.rough, out.rough, tol=1e-3, depth=9)
 
 
 def test_young_scratch_does_not_grow_with_the_batch():
@@ -192,7 +193,7 @@ def test_young_constant_integrand_exact_at_every_level():
 
 def test_young_self_integral_chain_rule_oracle():
     batch = generate_fbm(TimeGrid(1.0, 2**12), 0.75, 8, seed=11)
-    result = young_integrate(batch, batch, tol=1e-3, max_level=12)
+    result = young_integrate(batch, batch, tol=1e-3)
     oracle = batch.values[:, -1, 0] ** 2 / 2.0
     assert result.converged.all()
     np.testing.assert_allclose(result.value, oracle, rtol=1e-3)
@@ -226,7 +227,7 @@ def test_young_independent_wiener_pair_does_not_converge():
     batch = generate_wiener(TimeGrid(1.0, n), 2, count, seed=3)
     w1 = PathBatch(batch.grid, batch.values[:, :, 0])
     w2 = PathBatch(batch.grid, batch.values[:, :, 1])
-    result = young_integrate(w1, w2, tol=tol, max_level=12)
+    result = young_integrate(w1, w2, tol=tol)
     assert np.array_equal(result.converged, result.error_estimate < tol)
     converged = int(result.converged.sum())
     assert converged <= 20, f"{converged} of {count} independent pairs converged"
@@ -241,9 +242,9 @@ def test_young_linearity_exact_at_every_level(lam):
     g2 = PathBatch(grid, rng.standard_normal((1, 65)))
     h = PathBatch(grid, np.cumsum(rng.standard_normal((1, 65)), axis=1) * 0.1)
     combo = PathBatch(grid, lam * g1.values + g2.values)
-    lhs = young_integrate(combo, h, max_level=6).history
-    r1 = young_integrate(g1, h, max_level=6).history
-    r2 = young_integrate(g2, h, max_level=6).history
+    lhs = young_integrate(combo, h).history
+    r1 = young_integrate(g1, h).history
+    r2 = young_integrate(g2, h).history
     for left, a, b in zip(lhs, r1, r2):
         assert left[0] == pytest.approx(lam * a[0] + b[0], rel=1e-9, abs=1e-9)
 
@@ -256,7 +257,7 @@ def test_young_additivity_over_adjacent_windows():
     def integral(grid, points):
         z = PathBatch(grid, batch.values[:1, points])
         g = PathBatch(grid, batch.values[1:, points])
-        return young_integrate(g, z, max_level=6).value[0]
+        return young_integrate(g, z).value[0]
 
     whole = integral(batch.grid, slice(None))
     left = integral(half, slice(0, 129))
@@ -264,19 +265,20 @@ def test_young_additivity_over_adjacent_windows():
     assert whole == pytest.approx(left + right, rel=1e-9, abs=1e-12)
 
 
-def test_young_window_divisibility_validation():
-    t = np.linspace(0, 1, 13)  # 12 cells: not divisible by 2^3
-    p = path_from(t)
-    with pytest.raises(DomainError):
-        young_integrate(p, p, max_level=3)
-    result = young_integrate(p, p, max_level=2)
-    assert result.refinement_level == 2
+def test_young_ladder_depth_is_the_grids():
+    # 12 cells = 4 * 3: the ladder strides 4, 2, 1; an odd cell count has no second level
+    p = path_from(np.linspace(0, 1, 13))
+    result = young_integrate(p, p)
+    assert result.refinement_level == 2 and len(result.history) == 3
+    odd = path_from(np.linspace(0, 1, 14))
+    with pytest.raises(DomainError, match="needs at least two dyadic levels"):
+        young_integrate(odd, odd)
 
 
 def test_young_error_estimate_is_last_gap():
     batch = generate_fbm(TimeGrid(1.0, 256), 0.75, 2, seed=13)
     g, h = (PathBatch(batch.grid, batch.values[i : i + 1]) for i in (0, 1))
-    result = young_integrate(g, h, max_level=8)
+    result = young_integrate(g, h)
     gap = abs(result.history[-1] - result.history[-2])
     np.testing.assert_allclose(result.error_estimate, gap)
     assert np.array_equal(result.value, result.history[-1])
@@ -313,7 +315,7 @@ def test_young_love_bound_holds_on_random_rough_pairs():
     mu = 0.74
     g_batch = generate_fbm(grid, 0.75, 40, seed=41)
     h_batch = generate_fbm(grid, 0.75, 40, seed=42)
-    values = young_integrate(g_batch, h_batch, max_level=8).value
+    values = young_integrate(g_batch, h_batch).value
     sups = np.abs(g_batch.values[:, :, 0]).max(axis=1)
     g_hol = holder_seminorm_batch(g_batch.values, grid.dt, mu)
     h_hol = holder_seminorm_batch(h_batch.values, grid.dt, mu)
