@@ -18,7 +18,6 @@ from .errors import (
 )
 from .fbm import (
     fbm_covariance_matrix,
-    generate_drivers,
     generate_fbm,
     generate_wiener,
 )
@@ -50,6 +49,7 @@ from .solver import (
     geometric_convergence_study,
     solve_coupled,
     solve_model,
+    stage_drivers,
 )
 from .young import YoungResult, rs_sum, young_integrate, young_love_constant, young_love_rhs
 

@@ -16,7 +16,7 @@ Two synthesis routes with identical distributions on the grid:
 
 Both routes and the Wiener synthesis write into ``out=``, in any layout: a
 64-path block is summed and scaled in its own scratch, then copied in once.
-``generate_drivers`` writes the Euler loop's time-major storage.
+The solver's ``stage_drivers`` hands them the Euler loop's time-major storage.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import randomness as rnd
 from .errors import DomainError, ResourceError, SynthesisError
-from .grids import DriverSpec, TimeGrid, check_hurst
+from .grids import TimeGrid, check_hurst
 from .paths import PathBatch
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "fgn_circulant_eigenvalues",
     "generate_fbm",
     "generate_wiener",
-    "generate_drivers",
     "CHOLESKY_CAP",
 ]
 
@@ -201,46 +200,3 @@ def generate_wiener(
             out[lo - path_offset : hi - path_offset, 1:, component] = np.cumsum(z, axis=1, out=z)
     return PathBatch(grid, out)
 
-
-def generate_drivers(
-    spec: DriverSpec,
-    grid: TimeGrid,
-    count: int,
-    seed: int,
-    *,
-    stage: str = "x",
-    path_offset: int = 0,
-) -> tuple[PathBatch | None, PathBatch | None]:
-    """(Wiener, rough) batches for one equation stage.
-
-    ``stage`` selects the stream roles, so the coupled stage ("y") draws
-    noise independent of the primary stage ("x") under the same seed. Each
-    batch is a view of a C-contiguous (n+1, count, dim) array, the Euler
-    loop's layout, and rough component j is written straight into column j.
-    """
-    if stage == "x":
-        wiener_role, rough_role = rnd.WIENER_X, rnd.ROUGH_X
-    elif stage == "y":
-        wiener_role, rough_role = rnd.WIENER_Y, rnd.ROUGH_Y
-    else:
-        raise DomainError(f"stage must be 'x' or 'y', got {stage!r}")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-
-    def time_major(dim):
-        return np.empty((grid.step_count + 1, count, dim)).transpose(1, 0, 2)
-
-    wiener = rough = None
-    if spec.wiener_dim > 0:
-        w = time_major(spec.wiener_dim)
-        wiener = generate_wiener(
-            grid, spec.wiener_dim, count, seed, stream_role=wiener_role, path_offset=path_offset, out=w
-        )
-    if spec.rough_dim > 0:
-        z = time_major(spec.rough_dim)
-        for j, hurst in enumerate(spec.rough_hurst):
-            generate_fbm(
-                grid, hurst, count, seed, stream_role=rough_role, component=j, path_offset=path_offset, out=z[:, :, j]
-            )
-        rough = PathBatch(grid, z)
-    return wiener, rough

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
+from . import randomness as rnd
 from .errors import DomainError, GridMismatchError
-from .fbm import generate_drivers
+from .fbm import generate_fbm, generate_wiener
 from .grids import TimeGrid
 from .models import CoupledModelSpec, ModelSpec, field_kernel
 from .paths import PathBatch
@@ -141,12 +142,16 @@ def _euler_loop(model, grid, count, w_values, z_values, x_states=None):
     return store.transpose(2, 0, 1), blown, first_bad
 
 
-def _check_kind(model, coupled: bool) -> None:
-    """Refuse a stage of the wrong kind, naming the solver that takes it."""
+def _check_stage(model, grid, coupled: bool) -> None:
+    """Refuse a stage of the wrong kind, naming the solver that takes it, or a grid off its horizon."""
     if isinstance(model, CoupledModelSpec) != coupled:
         if coupled:
             raise DomainError(f"{model.name!r} is a single-stage model: solve it with solve_model")
         raise DomainError(f"{model.name!r} is a coupled model: solve it with solve_coupled")
+    if grid.horizon != model.horizon:
+        raise GridMismatchError(
+            f"grid horizon {grid.horizon} differs from the horizon {model.horizon} of {model.name!r}"
+        )
 
 
 def _euler_stage(model, grid, count, wiener, rough, x_states=None) -> SolveOutput:
@@ -172,14 +177,14 @@ def euler_mixed(
     X_{k+1} = X_k + a(t_k, X_k) dt + b(t_k, X_k) dW_k + c(t_k, X_k) dZ_k,
     evaluated at the left endpoint of every cell for both noise terms.
     """
-    _check_kind(model, coupled=False)
+    _check_stage(model, grid, coupled=False)
     model.probe()
     return _euler_stage(model, grid, None, wiener, rough)
 
 
 def solve_model(model: ModelSpec, grid: TimeGrid, count: int, seed: int) -> SolveOutput:
     """Generate the model's drivers from the seed, then run the Euler scheme."""
-    _check_kind(model, coupled=False)
+    _check_stage(model, grid, coupled=False)
     w, z, _, _ = stage_drivers(model, grid, count, seed, 0)
     return euler_mixed(model, grid, w, z)
 
@@ -196,7 +201,7 @@ def euler_coupled(
     Y_{k+1} = Y_k + a~(t_k, X_k, Y_k) dt + b~ dW~_k + c~ dZ~_k; the primary
     state enters the coefficients but is never modified.
     """
-    _check_kind(model, coupled=True)
+    _check_stage(model, grid, coupled=True)
     if base_states.grid != grid:
         raise GridMismatchError("base state batch must live on the solve grid")
     if base_states.dim != model.base.state_dim:
@@ -215,22 +220,45 @@ def stage_drivers(
 ) -> tuple[PathBatch | None, PathBatch | None, PathBatch | None, PathBatch | None]:
     """(w, z, w_y, z_y): primary drivers, then the coupled stage's.
 
-    A coupled model's primary drivers are its ``base``'s. The coupled stage
-    reuses the primary batches when it shares drivers and draws independent
-    ones otherwise; a single-stage model's w_y and z_y are None. Each batch
-    is as :func:`generate_drivers` wrote it: a view of time-major
-    (n+1, count, dim) storage, the Euler loop's layout, filled block by
-    block with no conversion copy.
+    The primary stage (a coupled model's ``base``) draws from the
+    ``WIENER_X`` and ``ROUGH_X`` streams. The coupled stage reuses the
+    primary batches when it shares drivers and draws from ``WIENER_Y`` and
+    ``ROUGH_Y`` otherwise, so its noise is independent under the same seed;
+    a single-stage model's w_y and z_y are None. Each batch is a view of
+    C-contiguous (n+1, count, dim) storage, the Euler loop's layout, filled
+    block by block with no conversion copy: the Wiener components, then
+    rough component j straight into column j.
     """
-    def draw(spec, stage):
-        return generate_drivers(spec, grid, count, seed, stage=stage, path_offset=path_offset)
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
 
-    if not isinstance(model, CoupledModelSpec):
-        return draw(model.driver, "x") + (None, None)
-    w, z = draw(model.base.driver, "x")
+    def time_major(dim):
+        return np.empty((grid.step_count + 1, count, dim)).transpose(1, 0, 2)
+
+    def draw(spec, wiener_role, rough_role):
+        wiener = rough = None
+        if spec.wiener_dim > 0:
+            wiener = generate_wiener(
+                grid, spec.wiener_dim, count, seed, stream_role=wiener_role, path_offset=path_offset,
+                out=time_major(spec.wiener_dim),
+            )
+        if spec.rough_dim > 0:
+            z = time_major(spec.rough_dim)
+            for j, hurst in enumerate(spec.rough_hurst):
+                generate_fbm(
+                    grid, hurst, count, seed, stream_role=rough_role, component=j, path_offset=path_offset,
+                    out=z[:, :, j],
+                )
+            rough = PathBatch(grid, z)
+        return wiener, rough
+
+    coupled = isinstance(model, CoupledModelSpec)
+    w, z = draw((model.base if coupled else model).driver, rnd.WIENER_X, rnd.ROUGH_X)
+    if not coupled:
+        return w, z, None, None
     if model.share_drivers:
         return w, z, w, z
-    return (w, z) + draw(model.driver, "y")
+    return (w, z) + draw(model.driver, rnd.WIENER_Y, rnd.ROUGH_Y)
 
 
 def solve_coupled(
@@ -246,7 +274,7 @@ def solve_coupled(
     of the first unless the coupled model requests shared ones (the
     linearized sensitivity equation does).
     """
-    _check_kind(model, coupled=True)
+    _check_stage(model, grid, coupled=True)
     w, z, w_y, z_y = stage_drivers(model, grid, count, seed, 0)
     out_x = euler_mixed(model.base, grid, w, z)
     out_y = euler_coupled(model, grid, out_x.paths, w_y, z_y)

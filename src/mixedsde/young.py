@@ -129,9 +129,9 @@ def young_love_rhs(
     beta: float,
 ) -> float:
     """Right-hand side of the Young–Love estimate with the declared constant."""
-    if b <= a:
+    if not b > a:
         raise DomainError(f"need a < b, got ({a}, {b})")
-    if min(sup_g, hol_g_alpha, hol_h_beta) < 0:
+    if not np.min((sup_g, hol_g_alpha, hol_h_beta)) >= 0:  # np.min, unlike min, passes a nan on
         raise DomainError("norms must be non-negative")
     width = b - a
     return (

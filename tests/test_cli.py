@@ -262,6 +262,38 @@ def test_check_conditions_command(tmp_path):
         json.loads(r["witness"])
 
 
+def _condition_rows(tmp_path, body):
+    """check-conditions rows by condition, each of them passing."""
+    cfg = write_config(tmp_path, "cc.cfg", body + "samples: 1000\nseed: 3\n")
+    out = tmp_path / "run"
+    assert main(["check-conditions", "--config", cfg, "--out", str(out)]) == 0
+    rows = {r["condition"]: r for r in read_rows(out / "check_conditions.csv")}
+    assert {r["verdict"] for r in rows.values()} == {"no-violation-found"}
+    return rows
+
+
+def test_check_conditions_checks_a_coupled_models_base_under_set_b(tmp_path):
+    rows = _condition_rows(tmp_path, "model: stochvol\nset: B\n")
+    claims = model_zoo("stochvol").base.claimed_constants
+    assert list(rows) == ["B1", "B2", "B3", "B4-c", "B4-cx"]
+    assert {c: float(r["claimed"]) for c, r in rows.items()} == claims
+
+
+def test_check_conditions_without_a_rough_field_reads_zero_for_its_conditions(tmp_path):
+    rows = _condition_rows(tmp_path, "model: linear_mixed\nmodel.rough_dim: 0\nset: A\n")
+    assert [float(rows[c]["estimate"]) for c in ("A2", "A4-c", "A4-cx")] == [0.0, 0.0, 0.0]
+    assert float(rows["A1"]["estimate"]) > 0.0
+
+
+def test_check_conditions_reads_a_declared_holder_beta(tmp_path):
+    # B4 claims rough_amp 0.5 * rough_rate 0.2 * T^(1 - beta); on T = 2 the
+    # default beta of 0.38 would claim 0.1 * 2^0.62 and estimate below it
+    rows = _condition_rows(tmp_path, "model: bounded_trig\nmodel.holder_beta: 0.3\nmodel.horizon: 2\nset: B\n")
+    for condition in ("B4-c", "B4-cx"):
+        assert float(rows[condition]["claimed"]) == pytest.approx(0.1 * 2**0.7)
+        assert float(rows[condition]["estimate"]) > 0.1 * 2**0.62
+
+
 def test_fernique_command(tmp_path):
     cfg = write_config(
         tmp_path, "fe.cfg", "hurst: 0.75\nmu: 0.65\nn: 128\npaths: 2000\nseed: 5\n"

@@ -16,9 +16,10 @@ from mixedsde import (
     SynthesisError,
     TimeGrid,
     fbm_covariance_matrix,
-    generate_drivers,
     generate_fbm,
     generate_wiener,
+    model_zoo,
+    stage_drivers,
 )
 from mixedsde import randomness as rnd
 from mixedsde.fbm import _cholesky, fgn_circulant_eigenvalues
@@ -255,21 +256,10 @@ def test_driver_spec_validation():
         DriverSpec(1, 1, (0.75,), holder_order=0.4)  # mu <= 1/2
 
 
-def test_generate_drivers_shapes_and_stage_independence():
-    grid = TimeGrid(1.0, 32)
-    spec = DriverSpec(2, 2, (0.75, 0.85))
-    w, z = generate_drivers(spec, grid, 20, seed=3, stage="x")
-    assert w.values.shape == (20, 33, 2)
-    assert z.values.shape == (20, 33, 2)
-    w_y, z_y = generate_drivers(spec, grid, 20, seed=3, stage="y")
-    assert not np.array_equal(w.values, w_y.values)
-    assert not np.array_equal(z.values, z_y.values)
-
-
 def test_rough_components_follow_their_own_hurst():
     grid = TimeGrid(1.0, 32)
-    spec = DriverSpec(0, 2, (0.6, 0.9))
-    _, z = generate_drivers(spec, grid, 6000, seed=19)
+    model = model_zoo("linear_mixed", wiener_dim=0, rough_dim=2, hurst=[0.6, 0.9])
+    _, z, _, _ = stage_drivers(model, grid, 6000, 19, 0)
     for j, hurst in enumerate((0.6, 0.9)):
         var = z.values[:, -1, j].var()
         se = np.sqrt(2.0 / 6000)
@@ -303,11 +293,18 @@ def test_wiener_slices_across_blocks_equal_rows_of_one_batch():
 
 
 def test_multi_component_drivers_equal_their_single_components():
-    grid = TimeGrid(1.0, 32)
-    _, z = generate_drivers(DriverSpec(0, 2, (0.6, 0.9)), grid, 70, seed=4, path_offset=3)
+    """A stage writes each component straight into time-major storage, with the bytes it has alone."""
+    grid = TimeGrid(1.0, 40)
+    model = model_zoo("linear_mixed", wiener_dim=2, rough_dim=2, hurst=[0.6, 0.9])
+    w, z, _, _ = stage_drivers(model, grid, 70, 4, 3)
+    for batch in (w, z):
+        base = batch.values.base
+        assert base.flags.c_contiguous and base.shape == (41, 70, 2)
+        assert np.shares_memory(base, batch.values)
     for j, hurst in enumerate((0.6, 0.9)):
-        alone = generate_fbm(grid, hurst, 70, seed=4, component=j, path_offset=3).values[:, :, 0]
-        assert np.array_equal(z.values[:, :, j], alone)
+        alone = generate_fbm(grid, hurst, 70, seed=4, component=j, path_offset=3)
+        _same_bytes(z.values[:, :, j], alone.values[:, :, 0])
+    _same_bytes(w.values, generate_wiener(grid, 2, 70, seed=4, path_offset=3).values)
 
 
 MB = 2**20
@@ -472,19 +469,6 @@ def test_wiener_writes_the_same_bytes_into_a_time_major_out(offset, count):
     got = generate_wiener(grid, 2, count, seed=13, path_offset=offset, out=out)
     assert got.values is out
     _same_bytes(got.values, want)
-
-
-def test_generate_drivers_write_each_component_into_time_major_storage():
-    grid = TimeGrid(1.0, 40)
-    w, z = generate_drivers(DriverSpec(2, 2, (0.6, 0.9)), grid, 70, seed=4, stage="y", path_offset=3)
-    for batch in (w, z):
-        base = batch.values.base
-        assert base.flags.c_contiguous and base.shape == (41, 70, 2)
-        assert np.shares_memory(base, batch.values)
-    for j, hurst in enumerate((0.6, 0.9)):
-        alone = generate_fbm(grid, hurst, 70, seed=4, stream_role=rnd.ROUGH_Y, component=j, path_offset=3)
-        _same_bytes(z.values[:, :, j], alone.values[:, :, 0])
-    _same_bytes(w.values, generate_wiener(grid, 2, 70, seed=4, stream_role=rnd.WIENER_Y, path_offset=3).values)
 
 
 def _bad_outs(shape):

@@ -11,7 +11,7 @@ alters that layer's output on purpose.
 
 The Euler grids have 200 steps, which is not a multiple of the solver's
 block length, so the sums also cover a partial last block. Their drivers
-come from ``generate_drivers``, whose rough components are circulant
+come from ``stage_drivers``, whose rough components are circulant
 embedding fBm, the route every study runs; ``fbm-cholesky`` pins the
 Cholesky oracle, which only the ``fbm`` command runs.
 """
@@ -21,7 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mixedsde import TimeGrid, euler_mixed, generate_drivers, generate_fbm, generate_wiener, model_zoo
+from mixedsde import TimeGrid, euler_mixed, generate_fbm, generate_wiener, model_zoo, stage_drivers
 from mixedsde.solver import euler_coupled
 
 from conftest import numpy_dispatch
@@ -48,7 +48,7 @@ def _solution(out):
 def _euler_bounded_trig():
     model = model_zoo("bounded_trig", state_dim=2, wiener_dim=2, rough_dim=1, initial_value=[0.5, -0.3])
     grid = TimeGrid(1.0, 200)
-    w, z = generate_drivers(model.driver, grid, PATHS, seed=24)
+    w, z, _, _ = stage_drivers(model, grid, PATHS, 24, 0)
     return _solution(euler_mixed(model, grid, w, z))
 
 
@@ -56,9 +56,8 @@ def _euler_stochvol():
     model_y = model_zoo("stochvol")
     model_x = model_y.base
     grid = TimeGrid(1.0, 200)
-    w, z = generate_drivers(model_x.driver, grid, PATHS, seed=25)
+    w, z, w_y, z_y = stage_drivers(model_y, grid, PATHS, 25, 0)
     base = euler_mixed(model_x, grid, w, z)
-    w_y, z_y = generate_drivers(model_y.driver, grid, PATHS, seed=25, stage="y")
     return _solution(base) + _solution(euler_coupled(model_y, grid, base.paths, w_y, z_y))
 
 

@@ -19,6 +19,7 @@ from mixedsde import (
     exp_moment_exponent_bound,
     young_integrate,
     young_love_constant,
+    young_love_rhs,
 )
 from mixedsde import parallel
 from mixedsde.moments import _level_ratio, grid_stability_tables
@@ -169,7 +170,12 @@ FLAT = PathBatch(TimeGrid(1.0, 4), np.zeros((1, 5)))
     lambda: MomentTarget("exp", c=1.0, gamma=math.nan),
     lambda: young_integrate(FLAT, FLAT, tol=math.nan),
     lambda: young_love_constant(math.nan, math.nan),
-], ids=["sup-p", "exp-c", "exp-gamma", "young-tol", "young-love-constant"])
+    lambda: young_love_rhs(math.nan, 1.0, 1.0, 0.0, 1.0, 0.75, 0.75),
+    lambda: young_love_rhs(1.0, 1.0, 1.0, 0.0, math.nan, 0.75, 0.75),
+    lambda: young_love_rhs(1.0, math.nan, 1.0, 0.0, 1.0, 0.75, 0.75),
+    lambda: young_love_rhs(1.0, 1.0, 1.0, math.nan, 1.0, 0.75, 0.75),
+], ids=["sup-p", "exp-c", "exp-gamma", "young-tol", "young-love-constant", "young-love-rhs-sup", "young-love-rhs-b",
+        "young-love-rhs-holder", "young-love-rhs-a"])
 def test_library_range_checks_refuse_nan(call):
     # nan compares false with every bound, so each check reads `not x > 0`
     with pytest.raises(DomainError):

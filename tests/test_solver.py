@@ -15,7 +15,6 @@ from mixedsde import (
     TimeGrid,
     closed_form_geometric_batch,
     euler_mixed,
-    generate_drivers,
     generate_fbm,
     geometric_convergence_study,
     model_zoo,
@@ -71,11 +70,11 @@ def test_unit_drift_reproduces_time_exactly():
 def test_dimension_mismatch_raises():
     grid = TimeGrid(1.0, 16)
     model = simple_model()
-    w, z = generate_drivers(model.driver, grid, 4, seed=3)
+    w, z, _, _ = stage_drivers(model, grid, 4, 3, 0)
     with pytest.raises(DomainError):
         euler_mixed(model, grid, w, None)
     other = TimeGrid(1.0, 32)
-    w2, z2 = generate_drivers(model.driver, other, 4, seed=3)
+    w2, z2, _, _ = stage_drivers(model, other, 4, 3, 0)
     with pytest.raises(GridMismatchError):
         euler_mixed(model, grid, w2, z2)
 
@@ -91,7 +90,7 @@ def test_geometric_euler_tracks_closed_form():
 
 def test_closed_form_reductions():
     grid = TimeGrid(1.0, 64)
-    w, z = generate_drivers(DriverSpec(1, 1, (0.75,)), grid, 1, seed=5)
+    w, z, _, _ = stage_drivers(model_zoo("geometric_mixed"), grid, 1, 5, 0)
     flat = closed_form_geometric_batch(
         model_zoo("geometric_mixed", initial_value=2.0, mu=0.3, sigma_w=0.0, sigma_b=0.0), w, z
     ).values[0, :, 0]
@@ -105,7 +104,7 @@ def test_closed_form_reductions():
 
 def test_closed_form_refuses_a_model_other_than_geometric_mixed():
     grid = TimeGrid(1.0, 8)
-    w, z = generate_drivers(DriverSpec(1, 1, (0.75,)), grid, 2, seed=5)
+    w, z, _, _ = stage_drivers(model_zoo("geometric_mixed"), grid, 2, 5, 0)
     with pytest.raises(DomainError, match="'geometric_mixed' only, got 'linear_mixed'"):
         closed_form_geometric_batch(model_zoo("linear_mixed"), w, z)
 
@@ -126,7 +125,7 @@ def test_a_stage_of_the_wrong_kind_is_refused_before_drawing_drivers(monkeypatch
     monkeypatch.setattr(solver, "stage_drivers", fail)
     price, vol = model_zoo("stochvol"), model_zoo("linear_mixed")
     grid = TimeGrid(1.0, 8)
-    w, z = generate_drivers(vol.driver, grid, 2, seed=1)
+    w, z, _, _ = stage_drivers(vol, grid, 2, 1, 0)
     for run in (lambda: solve_model(price, grid, 2, 1), lambda: euler_mixed(price, grid, w, z)):
         with pytest.raises(DomainError, match="'stochvol' is a coupled model: solve it with solve_coupled"):
             run()
@@ -134,6 +133,27 @@ def test_a_stage_of_the_wrong_kind_is_refused_before_drawing_drivers(monkeypatch
     for run in (lambda: solve_coupled(vol, grid, 2, 1), lambda: euler_coupled(vol, grid, base, w, z)):
         with pytest.raises(DomainError, match="'linear_mixed' is a single-stage model: solve it with solve_model"):
             run()
+
+
+# Every entry point refuses the grid before it draws a driver or takes a step.
+@pytest.mark.parametrize("entry", ["solve_model", "euler_mixed", "solve_coupled", "euler_coupled"])
+def test_a_grid_off_the_model_horizon_is_refused_before_drawing_drivers(monkeypatch, entry):
+    def fail(*args, **kwargs):
+        raise AssertionError("drivers drawn for a grid off the model's horizon")
+
+    grid = TimeGrid(1.0, 16)
+    w, z, w_y, z_y = stage_drivers(model_zoo("stochvol"), grid, 4, 1, 0)
+    base = euler_mixed(model_zoo("stochvol").base, grid, w, z).paths
+    single, coupled = model_zoo("geometric_mixed", horizon=2.0), model_zoo("stochvol", horizon=2.0)
+    run, name = {
+        "solve_model": (lambda: solve_model(single, grid, 4, 1), "geometric_mixed"),
+        "euler_mixed": (lambda: euler_mixed(single, grid, w, z), "geometric_mixed"),
+        "solve_coupled": (lambda: solve_coupled(coupled, grid, 4, 1), "stochvol"),
+        "euler_coupled": (lambda: euler_coupled(coupled, grid, base, w_y, z_y), "stochvol"),
+    }[entry]
+    monkeypatch.setattr(solver, "stage_drivers", fail)
+    with pytest.raises(GridMismatchError, match=f"grid horizon 1.0 differs from the horizon 2.0 of '{name}'"):
+        run()
 
 
 def test_malliavin_sensitivity_tracks_price_ratio():
@@ -193,6 +213,20 @@ def test_grid_halving_errors_shrink():
     errors = [r.mean_abs_terminal_error for r in rows]
     for a, b in zip(errors, errors[1:]):
         assert b < 1.1 * a  # monotone within a 10% noise allowance
+
+
+def test_stage_drivers_shapes_and_stage_independence():
+    grid = TimeGrid(1.0, 32)
+    w, z, w_y, z_y = stage_drivers(model_zoo("stochvol"), grid, 20, 3, 0)
+    assert [b.values.shape for b in (w, z, w_y, z_y)] == [(20, 33, 1)] * 4
+    assert not np.array_equal(w.values, w_y.values)
+    assert not np.array_equal(z.values, z_y.values)
+    w, z, w_y, z_y = stage_drivers(model_zoo("malliavin_linearized"), grid, 20, 3, 0)
+    assert w_y is w and z_y is z
+    assert stage_drivers(model_zoo("linear_mixed"), grid, 20, 3, 0)[2:] == (None, None)
+    for count in (0, -1):
+        with pytest.raises(DomainError, match=f"count must be >= 1, got {count}"):
+            stage_drivers(model_zoo("linear_mixed", wiener_dim=0), grid, count, 3, 0)
 
 
 def test_stage_drivers_rough_values_are_circulant_fbm():
@@ -283,7 +317,7 @@ def test_positivity_of_geometric_paths():
 def test_solution_is_adapted_to_past_increments():
     model = model_zoo("linear_mixed")
     grid = TimeGrid(1.0, 64)
-    w, z = generate_drivers(model.driver, grid, 8, seed=11)
+    w, z, _, _ = stage_drivers(model, grid, 8, 11, 0)
     base = euler_mixed(model, grid, w, z)
     cut = 32
     tampered_w = w.values.copy()

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mixedsde import CoefficientField, CoupledModelSpec, TimeGrid, euler_mixed, generate_drivers, model_zoo
+from mixedsde import CoefficientField, CoupledModelSpec, TimeGrid, euler_mixed, model_zoo, stage_drivers
 from mixedsde.models import field_kernel
 from mixedsde.solver import euler_coupled
 
@@ -21,7 +21,8 @@ STEPS, PATHS = 16, 200
 
 
 def _increments(rng, dt, columns):
-    return rng.standard_normal((STEPS, PATHS, columns)) * np.sqrt(dt)
+    """Driver increments, or None for a driver with no columns, as the Euler loop passes them."""
+    return rng.standard_normal((STEPS, PATHS, columns)) * np.sqrt(dt) if columns else None
 
 
 def _term_magnitudes(model, ts, dt, dw, dz, xs, states, j):
@@ -47,15 +48,18 @@ def _assert_kernel_matches_fields(model, ts, dt, dw, dz, xs, states):
         assert (np.abs(got - want) <= 1e-13 * scale).all()
 
 
-# A rate may also be given per driver column.
-@pytest.mark.parametrize("rough_dim, wiener_rate", [(1, 0.3), (2, np.array([0.3, 1.1]))])
+# A rate may also be given per driver column. A rough_dim of 0 drops the
+# rough block, and a wiener_rate of None the Wiener block.
+@pytest.mark.parametrize("rough_dim, wiener_rate", [(1, 0.3), (2, np.array([0.3, 1.1])), (0, 0.3), (2, None)])
 def test_trig_kernel_increments_match_the_fields(rough_dim, wiener_rate):
-    model = model_zoo("bounded_trig", state_dim=2, wiener_dim=2, rough_dim=rough_dim, wiener_rate=wiener_rate)
+    wiener_dim = 0 if wiener_rate is None else 2
+    rates = {} if wiener_rate is None else {"wiener_rate": wiener_rate}
+    model = model_zoo("bounded_trig", state_dim=2, wiener_dim=wiener_dim, rough_dim=rough_dim, **rates)
     rng = np.random.default_rng(rough_dim)
     dt = 1.0 / 256
     ts = np.sort(rng.uniform(0.0, 1.0, STEPS))
     states = rng.uniform(-10.0, 10.0, (STEPS, PATHS, 2))
-    dw, dz = _increments(rng, dt, 2), _increments(rng, dt, rough_dim)
+    dw, dz = _increments(rng, dt, wiener_dim), _increments(rng, dt, rough_dim)
     _assert_kernel_matches_fields(model, ts, dt, dw, dz, None, states)
 
 
@@ -85,8 +89,7 @@ def test_kernel_paths_keep_the_field_sup_over_4096_steps():
     price = model_zoo("stochvol")
     vol = price.base
     grid = TimeGrid(1.0, 4096)
-    w, z = generate_drivers(vol.driver, grid, 32, seed=31)
-    w_y, z_y = generate_drivers(price.driver, grid, 32, seed=31, stage="y")
+    w, z, w_y, z_y = stage_drivers(price, grid, 32, 31, 0)
     base = euler_mixed(vol, grid, w, z)
     base_fields = euler_mixed(_without_kernel(vol), grid, w, z)
     np.testing.assert_allclose(_sups(base), _sups(base_fields), rtol=1e-12, atol=0)
@@ -118,12 +121,11 @@ def test_kernel_models_call_no_field_per_step(monkeypatch, name):
 
     def calls_at(n):
         grid = TimeGrid(1.0, n)
-        w, z = generate_drivers(model_x.driver, grid, 4, seed=n)
+        w, z, w_y, z_y = stage_drivers(model, grid, 4, n, 0)
         base = euler_mixed(model_x, grid, w, z)
         mixed = _field_calls(monkeypatch, lambda: euler_mixed(model_x, grid, w, z))
         if model_y is None:
             return mixed, 0
-        w_y, z_y = generate_drivers(model_y.driver, grid, 4, seed=n, stage="y")
         return mixed, _field_calls(monkeypatch, lambda: euler_coupled(model_y, grid, base.paths, w_y, z_y))
 
     # Only ``probe`` calls the fields: once each, whatever the step count.
@@ -146,7 +148,7 @@ def test_trig_drift_rates_per_component_keep_the_fields():
     model = model_zoo("bounded_trig", state_dim=2, drift_rate=np.array([0.5, 3.0]))
     assert model.kernel is None
     grid = TimeGrid(1.0, 70)
-    w, z = generate_drivers(model.driver, grid, 3, seed=4)
+    w, z, _, _ = stage_drivers(model, grid, 3, 4, 0)
     out = euler_mixed(model, grid, w, z)
     assert out.blowup_count == 0 and not np.array_equal(out.paths.values[:, :, 0], out.paths.values[:, :, 1])
 

@@ -15,7 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixedsde import TimeGrid, generate_drivers, model_zoo
+from mixedsde import TimeGrid, generate_fbm, generate_wiener, model_zoo
+from mixedsde import randomness as rnd
 from mixedsde.paths import PathBatch
 from mixedsde.solver import SolveOutput, euler_coupled, euler_mixed, solve_levels, stage_drivers
 
@@ -148,9 +149,15 @@ def test_stage_drivers_are_time_major_copies_of_the_generated_drivers():
     model_x = model_y.base
     grid = TimeGrid(1.0, 2 * B + 3)
     drivers = stage_drivers(model_y, grid, PATHS, 11, 5)
-    want = generate_drivers(model_x.driver, grid, PATHS, 11, stage="x", path_offset=5) + generate_drivers(
-        model_y.driver, grid, PATHS, 11, stage="y", path_offset=5
-    )
+
+    def generated(spec, wiener_role, rough_role):
+        (hurst,) = spec.rough_hurst
+        return (
+            generate_wiener(grid, spec.wiener_dim, PATHS, 11, stream_role=wiener_role, path_offset=5),
+            generate_fbm(grid, hurst, PATHS, 11, stream_role=rough_role, path_offset=5),
+        )
+
+    want = generated(model_x.driver, rnd.WIENER_X, rnd.ROUGH_X) + generated(model_y.driver, rnd.WIENER_Y, rnd.ROUGH_Y)
     for got, expected in zip(drivers, want):
         assert got.grid == expected.grid
         assert got.values.shape == expected.values.shape
