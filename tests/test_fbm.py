@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedsde import (
+    CoefficientField,
+    CoupledModelSpec,
     DomainError,
     DriverSpec,
     ResourceError,
@@ -293,18 +295,12 @@ def test_wiener_slices_across_blocks_equal_rows_of_one_batch():
 
 
 def test_multi_component_drivers_equal_their_single_components():
-    """A stage writes each component straight into time-major storage, with the bytes it has alone."""
-    grid = TimeGrid(1.0, 40)
-    model = model_zoo("linear_mixed", wiener_dim=2, rough_dim=2, hurst=[0.6, 0.9])
-    w, z, _, _ = stage_drivers(model, grid, 70, 4, 3)
-    for batch in (w, z):
-        base = batch.values.base
-        assert base.flags.c_contiguous and base.shape == (41, 70, 2)
-        assert np.shares_memory(base, batch.values)
+    grid = TimeGrid(1.0, 32)
+    model = model_zoo("linear_mixed", wiener_dim=0, rough_dim=2, hurst=[0.6, 0.9])
+    _, z, _, _ = stage_drivers(model, grid, 70, 4, 3)
     for j, hurst in enumerate((0.6, 0.9)):
-        alone = generate_fbm(grid, hurst, 70, seed=4, component=j, path_offset=3)
-        _same_bytes(z.values[:, :, j], alone.values[:, :, 0])
-    _same_bytes(w.values, generate_wiener(grid, 2, 70, seed=4, path_offset=3).values)
+        alone = generate_fbm(grid, hurst, 70, seed=4, component=j, path_offset=3).values[:, :, 0]
+        assert np.array_equal(z.values[:, :, j], alone)
 
 
 MB = 2**20
@@ -469,6 +465,40 @@ def test_wiener_writes_the_same_bytes_into_a_time_major_out(offset, count):
     got = generate_wiener(grid, 2, count, seed=13, path_offset=offset, out=out)
     assert got.values is out
     _same_bytes(got.values, want)
+
+
+def _sensitivity_stage(base):
+    """A coupled stage dY = a(Y) dt + b(Y) dW + c(Y) dZ on drivers independent of ``base``'s."""
+
+    def at_y(fld):
+        return CoefficientField(fld.name, "coupled", fld.out_dim, fld.columns, lambda t, x, y: fld.evaluate(t, y))
+
+    return CoupledModelSpec(
+        name="sensitivity",
+        state_dim=base.state_dim,
+        base=base,
+        initial_value=base.initial_value,
+        horizon=base.horizon,
+        drift=at_y(base.drift),
+        wiener=at_y(base.wiener),
+        rough=at_y(base.rough),
+        driver=base.driver,
+        share_drivers=False,
+    )
+
+
+def test_generate_drivers_write_each_component_into_time_major_storage():
+    grid = TimeGrid(1.0, 40)
+    base = model_zoo("linear_mixed", wiener_dim=2, rough_dim=2, hurst=[0.6, 0.9])
+    _, _, w, z = stage_drivers(_sensitivity_stage(base), grid, 70, 4, 3)
+    for batch in (w, z):
+        storage = batch.values.base
+        assert storage.flags.c_contiguous and storage.shape == (41, 70, 2)
+        assert np.shares_memory(storage, batch.values)
+    for j, hurst in enumerate((0.6, 0.9)):
+        alone = generate_fbm(grid, hurst, 70, seed=4, stream_role=rnd.ROUGH_Y, component=j, path_offset=3)
+        _same_bytes(z.values[:, :, j], alone.values[:, :, 0])
+    _same_bytes(w.values, generate_wiener(grid, 2, 70, seed=4, stream_role=rnd.WIENER_Y, path_offset=3).values)
 
 
 def _bad_outs(shape):
