@@ -14,9 +14,12 @@ Two synthesis routes with identical distributions on the grid:
   oracle. Factor and product are ``np.einsum`` loops, not BLAS, so the bits
   do not depend on the BLAS thread count.
 
-Both routes and the Wiener synthesis write into ``out=``, in any layout: a
-64-path block is summed and scaled in its own scratch, then copied in once.
-The solver's ``stage_drivers`` hands them the Euler loop's time-major storage.
+Both routes and the Wiener synthesis write into ``out=``, in any layout.
+A circulant or Wiener block copies its increments in. One pass over the
+time rows then sums them, one binary ufunc per row over the whole batch,
+which releases the GIL where numpy's cumulative sum would hold it, and one
+multiply scales a circulant batch by dt^H. The solver's ``stage_drivers``
+hands them the Euler loop's time-major storage.
 """
 
 from __future__ import annotations
@@ -77,6 +80,19 @@ def _destination(out, shape):
         raise DomainError(f"out must be a writeable float64 array of shape {shape}")
     out[:, 0] = 0.0
     return out
+
+
+def _prefix_sums(values):
+    """Turn the increments in ``values[:, 1:]`` into their running sums, in place.
+
+    The additions are numpy's cumulative sum's, in its order, and the first
+    increment is kept as it is (a ``-0.0`` stays ``-0.0``). Each time row is
+    one binary ufunc over every path and component, which releases the GIL;
+    the cumulative sum holds it for the whole call.
+    """
+    rows = np.moveaxis(values, 1, 0)
+    for previous, row in zip(rows[1:-1], rows[2:]):
+        np.add(previous, row, out=row)
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -142,10 +158,9 @@ def _fbm_circulant(grid, hurst, count, seed, tag, offset, out):
         spectrum *= weights[: n + 1]
         # numpy's Hermitian FFT is exactly this, bit for bit, with a conjugated copy
         np.conjugate(spectrum, out=spectrum)
-        fgn = np.fft.irfft(spectrum, n=2 * n, axis=1, norm="forward")[:, :n]
-        np.cumsum(fgn, axis=1, out=fgn)
-        fgn *= scale
-        out[lo - offset : hi - offset, 1:] = fgn
+        out[lo - offset : hi - offset, 1:] = np.fft.irfft(spectrum, n=2 * n, axis=1, norm="forward")[:, :n]
+    _prefix_sums(out)
+    out[:, 1:] *= scale
     return out
 
 
@@ -197,6 +212,7 @@ def generate_wiener(
         for lo, hi in _blocks(count, path_offset):
             z = rnd.normal_matrix(seed, tag, n, hi - lo, offset=lo)
             z *= root_dt
-            out[lo - path_offset : hi - path_offset, 1:, component] = np.cumsum(z, axis=1, out=z)
+            out[lo - path_offset : hi - path_offset, 1:, component] = z
+    _prefix_sums(out)
     return PathBatch(grid, out)
 

@@ -239,6 +239,18 @@ def _check_tail_order(holder_order: float) -> None:
         raise DomainError(f"holder_order must lie in (0, 1), got {holder_order}")
 
 
+def _sorted_median(a: np.ndarray) -> float:
+    """``np.median`` of an ascending sample, nans last, bit for bit; it never imports ``numpy.ma``.
+
+    ``np.median`` means the middle values with a sum that starts at 0.0, so a
+    median of -0.0 reads 0.0; the sums below add in the same order.
+    """
+    mid = len(a) // 2
+    if np.isnan(a[-1]):
+        return float("nan")
+    return float(0.0 + a[mid] if len(a) % 2 else (0.0 + a[mid - 1] + a[mid]) / 2)
+
+
 def fernique_tail_check(
     hurst: float,
     holder_order: float,
@@ -260,10 +272,11 @@ def fernique_tail_check(
         return holder_seminorm_batch(batch.values, grid.dt, holder_order), coarse
 
     seminorms, coarse = parallel.map_paths(job, paths, workers)
-    median = float(np.median(seminorms))
+    order = np.sort(seminorms)
+    median = _sorted_median(order)
 
     if not fit_mode:
-        coarse_median = float(np.median(coarse))
+        coarse_median = _sorted_median(np.sort(coarse))
         return FerniqueTailReport(
             mode="growth",
             hurst=hurst,
@@ -278,7 +291,6 @@ def fernique_tail_check(
             growth_ratio=median / coarse_median if coarse_median > 0 else float("inf"),
         )
 
-    order = np.sort(seminorms)
     n = len(order)
     start = int(0.9 * n)
     tail = order[start : n - 1]  # drop the max, whose empirical survival is 0
@@ -291,7 +303,7 @@ def fernique_tail_check(
     # the fit reads x^2 over 2^e, the power of two just above its median: an
     # exact scaling that keeps it free of the horizon's scale (unscaled, lstsq
     # drops the x^2 column as rank-deficient at tiny horizons)
-    e = np.frexp(np.median(x))[1]
+    e = np.frexp(_sorted_median(x))[1]  # x is ascending, as tail is
     y = np.log(survival)
     design = np.vstack([np.ldexp(x, -e), np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)

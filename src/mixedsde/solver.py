@@ -299,6 +299,7 @@ def closed_form_geometric_batch(model: ModelSpec, wiener: PathBatch, rough: Path
         raise DomainError("the closed form needs scalar drivers")
     if wiener.grid != rough.grid:
         raise GridMismatchError("driver batches must share the grid")
+    _check_stage(model, wiener.grid, coupled=False)
     one = np.ones((1, 1))
     mu = float(model.drift(0.0, one)[0, 0])
     s_w = float(model.wiener(0.0, one)[0, 0, 0])

@@ -58,4 +58,20 @@ def test_cli_import_leaves_scipy_special_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_fernique_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma on its first call, about 10 ms of a run;
+    # fernique takes its medians from sorted samples instead (fit, growth)
+    code = "import sys\nfrom mixedsde.cli import main\n"
+    for mu in ("0.6", "0.8"):
+        cfg = tmp_path / f"{mu}.cfg"
+        cfg.write_text(f"hurst: 0.75\nmu: {mu}\nn: 16\npaths: 200\nseed: 1\n")
+        code += f"assert main(['fernique', '--config', {str(cfg)!r}, '--out', {str(tmp_path / mu)!r}]) == 0\n"
+    code += "print('numpy.ma' in sys.modules)\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

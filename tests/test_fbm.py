@@ -24,7 +24,7 @@ from mixedsde import (
     stage_drivers,
 )
 from mixedsde import randomness as rnd
-from mixedsde.fbm import _cholesky, fgn_circulant_eigenvalues
+from mixedsde.fbm import _blocks, _cholesky, _prefix_sums, fgn_circulant_eigenvalues
 
 from conftest import sample_cov_se
 
@@ -539,3 +539,70 @@ def test_a_rekeyed_generator_is_a_fresh_stream():
         assert state["state"]["state"].tolist() == want_words
         assert (state["has_uint32"], state["uinteger"]) == (0, 0)
         assert np.array_equal(got.standard_normal(10_000), want)
+
+
+# ------------------------------------------- prefix sums against per-block np.cumsum
+
+
+def _per_block_fbm(grid, hurst, count, seed, offset):
+    """Circulant synthesis summed block by block: irfft, np.cumsum along the path, then times dt**H."""
+    n = grid.step_count
+    weights = np.sqrt(np.clip(fgn_circulant_eigenvalues(n, hurst), 0.0, None) / (4 * n))
+    values = np.zeros((count, n + 1))
+    for lo, hi in _blocks(count, offset):
+        z = rnd.normal_matrix(seed, rnd.stream_tag(rnd.ROUGH_X), 2 * n, hi - lo, offset=lo)
+        spectrum = np.empty((hi - lo, n + 1), dtype=np.complex128)
+        spectrum[:, 0] = z[:, 0] * np.sqrt(2.0)
+        spectrum[:, n] = z[:, 1] * np.sqrt(2.0)
+        spectrum[:, 1:n] = z[:, 2:].view(np.complex128)
+        spectrum *= weights[: n + 1]
+        np.conjugate(spectrum, out=spectrum)
+        fgn = np.cumsum(np.fft.irfft(spectrum, n=2 * n, axis=1, norm="forward")[:, :n], axis=1)
+        fgn *= grid.dt**hurst
+        values[lo - offset : hi - offset, 1:] = fgn
+    return values
+
+
+def _per_block_wiener(grid, dim, count, seed, offset):
+    """Wiener synthesis summed block by block: increments times sqrt(dt), then np.cumsum along the path."""
+    n = grid.step_count
+    values = np.zeros((count, n + 1, dim))
+    for component in range(dim):
+        for lo, hi in _blocks(count, offset):
+            z = rnd.normal_matrix(seed, rnd.stream_tag(rnd.WIENER_X, component), n, hi - lo, offset=lo)
+            z *= np.sqrt(grid.dt)
+            values[lo - offset : hi - offset, 1:, component] = np.cumsum(z, axis=1)
+    return values
+
+
+# (path_offset, count): inside one block, across one edge, across two
+SUM_SLICES = [(0, 1), (3, 130), (61, 70), (64, 64)]
+
+
+@pytest.mark.parametrize("layout", ["path-major", "time-major"])
+@pytest.mark.parametrize("n", [1, 2, 63, 257])
+def test_fbm_prefix_sums_equal_per_block_cumsums(n, layout):
+    for grid, hurst in ((TimeGrid(1.7, n), 0.7), (TimeGrid(float(n), n), 0.3)):
+        for offset, count in SUM_SLICES:
+            out = None if layout == "path-major" else _time_major_nans(count, n + 1)
+            got = generate_fbm(grid, hurst, count, seed=21, path_offset=offset, out=out).values[:, :, 0]
+            _same_bytes(got, _per_block_fbm(grid, hurst, count, 21, offset))
+
+
+@pytest.mark.parametrize("layout", ["path-major", "time-major"])
+@pytest.mark.parametrize("n", [1, 2, 63, 257])
+def test_wiener_prefix_sums_equal_per_block_cumsums(n, layout):
+    grid = TimeGrid(1.7, n)
+    for offset, count in SUM_SLICES:
+        out = None if layout == "path-major" else _time_major_nans(count, n + 1, 2)
+        got = generate_wiener(grid, 2, count, seed=22, path_offset=offset, out=out).values
+        _same_bytes(got, _per_block_wiener(grid, 2, count, 22, offset))
+
+
+def test_prefix_sums_keep_a_leading_negative_zero():
+    # np.cumsum copies its first element; a sum started at 0.0 + x would turn -0.0 into 0.0
+    increments = np.array([[-0.0, -0.0, 1.5, -0.0], [-0.0, 2.0, -0.0, -3.0]])
+    for values in (np.c_[np.zeros(2), increments], np.c_[np.zeros(2), increments][:, :, None]):
+        _prefix_sums(values)
+        _same_bytes(values, np.c_[np.zeros(2), np.cumsum(increments, axis=1)].reshape(values.shape))
+        assert np.signbit(values[:, 1]).all()

@@ -22,7 +22,7 @@ from mixedsde import (
     young_love_rhs,
 )
 from mixedsde import parallel
-from mixedsde.moments import _level_ratio, grid_stability_tables
+from mixedsde.moments import _level_ratio, _sorted_median, grid_stability_tables
 
 
 def constant_model(value=2.0):
@@ -280,6 +280,21 @@ def test_fernique_growth_mode_refuses_an_odd_grid_before_any_work(monkeypatch):
     monkeypatch.setattr(parallel, "map_paths", fail)
     with pytest.raises(DomainError, match="stride 2 does not divide step_count 15"):
         fernique_tail_check(0.75, 0.8, TimeGrid(1.0, 15), 200, seed=1)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 200, 201])
+def test_sorted_median_is_np_median_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    samples = [rng.standard_normal(size), rng.standard_exponential(size) * 1e300, np.full(size, -0.0)]
+    if size > 1:
+        samples.append(np.r_[rng.standard_normal(size - 1), np.nan])  # np.sort puts the nan last
+        samples.append(np.r_[np.zeros(size - 1), -5e-324])  # at size 2 the mean rounds to -0.0
+    for sample in samples:
+        ordered = np.sort(sample)
+        want = np.median(sample)
+        got = _sorted_median(ordered)
+        assert type(got) is float
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (sample, got, want)
 
 
 def test_fernique_input_validation():

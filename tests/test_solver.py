@@ -109,6 +109,12 @@ def test_closed_form_refuses_a_model_other_than_geometric_mixed():
         closed_form_geometric_batch(model_zoo("linear_mixed"), w, z)
 
 
+def test_closed_form_refuses_drivers_off_the_model_horizon():
+    w, z, _, _ = stage_drivers(model_zoo("geometric_mixed"), TimeGrid(1.0, 16), 2, 5, 0)
+    with pytest.raises(GridMismatchError, match="grid horizon 1.0 differs from the horizon 2.0 of 'geometric_mixed'"):
+        closed_form_geometric_batch(model_zoo("geometric_mixed", horizon=2.0), w, z)
+
+
 def test_convergence_study_refuses_another_model_before_drawing_drivers(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("drivers drawn for a model the closed form cannot check")
