@@ -17,9 +17,9 @@ Two synthesis routes with identical distributions on the grid:
 Both routes and the Wiener synthesis write into ``out=``, in any layout.
 A circulant or Wiener block copies its increments in. One pass over the
 time rows then sums them, one binary ufunc per row over the whole batch,
-which releases the GIL where numpy's cumulative sum would hold it, and one
-multiply scales a circulant batch by dt^H. The solver's ``stage_drivers``
-hands them the Euler loop's time-major storage.
+which releases the GIL where a block's 2-D cumulative sum would hold it, and
+one multiply scales a circulant batch by dt^H. The solver's
+``stage_drivers`` hands them the Euler loop's time-major storage.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _prefix_sums(values):
     The additions are numpy's cumulative sum's, in its order, and the first
     increment is kept as it is (a ``-0.0`` stays ``-0.0``). Each time row is
     one binary ufunc over every path and component, which releases the GIL;
-    the cumulative sum holds it for the whole call.
+    a 2-D cumulative sum holds it for the whole call.
     """
     rows = np.moveaxis(values, 1, 0)
     for previous, row in zip(rows[1:-1], rows[2:]):
