@@ -1,8 +1,8 @@
 """Coefficient fields, the model zoo, and numerical assumption validators.
 
 A coefficient field evaluates vectorized over a batch of states at one
-time: ``evaluate(t, x)`` for state coefficients, ``evaluate(t, x, y)`` for
-coupled ones. Drift fields return (batch, d); diffusion fields return
+time: ``evaluate(t, x)`` on a primary stage, ``evaluate(t, x, y)`` on a
+coupled one. Drift fields return (batch, d); diffusion fields return
 (batch, d, columns) with one column per driver component.
 
 The Euler scheme takes each step from a stage kernel (``StageKernel``).
@@ -51,42 +51,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """One evaluatable coefficient of a mixed equation.
+    """One evaluatable coefficient of a mixed equation: ``(name, evaluate, derivative)``.
 
-    ``columns == 0`` marks a drift field (plain vector output); diffusion
-    fields carry one output column per driver component. ``derivative`` is
-    the state Jacobian (w.r.t. x for state arity, w.r.t. y for coupled).
-    The validators differentiate only a stage's rough field, so only a rough
-    field needs one; ``jacobian`` refuses a field built without it.
+    A field declares no dims: calls pass their stage's arguments through, and
+    the stage's ``state_dim`` and ``driver`` fix the output shape, which
+    ``ModelSpec.probe`` checks. ``derivative`` is the state Jacobian (w.r.t. x
+    on a primary stage, w.r.t. y on a coupled one). The validators
+    differentiate only a stage's rough field, so only a rough field needs
+    one; ``jacobian`` refuses a field built without it.
     """
 
     name: str
-    arity: str  # "state" | "coupled"
-    out_dim: int
-    columns: int
     evaluate: Callable[..., np.ndarray]
     derivative: Callable[..., np.ndarray] | None = None
 
-    def __post_init__(self):
-        if self.arity not in ("state", "coupled"):
-            raise DomainError(f"arity must be 'state' or 'coupled', got {self.arity!r}")
-        if self.out_dim < 1 or self.columns < 0:
-            raise DomainError(f"bad field dimensions for {self.name!r}")
+    def __call__(self, *args) -> np.ndarray:
+        return np.asarray(self.evaluate(*args), dtype=float)
 
-    def __call__(self, t, x, y=None) -> np.ndarray:
-        if self.arity == "state":
-            return np.asarray(self.evaluate(t, x), dtype=float)
-        if y is None:
-            raise DomainError(f"coupled field {self.name!r} needs the y argument")
-        return np.asarray(self.evaluate(t, x, y), dtype=float)
-
-    def jacobian(self, t, x, y=None) -> np.ndarray:
+    def jacobian(self, *args) -> np.ndarray:
         """State Jacobian from ``derivative``; a field without one is refused."""
         if self.derivative is None:
             raise DomainError(f"field {self.name!r} has no derivative to take a Jacobian from")
-        if self.arity == "state":
-            return np.asarray(self.derivative(t, x), dtype=float)
-        return np.asarray(self.derivative(t, x, y), dtype=float)
+        return np.asarray(self.derivative(*args), dtype=float)
 
 
 class StageKernel(NamedTuple):
@@ -145,10 +131,8 @@ def _with_kernel(spec, kernel: StageKernel):
 def _check_stage(spec) -> None:
     """Checks shared by both stage specs; stores the initial value as a vector."""
     x0 = np.atleast_1d(np.asarray(spec.initial_value, dtype=float))
-    if x0.shape != (spec.state_dim,) or not np.isfinite(x0).all():
-        raise DomainError(
-            f"initial value must be a finite vector of length {spec.state_dim}, got {x0}"
-        )
+    if x0.ndim != 1 or not len(x0) or not np.isfinite(x0).all():
+        raise DomainError(f"initial value must be a finite, non-empty vector, got {x0}")
     object.__setattr__(spec, "initial_value", x0)
     if not spec.horizon > 0:
         raise DomainError("horizon must be positive")
@@ -156,6 +140,13 @@ def _check_stage(spec) -> None:
         raise DomainError("wiener coefficient and wiener_dim must agree")
     if (spec.rough is None) != (spec.driver.rough_dim == 0):
         raise DomainError("rough coefficient and rough_dim must agree")
+    if spec.holder_beta is not None and spec.driver.rough_dim > 0:
+        mu = spec.driver.holder_order
+        if not (1 - mu) < spec.holder_beta < 0.5:
+            raise DomainError(
+                f"time-Holder exponent beta must lie in (1-mu, 1/2) = "
+                f"({1 - mu:.3f}, 0.5), got {spec.holder_beta}"
+            )
 
 
 @dataclass(frozen=True)
@@ -163,7 +154,6 @@ class ModelSpec:
     """A mixed equation: drift a, Wiener block b, rough block c, and drivers."""
 
     name: str
-    state_dim: int
     initial_value: np.ndarray
     horizon: float
     drift: CoefficientField
@@ -176,13 +166,10 @@ class ModelSpec:
 
     def __post_init__(self):
         _check_stage(self)
-        if self.holder_beta is not None and self.driver.rough_dim > 0:
-            mu = self.driver.holder_order
-            if not (1 - mu) < self.holder_beta < 0.5:
-                raise DomainError(
-                    f"time-Holder exponent beta must lie in (1-mu, 1/2) = "
-                    f"({1 - mu:.3f}, 0.5), got {self.holder_beta}"
-                )
+
+    @property
+    def state_dim(self) -> int:
+        return len(self.initial_value)
 
     def probe(self) -> None:
         """Evaluate every field at (0, x0) and check output shapes."""
@@ -211,14 +198,13 @@ class CoupledModelSpec:
 
     ``base`` is the primary stage, solved first; with ``share_drivers`` this
     stage steps on the base's driver batches, so both declare one driver.
-    Both stages are solved on one grid, so they declare one horizon.
+    Both stages are solved on one grid, so ``horizon`` is the base's. As on
+    a primary stage, ``state_dim`` is the length of ``initial_value``.
     """
 
     name: str
-    state_dim: int  # k
     base: ModelSpec
     initial_value: np.ndarray
-    horizon: float
     drift: CoefficientField
     wiener: CoefficientField | None
     rough: CoefficientField | None
@@ -233,8 +219,6 @@ class CoupledModelSpec:
         _check_stage(self)
         if self.share_drivers and self.driver != self.base.driver:
             raise DomainError("shared drivers require identical driver specs on both stages")
-        if self.horizon != self.base.horizon:
-            raise DomainError(f"coupled horizon {self.horizon} differs from the base stage's horizon {self.base.horizon}")
         if not 0.0 <= self.declared_rho < 2.0 / 3.0:
             raise DomainError(f"growth power rho must lie in [0, 2/3), got {self.declared_rho}")
         if self.driver.rough_dim > 0:
@@ -247,6 +231,14 @@ class CoupledModelSpec:
                     "moment finiteness is not covered there",
                     stacklevel=2,
                 )
+
+    @property
+    def state_dim(self) -> int:
+        return len(self.initial_value)
+
+    @property
+    def horizon(self) -> float:
+        return self.base.horizon
 
 
 # --------------------------------------------------------------------------
@@ -267,9 +259,6 @@ class ConditionEstimate:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    set_id: str
-    box_radius: float
-    samples: int
     conditions: tuple[ConditionEstimate, ...]
 
     @property
@@ -511,12 +500,7 @@ def validate_assumptions(
                 ConditionEstimate(cond_id, best, raw_best, claimed, bool(violated), witness or {})
             )
 
-    return AssumptionReport(
-        set_id=set_id,
-        box_radius=box_radius,
-        samples=samples,
-        conditions=tuple(estimates),
-    )
+    return AssumptionReport(tuple(estimates))
 
 
 # --------------------------------------------------------------------------
@@ -536,7 +520,7 @@ def _linear_fields(d, mats, offsets, columns, name):
     def derivative(t, x):
         return np.broadcast_to(mats.transpose(1, 0, 2)[None], (len(x), d, columns, d)).copy()
 
-    return CoefficientField(name, "state", d, columns, evaluate, derivative)
+    return CoefficientField(name, evaluate, derivative)
 
 
 def _linear_drift(d, A, a0):
@@ -546,7 +530,7 @@ def _linear_drift(d, A, a0):
     def evaluate(t, x):
         return x @ A.T + a0
 
-    return CoefficientField("linear-drift", "state", d, 0, evaluate)
+    return CoefficientField("linear-drift", evaluate)
 
 
 def _as_matrix_stack(value, columns, d):
@@ -603,7 +587,6 @@ def _linear_mixed(
     deriv_bound = float(np.sqrt(sum(_op_norm(C[j]) ** 2 for j in range(l))))
     return ModelSpec(
         name="linear_mixed",
-        state_dim=d,
         initial_value=_as_vector_stack(initial_value, 0, d),
         horizon=horizon,
         drift=_linear_drift(d, A, a0),
@@ -624,7 +607,7 @@ def _trig_drift(d, amp, rate):
     def evaluate(t, x):
         return amp * np.sin(x + rate * t)
 
-    return CoefficientField("trig-drift", "state", d, 0, evaluate)
+    return CoefficientField("trig-drift", evaluate)
 
 
 def _trig_diffusion(d, columns, amp, rate, phase_step, kind, name):
@@ -643,7 +626,7 @@ def _trig_diffusion(d, columns, amp, rate, phase_step, kind, name):
             jac[:, i, :, i] = core[:, i, :]
         return jac
 
-    return CoefficientField(name, "state", d, columns, evaluate, derivative)
+    return CoefficientField(name, evaluate, derivative)
 
 
 # Phase steps between the columns of the bounded-trig diffusion blocks.
@@ -740,7 +723,6 @@ def _bounded_trig(
     lipschitz = drift_amp + wiener_amp * np.sqrt(m) + rough_amp * np.sqrt(l)
     spec = ModelSpec(
         name="bounded_trig",
-        state_dim=d,
         initial_value=_as_vector_stack(initial_value, 0, d),
         horizon=horizon,
         drift=_trig_drift(d, drift_amp, drift_rate),
@@ -863,13 +845,11 @@ def _stochvol(
     driver = DriverSpec(1, 1, (hurst,), holder_order)
     coupled = CoupledModelSpec(
         name="stochvol",
-        state_dim=1,
         base=vol_model,
         initial_value=np.asarray([initial_price], dtype=float),
-        horizon=horizon,
-        drift=CoefficientField("price-drift", "coupled", 1, 0, price_drift_eval),
-        wiener=CoefficientField("price-wiener", "coupled", 1, 1, price_wiener_eval),
-        rough=CoefficientField("price-rough", "coupled", 1, 1, price_rough_eval, price_rough_dy),
+        drift=CoefficientField("price-drift", price_drift_eval),
+        wiener=CoefficientField("price-wiener", price_wiener_eval),
+        rough=CoefficientField("price-rough", price_rough_eval, price_rough_dy),
         driver=driver,
         share_drivers=False,
         declared_rho=rho,
@@ -897,16 +877,12 @@ def _malliavin_linearized(initial_value=1.0, **base_params):
     d = base.state_dim
 
     def at_y(fld, name):
-        return CoefficientField(
-            name, "coupled", d, fld.columns, lambda t, x, y: fld.evaluate(t, y), lambda t, x, y: fld.jacobian(t, y)
-        )
+        return CoefficientField(name, lambda t, x, y: fld.evaluate(t, y), lambda t, x, y: fld.jacobian(t, y))
 
     return CoupledModelSpec(
         name="malliavin_linearized",
-        state_dim=d,
         base=base,
         initial_value=_as_vector_stack(initial_value, 0, d),
-        horizon=base.horizon,
         drift=at_y(base.drift, "sensitivity-drift"),
         wiener=at_y(base.wiener, "sensitivity-wiener"),
         rough=at_y(base.rough, "sensitivity-rough"),
@@ -919,8 +895,8 @@ def _malliavin_linearized(initial_value=1.0, **base_params):
 def _quadratic_control():
     """dX = X^2 dt + 0.5 dW + 0 dZ from X0 = 1: paths blow up, so moment studies must fail."""
     return ModelSpec(
-        name="quadratic_control", state_dim=1, initial_value=1.0, horizon=1.0,
-        drift=CoefficientField("quadratic-drift", "state", 1, 0, lambda t, x: x * x),
+        name="quadratic_control", initial_value=1.0, horizon=1.0,
+        drift=CoefficientField("quadratic-drift", lambda t, x: x * x),
         wiener=_linear_fields(1, 0.0, 0.5, 1, "constant-wiener"),
         rough=_linear_fields(1, 0.0, 0.0, 1, "zero-rough"),
         driver=DriverSpec(1, 1, (0.75,)),

@@ -40,13 +40,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolveOutput:
-    """Solution batch plus per-path blowup bookkeeping and the drivers used."""
+    """Solution batch, each path's first non-finite row or -1, and the drivers used; ``blown`` derives from the row."""
 
     paths: PathBatch
-    blown: np.ndarray
     first_nonfinite_index: np.ndarray
     wiener: PathBatch | None
     rough: PathBatch | None
+
+    @property
+    def blown(self) -> np.ndarray:
+        return self.first_nonfinite_index >= 0
 
     @property
     def blowup_count(self) -> int:
@@ -117,7 +120,6 @@ def _euler_loop(model, grid, count, w_values, z_values, x_states=None):
     out = store.transpose(0, 2, 1)
     out[0] = model.initial_value
     state = out[0]
-    blown = np.zeros(count, dtype=bool)
     first_bad = np.full(count, -1, dtype=np.int64)
     if x_states is not None:
         base = x_states.transpose(1, 0, 2)
@@ -135,11 +137,10 @@ def _euler_loop(model, grid, count, w_values, z_values, x_states=None):
             rows = store[k0 + 1 : k1 + 1]
             if not math.isfinite(np.add.reduce(rows, axis=None)):
                 bad = ~np.isfinite(rows).all(axis=1)
-                newly_bad, first = ~blown & bad.any(axis=0), bad.argmax(axis=0)
+                newly_bad, first = (first_bad < 0) & bad.any(axis=0), bad.argmax(axis=0)
                 first_bad[newly_bad] = k0 + 1 + first[newly_bad]
-                blown |= newly_bad
                 np.copyto(rows, np.nan, where=(newly_bad & (np.arange(k1 - k0)[:, None] >= first))[:, None, :])
-    return store.transpose(2, 0, 1), blown, first_bad
+    return store.transpose(2, 0, 1), first_bad
 
 
 def _check_stage(model, grid, coupled: bool) -> None:
@@ -162,8 +163,8 @@ def _euler_stage(model, grid, count, wiener, rough, x_states=None) -> SolveOutpu
         raise DomainError("at least one driver batch is required")
     w_values = wiener.values if wiener is not None else None
     z_values = rough.values if rough is not None else None
-    values, blown, first_bad = _euler_loop(model, grid, count, w_values, z_values, x_states)
-    return SolveOutput(PathBatch(grid, values), blown, first_bad, wiener, rough)
+    values, first_bad = _euler_loop(model, grid, count, w_values, z_values, x_states)
+    return SolveOutput(PathBatch(grid, values), first_bad, wiener, rough)
 
 
 def euler_mixed(
@@ -295,10 +296,8 @@ def closed_form_geometric_batch(model: ModelSpec, wiener: PathBatch, rough: Path
     the first-order chain rule, so the rough volatility enters plainly.
     """
     _check_geometric(model)
-    if wiener.dim != 1 or rough.dim != 1:
-        raise DomainError("the closed form needs scalar drivers")
-    if wiener.grid != rough.grid:
-        raise GridMismatchError("driver batches must share the grid")
+    count = _check_driver_batch(wiener, 1, wiener.grid, None, "wiener")
+    _check_driver_batch(rough, 1, wiener.grid, count, "rough")
     _check_stage(model, wiener.grid, coupled=False)
     one = np.ones((1, 1))
     mu = float(model.drift(0.0, one)[0, 0])

@@ -35,7 +35,6 @@ class YoungResult:
     """
 
     value: np.ndarray
-    refinement_level: int
     error_estimate: np.ndarray
     converged: np.ndarray
     history: tuple[np.ndarray, ...]
@@ -101,7 +100,6 @@ def young_integrate(g: PathBatch, h: PathBatch, tol: float = 1e-6) -> YoungResul
     gap = np.abs(step) if g.dim == 1 else np.sqrt(np.matmul(step[:, None, :], step[:, :, None])[:, 0, 0])
     return YoungResult(
         value=history[-1],
-        refinement_level=depth,
         error_estimate=gap,
         converged=gap < tol,
         history=tuple(history),

@@ -205,10 +205,10 @@ def test_s8_condition_validators():
         return np.cos(x)[:, :, None, None]
 
     sin_model = mx.ModelSpec(
-        name="sin-c", state_dim=1, initial_value=[0.0], horizon=1.0,
-        drift=mx.CoefficientField("zero", "state", 1, 0, lambda t, x: np.zeros_like(x)),
+        name="sin-c", initial_value=[0.0], horizon=1.0,
+        drift=mx.CoefficientField("zero", lambda t, x: np.zeros_like(x)),
         wiener=None,
-        rough=mx.CoefficientField("sin", "state", 1, 1, sin_eval, sin_deriv),
+        rough=mx.CoefficientField("sin", sin_eval, sin_deriv),
         driver=mx.DriverSpec(0, 1, (0.75,)),
     )
     rep = mx.validate_assumptions(sin_model, "B", box_radius=2.0, samples=10_000, seed=2)
@@ -220,10 +220,10 @@ def test_s8_condition_validators():
         return x * x
 
     planted = mx.ModelSpec(
-        name="planted", state_dim=1, initial_value=[0.0], horizon=1.0,
-        drift=mx.CoefficientField("quad", "state", 1, 0, quad),
+        name="planted", initial_value=[0.0], horizon=1.0,
+        drift=mx.CoefficientField("quad", quad),
         wiener=None,
-        rough=mx.CoefficientField("sin", "state", 1, 1, sin_eval, sin_deriv),
+        rough=mx.CoefficientField("sin", sin_eval, sin_deriv),
         driver=mx.DriverSpec(0, 1, (0.75,)),
         claimed_constants={"A1": 1.0},
     )

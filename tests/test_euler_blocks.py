@@ -145,11 +145,10 @@ def _linear_model(x0=1.0, rate=0.5):
 
     return ModelSpec(
         name="linear",
-        state_dim=1,
         initial_value=[x0],
         horizon=1.0,
-        drift=CoefficientField("lin-drift", "state", 1, 0, drift),
-        wiener=CoefficientField("lin-wiener", "state", 1, 1, wiener),
+        drift=CoefficientField("lin-drift", drift),
+        wiener=CoefficientField("lin-wiener", wiener),
         rough=None,
         driver=DriverSpec(1, 0),
     )
@@ -207,11 +206,10 @@ def test_fields_that_return_their_input_are_not_written_into():
     n = 2 * B + 3
     mixed = ModelSpec(
         name="identity",
-        state_dim=1,
         initial_value=[1.0],
         horizon=1.0,
-        drift=CoefficientField("id", "state", 1, 0, lambda t, x: x),
-        wiener=CoefficientField("w", "state", 1, 1, lambda t, x: 0.3 * x[:, :, None]),
+        drift=CoefficientField("id", lambda t, x: x),
+        wiener=CoefficientField("w", lambda t, x: 0.3 * x[:, :, None]),
         rough=None,
         driver=DriverSpec(1, 0),
     )
@@ -220,12 +218,10 @@ def test_fields_that_return_their_input_are_not_written_into():
     for identity in (lambda t, x, y: y, lambda t, x, y: x):
         coupled = CoupledModelSpec(
             name="identity-coupled",
-            state_dim=1,
             base=mixed,
             initial_value=[1.0],
-            horizon=1.0,
-            drift=CoefficientField("id", "coupled", 1, 0, identity),
-            wiener=CoefficientField("w", "coupled", 1, 1, lambda t, x, y: (0.3 * y)[:, :, None]),
+            drift=CoefficientField("id", identity),
+            wiener=CoefficientField("w", lambda t, x, y: (0.3 * y)[:, :, None]),
             rough=None,
             driver=DriverSpec(1, 0),
         )

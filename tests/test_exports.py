@@ -13,6 +13,7 @@ import mixedsde
 
 SOURCE = Path(mixedsde.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+CSV_SCHEMA = README.parent / "docs" / "csv_schema.md"
 
 
 def test_every_name_in_all_exists():
@@ -45,12 +46,17 @@ def _reads(tree, name):
     return any(_reads(child, name) for child in ast.iter_child_nodes(tree))
 
 
-def test_every_export_and_its_public_methods_are_used_or_documented():
-    # A name counts as used when src/mixedsde reads it. Attributes match by name
-    # only, so a method that shares a name with a read attribute is not caught.
+def _trees_and_exports():
     trees = [ast.parse(source.read_text()) for source in sorted(SOURCE.glob("*.py"))]
     exported = [alias.name for node in ast.parse((SOURCE / "__init__.py").read_text()).body
                 if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    return trees, exported
+
+
+def test_every_export_and_its_public_methods_are_used_or_documented():
+    # A name counts as used when src/mixedsde reads it. Attributes match by name
+    # only, so a method that shares a name with a read attribute is not caught.
+    trees, exported = _trees_and_exports()
     methods = [f"{node.name}.{item.name}" for tree in trees for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name in exported for item in node.body
                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")]
@@ -61,3 +67,20 @@ def test_every_export_and_its_public_methods_are_used_or_documented():
         if not any(_reads(tree, name) for tree in trees) and not re.search(rf"\b{name}\b", readme):
             dead.append(qualified)
     assert not dead, f"public names that neither src/mixedsde reads nor README.md names: {dead}"
+
+
+def test_every_field_of_an_exported_class_is_read_or_documented():
+    # A field that nothing reads is a second copy of a fact or an echo of an input.
+    # As above, fields match by name only: one that shares a name with any name
+    # src/mixedsde reads, a local variable included, is not caught.
+    trees, exported = _trees_and_exports()
+    fields = [f"{node.name}.{item.target.id}" for tree in trees for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name in exported for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    docs = README.read_text() + CSV_SCHEMA.read_text()
+    unread = []
+    for qualified in fields:
+        name = qualified.rsplit(".", 1)[-1]
+        if not any(_reads(tree, name) for tree in trees) and not re.search(rf"\b{name}\b", docs):
+            unread.append(qualified)
+    assert not unread, f"fields of exported classes that neither src/mixedsde reads nor the docs name: {unread}"

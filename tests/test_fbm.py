@@ -471,14 +471,12 @@ def _sensitivity_stage(base):
     """A coupled stage dY = a(Y) dt + b(Y) dW + c(Y) dZ on drivers independent of ``base``'s."""
 
     def at_y(fld):
-        return CoefficientField(fld.name, "coupled", fld.out_dim, fld.columns, lambda t, x, y: fld.evaluate(t, y))
+        return CoefficientField(fld.name, lambda t, x, y: fld.evaluate(t, y))
 
     return CoupledModelSpec(
         name="sensitivity",
-        state_dim=base.state_dim,
         base=base,
         initial_value=base.initial_value,
-        horizon=base.horizon,
         drift=at_y(base.drift),
         wiener=at_y(base.wiener),
         rough=at_y(base.rough),

@@ -14,6 +14,7 @@ from mixedsde import (
     coupled_growth_power_bound,
     validate_assumptions,
 )
+from mixedsde.models import ZOO_MODELS
 
 
 def zero_rough(dim=1):
@@ -23,7 +24,7 @@ def zero_rough(dim=1):
     def derivative(t, x):
         return np.zeros((len(x), dim, 1, dim))
 
-    return CoefficientField("zero-rough", "state", dim, 1, evaluate, derivative)
+    return CoefficientField("zero-rough", evaluate, derivative)
 
 
 def constants(report):
@@ -38,10 +39,9 @@ def state_model(drift=None, wiener=None, rough=None, dim=1, claimed=None):
         l = 1
     return ModelSpec(
         name="adhoc",
-        state_dim=dim,
         initial_value=np.zeros(dim),
         horizon=1.0,
-        drift=drift or CoefficientField("zero-drift", "state", dim, 0, lambda t, x: np.zeros_like(x)),
+        drift=drift or CoefficientField("zero-drift", lambda t, x: np.zeros_like(x)),
         wiener=wiener,
         rough=rough,
         driver=DriverSpec(m, l, (0.75,) * l),
@@ -54,7 +54,7 @@ def state_model(drift=None, wiener=None, rough=None, dim=1, claimed=None):
 
 def test_linear_growth_ratio_saturates_at_box_edge():
     # a(t,x) = x: the A1 ratio |x|/(1+|x|) climbs to R/(1+R) on the box
-    drift = CoefficientField("identity", "state", 1, 0, lambda t, x: x)
+    drift = CoefficientField("identity", lambda t, x: x)
     model = state_model(drift=drift)
     report = validate_assumptions(model, "A", box_radius=10.0, samples=2000, seed=1)
     assert constants(report)["A1"] == pytest.approx(10.0 / 11.0, rel=1e-3)
@@ -69,7 +69,7 @@ def test_sin_coefficient_bound_and_derivative_constants():
         return np.cos(x)[:, :, None, None]
 
     model = state_model(
-        rough=CoefficientField("sin", "state", 1, 1, c_eval, c_deriv)
+        rough=CoefficientField("sin", c_eval, c_deriv)
     )
     report = validate_assumptions(model, "B", box_radius=2.0, samples=2000, seed=2)
     assert 0.99 <= constants(report)["B1"] <= 1.0
@@ -81,14 +81,14 @@ def test_quadratic_diffusion_lipschitz_constant_is_two_r():
     def b_eval(t, x):
         return (x * x)[:, :, None]
 
-    model = state_model(wiener=CoefficientField("square", "state", 1, 1, b_eval))
+    model = state_model(wiener=CoefficientField("square", b_eval))
     report = validate_assumptions(model, "A", box_radius=2.0, samples=2000, seed=3)
     assert constants(report)["A3"] == pytest.approx(4.0, rel=0.02)
     assert constants(report)["A3"] <= 4.0 + 1e-9
 
 
 def test_jacobian_of_a_field_without_derivative_is_refused_naming_it():
-    rough = CoefficientField("sin", "state", 1, 1, lambda t, x: np.sin(x)[:, :, None])
+    rough = CoefficientField("sin", lambda t, x: np.sin(x)[:, :, None])
     with pytest.raises(DomainError, match="field 'sin' has no derivative"):
         rough.jacobian(0.0, np.zeros((2, 1)))
     with pytest.raises(DomainError, match="field 'sin' has no derivative"):
@@ -123,7 +123,7 @@ def test_validator_raw_maximum_is_monotone_in_samples():
 
 
 def test_planted_violation_is_flagged_with_witness():
-    drift = CoefficientField("quad", "state", 1, 0, lambda t, x: x * x)
+    drift = CoefficientField("quad", lambda t, x: x * x)
     model = state_model(drift=drift, claimed={"A1": 1.0})
     report = validate_assumptions(model, "A", box_radius=10.0, samples=2000, seed=6)
     assert report.verdict == "violated"
@@ -138,7 +138,7 @@ def test_non_finite_evaluator_is_reported_with_witness():
         with np.errstate(over="ignore"):
             return np.exp(x * 50.0)
 
-    model = state_model(drift=CoefficientField("explode", "state", 1, 0, exploding))
+    model = state_model(drift=CoefficientField("explode", exploding))
     report = validate_assumptions(model, "A", box_radius=10.0, samples=1000, seed=7)
     bad = {c.condition: c for c in report.conditions}["A1"]
     assert bad.violated
@@ -250,10 +250,9 @@ def test_model_spec_validation():
     with pytest.raises(DomainError):
         ModelSpec(
             name="bad",
-            state_dim=1,
             initial_value=[np.nan],
             horizon=1.0,
-            drift=CoefficientField("d", "state", 1, 0, lambda t, x: x),
+            drift=CoefficientField("d", lambda t, x: x),
             wiener=None,
             rough=zero_rough(),
             driver=DriverSpec(0, 1, (0.75,)),
@@ -262,10 +261,9 @@ def test_model_spec_validation():
         # beta outside (1 - mu, 1/2)
         ModelSpec(
             name="bad-beta",
-            state_dim=1,
             initial_value=[0.0],
             horizon=1.0,
-            drift=CoefficientField("d", "state", 1, 0, lambda t, x: x),
+            drift=CoefficientField("d", lambda t, x: x),
             wiener=None,
             rough=zero_rough(),
             driver=DriverSpec(0, 1, (0.75,), holder_order=0.74),
@@ -278,17 +276,29 @@ def test_both_stage_specs_run_the_same_stage_checks(stage):
     price = model_zoo("stochvol")
     spec = price.base if stage == "primary" else price
     bad = {
-        "horizon": {"horizon": -1.0},
-        "nan horizon": {"horizon": float("nan")},
         "initial value": {"initial_value": np.full(spec.state_dim, np.inf)},
-        "initial length": {"initial_value": np.zeros(spec.state_dim + 1)},
+        "2-D initial value": {"initial_value": np.zeros((1, spec.state_dim))},
+        "empty initial value": {"initial_value": np.zeros(0)},
         "wiener": {"wiener": None},
         "rough": {"rough": None},
+        "holder beta": {"holder_beta": 5.0},
     }
+    if stage == "primary":  # a coupled stage's horizon is its base's
+        bad.update({"horizon": {"horizon": -1.0}, "nan horizon": {"horizon": float("nan")}})
     for label, change in bad.items():
         with pytest.raises(DomainError):
             dataclasses.replace(spec, **change)
             pytest.fail(f"accepted a bad {label}")
+
+
+@pytest.mark.parametrize("name", ZOO_MODELS)
+def test_state_dim_is_the_initial_value_length_on_every_stage(name):
+    spec = model_zoo(name)
+    for stage in (spec, spec.base) if isinstance(spec, CoupledModelSpec) else (spec,):
+        assert stage.state_dim == len(stage.initial_value)
+        assert "state_dim" not in {f.name for f in dataclasses.fields(stage)}
+        with pytest.raises(TypeError):
+            dataclasses.replace(stage, state_dim=stage.state_dim)
 
 
 @pytest.mark.parametrize("name", ["bounded_trig", "stochvol"])
@@ -302,10 +312,9 @@ def test_zoo_rejects_a_negative_horizon_without_warning(name):
 def test_probe_catches_shape_bugs():
     broken = ModelSpec(
         name="broken",
-        state_dim=2,
         initial_value=[0.0, 0.0],
         horizon=1.0,
-        drift=CoefficientField("d", "state", 2, 0, lambda t, x: x[:, :1]),  # wrong width
+        drift=CoefficientField("d", lambda t, x: x[:, :1]),  # wrong width
         wiener=None,
         rough=zero_rough(2),
         driver=DriverSpec(0, 1, (0.75,)),

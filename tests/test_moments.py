@@ -140,8 +140,8 @@ def test_all_paths_blown_raises_estimation_error():
         return x * x
 
     model = mixedsde.ModelSpec(
-        name="explode", state_dim=1, initial_value=[3.0], horizon=1.0,
-        drift=mixedsde.CoefficientField("quad", "state", 1, 0, quad),
+        name="explode", initial_value=[3.0], horizon=1.0,
+        drift=mixedsde.CoefficientField("quad", quad),
         wiener=None,
         rough=model_zoo("linear_mixed", rough_matrix=0.0, rough_offset=0.0).rough,
         driver=mixedsde.DriverSpec(0, 1, (0.75,)),
@@ -346,9 +346,11 @@ def test_shared_drivers_with_different_hurst_rejected_everywhere():
         dataclasses.replace(sens, base=other_base)
 
 
-def test_coupled_horizon_other_than_the_base_rejected():
-    # the level ladder solves both stages on one grid, the base's
-    with pytest.raises(DomainError, match=r"horizon 4\.0 differs from the base stage's horizon 1\.0"):
-        dataclasses.replace(model_zoo("stochvol"), horizon=4.0)
+def test_coupled_horizon_follows_the_base():
+    # the level ladder solves both stages on one grid, the base's, so a coupled stage holds no horizon of its own
+    price = model_zoo("stochvol")
+    with pytest.raises(TypeError):
+        dataclasses.replace(price, horizon=2.0)
+    assert dataclasses.replace(price, base=dataclasses.replace(price.base, horizon=2.0)).horizon == 2.0
     price = model_zoo("stochvol", horizon=4.0)
     assert price.horizon == price.base.horizon == 4.0

@@ -1,6 +1,6 @@
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -34,13 +34,12 @@ def constant_field(value, dim=1, columns=0):
             return np.full((len(x), dim, columns), value)
         return np.full((len(x), dim), value)
 
-    return CoefficientField(f"const-{value}", "state", dim, columns, evaluate)
+    return CoefficientField(f"const-{value}", evaluate)
 
 
 def simple_model(a=0.0, b=0.0, c=0.0, x0=1.0, horizon=1.0):
     return ModelSpec(
         name="simple",
-        state_dim=1,
         initial_value=[x0],
         horizon=horizon,
         drift=constant_field(a),
@@ -113,6 +112,15 @@ def test_closed_form_refuses_drivers_off_the_model_horizon():
     w, z, _, _ = stage_drivers(model_zoo("geometric_mixed"), TimeGrid(1.0, 16), 2, 5, 0)
     with pytest.raises(GridMismatchError, match="grid horizon 1.0 differs from the horizon 2.0 of 'geometric_mixed'"):
         closed_form_geometric_batch(model_zoo("geometric_mixed", horizon=2.0), w, z)
+
+
+def test_closed_form_refuses_driver_batches_of_different_path_counts():
+    model = model_zoo("geometric_mixed")
+    grid = TimeGrid(1.0, 16)
+    w = stage_drivers(model, grid, 1, 5, 0)[0]
+    z = stage_drivers(model, grid, 5, 5, 0)[1]
+    with pytest.raises(DomainError, match="disagree on path count: 5 vs 1"):
+        closed_form_geometric_batch(model, w, z)
 
 
 def test_convergence_study_refuses_another_model_before_drawing_drivers(monkeypatch):
@@ -197,9 +205,9 @@ def _zeroed_coupled_fields(price):
 
     return replace(
         price,
-        drift=CoefficientField("zero", "coupled", 1, 0, zero_drift),
-        wiener=CoefficientField("zero", "coupled", 1, 1, zero_block),
-        rough=CoefficientField("zero", "coupled", 1, 1, zero_block),
+        drift=CoefficientField("zero", zero_drift),
+        wiener=CoefficientField("zero", zero_block),
+        rough=CoefficientField("zero", zero_block),
         claimed_constants={},
     )
 
@@ -343,10 +351,9 @@ def test_blowup_is_flagged_not_raised():
 
     model = ModelSpec(
         name="quad",
-        state_dim=1,
         initial_value=[1.0],
         horizon=1.0,
-        drift=CoefficientField("quad", "state", 1, 0, quad),
+        drift=CoefficientField("quad", quad),
         wiener=constant_field(0.5, columns=1),
         rough=constant_field(0.0, columns=1),
         driver=DriverSpec(1, 1, (0.75,)),
@@ -360,3 +367,11 @@ def test_blowup_is_flagged_not_raised():
         assert np.isnan(out.paths.values[i, k:, 0]).all()
     survivors = out.paths.values[~out.blown]
     assert np.isfinite(survivors).all()
+
+
+def test_blown_is_derived_from_the_first_non_finite_index():
+    out = solve_model(model_zoo("quadratic_control"), TimeGrid(1.0, 1024), 200, seed=9)
+    assert 0 < out.blowup_count < 200
+    assert out.blown.tobytes() == (out.first_nonfinite_index >= 0).tobytes()
+    assert out.blown.tobytes() == (~np.isfinite(out.paths.values).all(axis=(1, 2))).tobytes()
+    assert "blown" not in {f.name for f in fields(out)}

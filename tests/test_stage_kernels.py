@@ -156,9 +156,9 @@ def test_trig_drift_rates_per_component_keep_the_fields():
 def test_a_spec_rebuilt_with_other_fields_drops_its_kernel():
     price = model_zoo("stochvol")
     vol = price.base
-    zero = CoefficientField("zero", "coupled", 1, 0, lambda t, x, y: np.zeros_like(y))
-    block = CoefficientField("zero", "coupled", 1, 1, lambda t, x, y: np.zeros((len(y), 1, 1)))
+    zero = CoefficientField("zero", lambda t, x, y: np.zeros_like(y))
+    block = CoefficientField("zero", lambda t, x, y: np.zeros((len(y), 1, 1)))
     for changes in ({"drift": zero}, {"wiener": block}, {"rough": block}):
         assert replace(price, **changes).kernel is None
-    drift = CoefficientField("zero", "state", 2, 0, lambda t, x: np.zeros_like(x))
+    drift = CoefficientField("zero", lambda t, x: np.zeros_like(x))
     assert replace(vol, drift=drift).kernel is None

@@ -242,7 +242,9 @@ def test_survivor_sup_norms_drop_blown_rows_and_keep_positive_zero(dim, layout):
     values[5, :, 0] = -np.abs(values[5, :, 0])  # the sup sits at a minimum
     blown = np.zeros(PATHS, dtype=bool)
     blown[[2, 4]] = True
-    out = SolveOutput(PathBatch(TimeGrid(1.0, n), layout(values)), blown, np.full(PATHS, -1), None, None)
+    first = np.full(PATHS, -1)
+    first[[2, 4]] = 5, B
+    out = SolveOutput(PathBatch(TimeGrid(1.0, n), layout(values)), first, None, None)
     got = out.survivor_sup_norms()
     want = _reference_sups(values, blown)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -252,7 +254,6 @@ def test_survivor_sup_norms_drop_blown_rows_and_keep_positive_zero(dim, layout):
 
 def test_survivor_sup_norms_of_an_all_blown_batch_is_empty():
     values = np.full((3, 5, 1), np.nan)
-    blown = np.ones(3, dtype=bool)
-    out = SolveOutput(PathBatch(TimeGrid(1.0, 4), values), blown, np.ones(3, dtype=np.int64), None, None)
+    out = SolveOutput(PathBatch(TimeGrid(1.0, 4), values), np.ones(3, dtype=np.int64), None, None)
     got = out.survivor_sup_norms()
     assert got.shape == (0,) and got.dtype == np.float64
