@@ -493,7 +493,7 @@ def _run_moments(config: dict) -> list[dict]:
     )
     rows = []
     for table in tables:
-        for (level, est), ratio in zip(table.rows, (float("nan"), *table.ratios)):
+        for level, est, ratio in zip(table.levels, table.estimates, (float("nan"), *table.ratios)):
             fields = asdict(est)
             del fields["target"]
             rows.append({"statistic": table.target, "step_count": level, **fields, "ratio_vs_prev": ratio, **extra})

@@ -83,9 +83,9 @@ class MomentEstimate:
     ``tail_dominance`` is the share of the sum contributed by the single
     largest sample; past ``TAIL_DOMINANCE_THRESHOLD`` the law of large
     numbers is visibly failing and finiteness cannot be distinguished from
-    divergence at this sample size. ``blowup_count`` > 0 voids any
-    finiteness claim for the batch even though the mean over survivors is
-    still reported.
+    divergence at this sample size. ``sample_count + blowup_count`` is the
+    path count; ``blowup_count`` > 0 voids any finiteness claim for the
+    batch even though the mean over the finite paths is still reported.
     """
 
     target: str
@@ -100,7 +100,9 @@ class MomentEstimate:
     unstable: bool
 
 
-def _estimate_from_sups(sups: np.ndarray, blowup_count: int, target: MomentTarget) -> MomentEstimate:
+def _estimate_from_sups(slots: np.ndarray, target: MomentTarget) -> MomentEstimate:
+    """Estimate from one sup slot per path: NaN slots are blowups, counted and dropped in path order."""
+    sups = slots[~np.isnan(slots)]
     n = len(sups)
     if n == 0:
         raise EstimationError("every path blew up; nothing to estimate")
@@ -115,7 +117,7 @@ def _estimate_from_sups(sups: np.ndarray, blowup_count: int, target: MomentTarge
         if overflow or not np.isfinite(total):
             dominance = 1.0
             se = float("inf")
-            ci = (min(estimate, float("inf")), float("inf"))
+            ci = (estimate, float("inf"))
         else:
             dominance = float(values.max() / total) if total > 0 else 0.0
             se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")  # one sample: no spread
@@ -128,7 +130,7 @@ def _estimate_from_sups(sups: np.ndarray, blowup_count: int, target: MomentTarge
         ci_low=float(ci[0]),
         ci_high=float(ci[1]),
         sample_count=n,
-        blowup_count=int(blowup_count),
+        blowup_count=len(slots) - n,
         tail_dominance=dominance,
         overflow_count=overflow,
         unstable=bool(unstable),
@@ -138,10 +140,12 @@ def _estimate_from_sups(sups: np.ndarray, blowup_count: int, target: MomentTarge
 def moment_estimate(output: SolveOutput, target: MomentTarget) -> MomentEstimate:
     """Sample mean of the target's sup-norm statistic over the non-blowup paths.
 
+    It reads ``output.sup_norms()``, whose entry i is path i and NaN exactly
+    where that path blew up; the NaN slots make ``blowup_count``.
     Overflowing samples are counted and flagged, never clipped: an estimate
     whose sum a single path dominates (or overflows) is marked unstable.
     """
-    return _estimate_from_sups(output.survivor_sup_norms(), output.blowup_count, target)
+    return _estimate_from_sups(output.sup_norms(), target)
 
 
 # --------------------------------------------------------------------------
@@ -156,10 +160,6 @@ class StabilityTable:
     levels: tuple[int, ...]
     estimates: tuple[MomentEstimate, ...]
     ratios: tuple[float, ...]
-
-    @property
-    def rows(self):
-        return tuple(zip(self.levels, self.estimates))
 
 
 def _level_ratio(prev: float, nxt: float) -> float:
@@ -187,17 +187,17 @@ def grid_stability_tables(
     Common random numbers: each path chunk is one :func:`solve_levels` call,
     which draws the chunk's drivers once on the finest grid and solves every
     level on their restriction, so level-to-level differences carry no fresh
-    sampling noise.
+    sampling noise. Each level joins one sup array whose entry i is path i.
     """
     levels = check_levels(levels)
 
     def job(lo, hi):
-        return solve_levels(model, levels, hi - lo, seed, lo, lambda out: (out.survivor_sup_norms(), out.blown))
+        return solve_levels(model, levels, hi - lo, seed, lo, SolveOutput.sup_norms)
 
     per_level = parallel.map_paths(job, paths, workers)
     tables = []
     for target in targets:
-        estimates = tuple(_estimate_from_sups(sups, blown.sum(), target) for sups, blown in per_level.values())
+        estimates = tuple(_estimate_from_sups(sups, target) for sups in per_level.values())
         ratios = tuple(_level_ratio(a.estimate, b.estimate) for a, b in zip(estimates, estimates[1:]))
         tables.append(StabilityTable(target=target.label, levels=levels, estimates=estimates, ratios=ratios))
     return tables
@@ -274,19 +274,17 @@ def fernique_tail_check(
     seminorms, coarse = parallel.map_paths(job, paths, workers)
     order = np.sort(seminorms)
     median = _sorted_median(order)
+    nan = float("nan")
+    run = dict(hurst=hurst, holder_order=holder_order, step_count=grid.step_count, paths=paths, seminorm_median=median)
 
     if not fit_mode:
         coarse_median = _sorted_median(np.sort(coarse))
         return FerniqueTailReport(
             mode="growth",
-            hurst=hurst,
-            holder_order=holder_order,
-            step_count=grid.step_count,
-            paths=paths,
-            slope=float("nan"),
-            r_squared=float("nan"),
-            tail_start=float("nan"),
-            seminorm_median=median,
+            **run,
+            slope=nan,
+            r_squared=nan,
+            tail_start=nan,
             coarse_median=coarse_median,
             growth_ratio=median / coarse_median if coarse_median > 0 else float("inf"),
         )
@@ -312,14 +310,10 @@ def fernique_tail_check(
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     return FerniqueTailReport(
         mode="fit",
-        hurst=hurst,
-        holder_order=holder_order,
-        step_count=grid.step_count,
-        paths=paths,
+        **run,
         slope=float(np.ldexp(coef[0], -e)),
         r_squared=1.0 - ss_res / ss_tot,
         tail_start=float(order[start]),
-        seminorm_median=median,
-        coarse_median=float("nan"),
-        growth_ratio=float("nan"),
+        coarse_median=nan,
+        growth_ratio=nan,
     )

@@ -5,6 +5,13 @@ streams make every range's values independent of the partition.
 ``map_paths`` is the one place that merges ranges: it joins per-path
 results in path order and studies reduce only after the join, so results
 are bit-identical at any worker count and any chunk size.
+
+The pool is threads sharing one GIL, which the Euler loop's small numpy
+calls take at every step. On a shared 2-core Xeon (numpy 2.4.6, Python
+3.11.7), two finest-level ``stochvol`` primary solves (2,048 paths, n 4,096)
+took 0.51 s on two threads and 0.54 s in turn (medians of 10). Nothing may
+busy-loop in Python beside ``map_paths``: a counting thread stretched one
+0.29 s solve to 67-121 s, as each GIL handoff waited a 5 ms switch interval.
 """
 
 from __future__ import annotations

@@ -55,19 +55,18 @@ class SolveOutput:
     def blowup_count(self) -> int:
         return int(self.blown.sum())
 
-    def survivor_sup_norms(self) -> np.ndarray:
-        """Sup of the Euclidean norm over the grid, survivors only.
+    def sup_norms(self) -> np.ndarray:
+        """Sup of the Euclidean norm over the grid: entry i is path i's, NaN exactly where ``blown``.
 
-        Every path is reduced, then blown rows are dropped. In dim 1 the sup is
+        A blown path holds NaN from its first bad row on, and a finite path's
+        sup is finite or, when a norm overflows, inf. In dim 1 the sup is
         max(max x, -min x) + 0.0, which turns a -0.0 into abs's 0.0.
         """
         v = self.paths.values
         if v.shape[2] == 1:
-            sups = np.maximum(v[:, :, 0].max(axis=1), -v[:, :, 0].min(axis=1)) + 0.0
-        else:
-            with np.errstate(over="ignore"):
-                sups = np.linalg.norm(v, axis=2).max(axis=1)
-        return sups[~self.blown]
+            return np.maximum(v[:, :, 0].max(axis=1), -v[:, :, 0].min(axis=1)) + 0.0
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(v, axis=2).max(axis=1)
 
 
 def _check_driver_batch(batch: PathBatch | None, dim: int, grid: TimeGrid, count: int | None, label: str):
@@ -332,14 +331,14 @@ def solve_levels(model, levels, count, seed, path_offset, reduce) -> dict:
     with :func:`stage_drivers` on the finest level's grid, and holds the only
     reference to them. Each level solves the primary stage (a coupled
     model's ``base``) on their exact restriction, then the coupled stage of
-    a coupled model, and reduces the last stage's output; only the
-    reductions are kept. Each finest-size array is freed after its last
-    reader: a level's output once it is reduced, the primary output once
-    its paths reach the coupled stage, and the primary drivers before the
-    finest coupled solve. So a chunk holds at most the
-    four drivers and the primary states at once. The drivers are written with
-    no conversion copy, so drawing them holds at most four finest-size
-    arrays plus one synthesis block's scratch.
+    a coupled model, and reduces the last stage's output to per-path
+    arrays, such as :meth:`SolveOutput.sup_norms`; only the reductions are
+    kept. Each finest-size array is freed after its last reader: a level's
+    output once it is reduced, the primary output once its paths reach the
+    coupled stage, and the primary drivers before the finest coupled solve.
+    So a chunk holds at most the four drivers and the primary states at
+    once. The drivers are written with no conversion copy, so drawing them
+    holds at most four finest-size arrays plus one synthesis block's scratch.
     """
     coupled = isinstance(model, CoupledModelSpec)
     primary = model.base if coupled else model

@@ -200,6 +200,17 @@ def test_moments_command_with_model_params(tmp_path):
     assert "threshold_gamma" not in rows[0]  # only exp rows carry the exponent bound
 
 
+def test_moments_counts_add_up_to_the_paths_when_paths_blow_up(tmp_path):
+    cfg = write_config(
+        tmp_path, "q.cfg", "model: quadratic_control\nstatistic: sup\np: [0.5]\nlevels: [32, 64]\npaths: 300\nseed: 9\n"
+    )
+    out = tmp_path / "run"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "moments.csv")
+    assert [row["blowup_count"] for row in rows] == ["0", "36"]
+    assert all(int(row["sample_count"]) + int(row["blowup_count"]) == 300 for row in rows)
+
+
 def test_moments_command_constant_model_is_exact(tmp_path):
     cfg = write_config(
         tmp_path,

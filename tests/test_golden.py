@@ -57,6 +57,11 @@ CASES = {
         "model: quadratic_control\nstatistic: sup\np: [2]\nlevels: [32, 64]\npaths: 2100\nseed: 9\n",
         "1bcb468fcf563f5c7b7571b967d1247004294dc1a235722b8be2c49d15bf6305",
     ),
+    "moments-quadratic_control-finite": (
+        "moments",
+        "model: quadratic_control\nstatistic: sup\np: [0.5, 1]\nlevels: [32, 64]\npaths: 2100\nseed: 9\n",
+        "16c7a233a844265277a902b14969f97732b25c5cd2fbb6b54e6ce6ca321c92dd",
+    ),
     "moments-exp-one-level": (
         "moments",
         "model: bounded_trig\nstatistic: exp\nc: 1.0\ngamma: [0.6, 1.5]\nlevels: [16]\npaths: 2100\nseed: 13\n",

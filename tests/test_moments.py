@@ -22,7 +22,7 @@ from mixedsde import (
     young_love_rhs,
 )
 from mixedsde import parallel
-from mixedsde.moments import _level_ratio, _sorted_median, grid_stability_tables
+from mixedsde.moments import _estimate_from_sups, _level_ratio, _sorted_median, grid_stability_tables
 
 
 def constant_model(value=2.0):
@@ -97,7 +97,8 @@ def test_exp_moment_above_gaussian_square_flags_unstable():
 
 def test_finite_sample_jensen_inequality():
     out = solve_model(model_zoo("bounded_trig"), TimeGrid(1.0, 256), 400, seed=7)
-    sups = out.survivor_sup_norms()
+    sups = out.sup_norms()
+    assert not np.isnan(sups).any()
     c, gamma = 1.0, 1.0
     est = moment_estimate(out, MomentTarget("exp", c=c, gamma=gamma))
     assert est.estimate >= math.exp(c * np.mean(sups**gamma)) * (1 - 1e-12)
@@ -148,7 +149,11 @@ def test_all_paths_blown_raises_estimation_error():
     )
     out = solve_model(model, TimeGrid(1.0, 512), 50, seed=10)
     assert out.blowup_count == 50
-    with pytest.raises(EstimationError):
+    sups = out.sup_norms()
+    assert sups.shape == (50,) and sups.dtype == np.float64 and np.isnan(sups).all()
+    with pytest.raises(EstimationError, match="every path blew up"):
+        _estimate_from_sups(sups, MomentTarget("sup", p=2.0))
+    with pytest.raises(EstimationError, match="every path blew up"):
         moment_estimate(out, MomentTarget("sup", p=2.0))
 
 

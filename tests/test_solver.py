@@ -23,7 +23,7 @@ from mixedsde import (
 )
 from mixedsde import randomness as rnd
 from mixedsde import solver
-from mixedsde.solver import euler_coupled, solve_levels, stage_drivers
+from mixedsde.solver import SolveOutput, euler_coupled, solve_levels, stage_drivers
 
 
 def constant_field(value, dim=1, columns=0):
@@ -314,11 +314,26 @@ def test_solve_levels_chunk_peaks_under_six_finest_arrays():
     block = solver._BLOCK_STEPS * count * 8
     tracemalloc.start()
     try:
-        solve_levels(model_y, levels, count, 3, 0, lambda out: out.survivor_sup_norms())
+        solve_levels(model_y, levels, count, 3, 0, SolveOutput.sup_norms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 6 * finest + 16 * block, f"peak {peak / finest:.2f} finest arrays"
+
+
+def test_sup_slots_line_up_across_levels_and_replay_alone():
+    """Entry i of every level is path i: NaN exactly where it blew up, and a one-path replay gives its bytes."""
+    model, levels, seed = model_zoo("quadratic_control"), (32, 64), 9
+    blown = solve_levels(model, levels, 300, seed, 0, lambda out: out.blown)
+    sups = solve_levels(model, levels, 300, seed, 0, SolveOutput.sup_norms)
+    for n in levels:
+        assert sups[n].shape == (300,) and np.array_equal(np.isnan(sups[n]), blown[n])
+    finest_only = np.flatnonzero(blown[64] & ~blown[32])
+    assert len(finest_only)  # blowups appear between the levels
+    for i in (int(np.nanargmax(sups[64])), int(finest_only[0])):
+        alone = solve_levels(model, levels, 1, seed, i, SolveOutput.sup_norms)
+        for n in levels:
+            assert alone[n].tobytes() == sups[n][i : i + 1].tobytes()
 
 
 def test_positivity_of_geometric_paths():

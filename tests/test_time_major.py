@@ -223,16 +223,15 @@ def test_coupled_stage_cannot_write_its_base_states():
         euler_coupled(model_y, grid, base, w_y, z_y)
 
 
-def _reference_sups(values, blown):
-    alive = values[~blown]
+def _reference_sups(values):
     if values.shape[2] == 1:
-        return np.abs(alive[:, :, 0]).max(axis=1)
-    return np.linalg.norm(alive, axis=2).max(axis=1)
+        return np.abs(values[:, :, 0]).max(axis=1)
+    return np.linalg.norm(values, axis=2).max(axis=1)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("layout", [_path_major, _time_major])
-def test_survivor_sup_norms_drop_blown_rows_and_keep_positive_zero(dim, layout):
+def test_sup_norms_keep_each_paths_slot_nan_where_blown_and_positive_zero(dim, layout):
     n = 2 * B + 3
     values = _walks(n, dim, seed=14)
     values[0] = 0.0
@@ -245,15 +244,16 @@ def test_survivor_sup_norms_drop_blown_rows_and_keep_positive_zero(dim, layout):
     first = np.full(PATHS, -1)
     first[[2, 4]] = 5, B
     out = SolveOutput(PathBatch(TimeGrid(1.0, n), layout(values)), first, None, None)
-    got = out.survivor_sup_norms()
-    want = _reference_sups(values, blown)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert got.shape == (PATHS - 2,)
+    got = out.sup_norms()
+    want = _reference_sups(values)
+    assert got.dtype == want.dtype and got.shape == (PATHS,)
+    assert np.array_equal(np.isnan(got), out.blown) and np.array_equal(np.isnan(want), blown)
+    assert got[~blown].tobytes() == want[~blown].tobytes()
     assert not np.signbit(got[:2]).any()
 
 
-def test_survivor_sup_norms_of_an_all_blown_batch_is_empty():
+def test_sup_norms_of_an_all_blown_batch_is_all_nan():
     values = np.full((3, 5, 1), np.nan)
     out = SolveOutput(PathBatch(TimeGrid(1.0, 4), values), np.ones(3, dtype=np.int64), None, None)
-    got = out.survivor_sup_norms()
-    assert got.shape == (0,) and got.dtype == np.float64
+    got = out.sup_norms()
+    assert got.shape == (3,) and got.dtype == np.float64 and np.isnan(got).all()
