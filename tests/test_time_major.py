@@ -231,7 +231,8 @@ def _reference_sups(values):
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("layout", [_path_major, _time_major])
-def test_sup_norms_keep_each_paths_slot_nan_where_blown_and_positive_zero(dim, layout):
+def test_survivor_sup_norms_drop_blown_rows_and_keep_positive_zero(dim, layout):
+    """sup_norms() keeps one slot per path, NaN where blown; dropping those slots leaves the survivors' sups."""
     n = 2 * B + 3
     values = _walks(n, dim, seed=14)
     values[0] = 0.0
@@ -249,6 +250,7 @@ def test_sup_norms_keep_each_paths_slot_nan_where_blown_and_positive_zero(dim, l
     assert got.dtype == want.dtype and got.shape == (PATHS,)
     assert np.array_equal(np.isnan(got), out.blown) and np.array_equal(np.isnan(want), blown)
     assert got[~blown].tobytes() == want[~blown].tobytes()
+    assert got[~np.isnan(got)].tobytes() == _reference_sups(values[~blown]).tobytes()
     assert not np.signbit(got[:2]).any()
 
 
