@@ -312,15 +312,10 @@ def _partner_samples(gen, base: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _norm(fld, *args):
+    """Norm of fld(*args) per row; fld is a field, a field's ``jacobian`` or None (absent)."""
     if fld is None:
         return np.zeros(len(args[1]))
     return _row_norm(fld(*args))
-
-
-def _jac_norm(fld, *args):
-    if fld is None:
-        return np.zeros(len(args[1]))
-    return _row_norm(fld.jacobian(*args))
 
 
 def _diff(fld, a, b):
@@ -328,12 +323,6 @@ def _diff(fld, a, b):
     if fld is None:
         return np.zeros(len(a[1]))
     return _row_norm(fld(*a) - fld(*b))
-
-
-def _jac_diff(fld, a, b):
-    if fld is None:
-        return np.zeros(len(a[1]))
-    return _row_norm(fld.jacobian(*a) - fld.jacobian(*b))
 
 
 def _time_beta(model) -> float:
@@ -352,6 +341,7 @@ def _conditions(model, set_id: str):
     coupled one.
     """
     m = model
+    jac = None if m.rough is None else m.rough.jacobian
     beta = _time_beta(m)
     norm = lambda v: np.linalg.norm(v, axis=1)
     if set_id in ("A", "B"):
@@ -364,36 +354,34 @@ def _conditions(model, set_id: str):
             holder = lambda t, s, x: _diff(m.rough, (t, x), (s, x)) / abs(t - s) ** beta
         return [
             (f"{set_id}1", ("t", "x"), bound),
-            (f"{set_id}2", ("t", "x"), lambda t, x: _jac_norm(m.rough, t, x)),
+            (f"{set_id}2", ("t", "x"), lambda t, x: _norm(jac, t, x)),
             (f"{set_id}3", ("t", "x1", "x2"), lambda t, x1, x2: _pair_ratio(
                 _diff(m.drift, (t, x1), (t, x2)) + _diff(m.wiener, (t, x1), (t, x2))
-                + _jac_diff(m.rough, (t, x1), (t, x2)),
+                + _diff(jac, (t, x1), (t, x2)),
                 norm(x1 - x2))),
             (f"{set_id}4-c", ("t", "s", "x"), holder),
             (f"{set_id}4-cx", ("t", "s", "x"), lambda t, s, x:
-                _jac_diff(m.rough, (t, x), (s, x)) / abs(t - s) ** beta),
+                _diff(jac, (t, x), (s, x)) / abs(t - s) ** beta),
         ]
-    if set_id == "C":
-        rho = m.declared_rho
-        xfac = lambda x: 1.0 + norm(x) ** rho
-        yfac = lambda y: 1.0 + norm(y)
-        return [
-            ("C1", ("t", "x", "y"), lambda t, x, y:
-                (_norm(m.drift, t, x, y) + _norm(m.rough, t, x, y)) / (xfac(x) * yfac(y))),
-            ("C2", ("t", "x", "y"), lambda t, x, y: _norm(m.wiener, t, x, y) / yfac(y)),
-            ("C3", ("t", "x", "y"), lambda t, x, y: _jac_norm(m.rough, t, x, y) / xfac(x)),
-            ("C4", ("t", "x", "y1", "y2"), lambda t, x, y1, y2: _pair_ratio(
-                _diff(m.drift, (t, x, y1), (t, x, y2)) + _diff(m.wiener, (t, x, y1), (t, x, y2))
-                + _jac_diff(m.rough, (t, x, y1), (t, x, y2)),
-                norm(y1 - y2))),
-            ("C5", ("t", "x1", "x2", "y"), lambda t, x1, x2, y: _pair_ratio(
-                _diff(m.rough, (t, x1, y), (t, x2, y)), norm(x1 - x2) * yfac(y))),
-            ("C6-c", ("t", "s", "x", "y"), lambda t, s, x, y: _diff(m.rough, (t, x, y), (s, x, y))
-                / (abs(t - s) ** beta * xfac(x) * yfac(y))),
-            ("C6-cy", ("t", "s", "x", "y"), lambda t, s, x, y: _jac_diff(m.rough, (t, x, y), (s, x, y))
-                / (abs(t - s) ** beta * yfac(y))),
-        ]
-    raise DomainError(f"unknown assumption set {set_id!r}")
+    rho = m.declared_rho
+    xfac = lambda x: 1.0 + norm(x) ** rho
+    yfac = lambda y: 1.0 + norm(y)
+    return [
+        ("C1", ("t", "x", "y"), lambda t, x, y:
+            (_norm(m.drift, t, x, y) + _norm(m.rough, t, x, y)) / (xfac(x) * yfac(y))),
+        ("C2", ("t", "x", "y"), lambda t, x, y: _norm(m.wiener, t, x, y) / yfac(y)),
+        ("C3", ("t", "x", "y"), lambda t, x, y: _norm(jac, t, x, y) / xfac(x)),
+        ("C4", ("t", "x", "y1", "y2"), lambda t, x, y1, y2: _pair_ratio(
+            _diff(m.drift, (t, x, y1), (t, x, y2)) + _diff(m.wiener, (t, x, y1), (t, x, y2))
+            + _diff(jac, (t, x, y1), (t, x, y2)),
+            norm(y1 - y2))),
+        ("C5", ("t", "x1", "x2", "y"), lambda t, x1, x2, y: _pair_ratio(
+            _diff(m.rough, (t, x1, y), (t, x2, y)), norm(x1 - x2) * yfac(y))),
+        ("C6-c", ("t", "s", "x", "y"), lambda t, s, x, y: _diff(m.rough, (t, x, y), (s, x, y))
+            / (abs(t - s) ** beta * xfac(x) * yfac(y))),
+        ("C6-cy", ("t", "s", "x", "y"), lambda t, s, x, y: _diff(jac, (t, x, y), (s, x, y))
+            / (abs(t - s) ** beta * yfac(y))),
+    ]
 
 
 VALIDATOR_MIN_SAMPLES = 1000
@@ -423,6 +411,8 @@ def validate_assumptions(
     if not box_radius > 0:
         raise DomainError(f"box_radius must be positive, got {box_radius}")
     set_id = set_id.upper()
+    if set_id not in ("A", "B", "C"):
+        raise DomainError(f"unknown assumption set {set_id!r}")
     coupled = set_id == "C"
     if coupled and not isinstance(model, CoupledModelSpec):
         raise DomainError("set C applies to coupled models")
@@ -490,15 +480,10 @@ def validate_assumptions(
                     consider({k: witness[k] for k in ("t", "s") if k in names}, local)
 
             claimed = model.claimed_constants.get(cond_id)
+            violated = non_finite_witness is not None or (claimed is not None and best > claimed * 1.01)
             if non_finite_witness is not None:
-                estimates.append(
-                    ConditionEstimate(cond_id, float("inf"), raw_best, claimed, True, non_finite_witness)
-                )
-                continue
-            violated = claimed is not None and best > claimed * 1.01
-            estimates.append(
-                ConditionEstimate(cond_id, best, raw_best, claimed, bool(violated), witness or {})
-            )
+                best, witness = np.inf, non_finite_witness
+            estimates.append(ConditionEstimate(cond_id, best, raw_best, claimed, bool(violated), witness or {}))
 
     return AssumptionReport(tuple(estimates))
 
@@ -610,8 +595,9 @@ def _trig_drift(d, amp, rate):
     return CoefficientField("trig-drift", evaluate)
 
 
-def _trig_diffusion(d, columns, amp, rate, phase_step, kind, name):
-    phases = phase_step * np.arange(columns)
+def _trig_diffusion(d, block, name):
+    """A diffusion block from its (amp, rate, phases, kind) tuple, one column per phase."""
+    amp, rate, phases, kind = block
     fn = np.cos if kind == "cos" else np.sin
     dfn = (lambda v: -np.sin(v)) if kind == "cos" else np.cos
 
@@ -621,7 +607,7 @@ def _trig_diffusion(d, columns, amp, rate, phase_step, kind, name):
     def derivative(t, x):
         batch = len(x)
         core = amp * dfn(x[:, :, None] + rate * t + phases[None, None, :])
-        jac = np.zeros((batch, d, columns, d))
+        jac = np.zeros((batch, d, len(phases), d))
         for i in range(d):
             jac[:, i, :, i] = core[:, i, :]
         return jac
@@ -721,13 +707,15 @@ def _bounded_trig(
         drift_amp * np.sqrt(d) + wiener_amp * np.sqrt(d * m) + rough_amp * np.sqrt(d * l)
     )
     lipschitz = drift_amp + wiener_amp * np.sqrt(m) + rough_amp * np.sqrt(l)
+    wiener = (wiener_amp, wiener_rate, _WIENER_PHASE_STEP * np.arange(m), "cos") if m else None
+    rough = (rough_amp, rough_rate, _ROUGH_PHASE_STEP * np.arange(l), "sin") if l else None
     spec = ModelSpec(
         name="bounded_trig",
         initial_value=_as_vector_stack(initial_value, 0, d),
         horizon=horizon,
         drift=_trig_drift(d, drift_amp, drift_rate),
-        wiener=_trig_diffusion(d, m, wiener_amp, wiener_rate, _WIENER_PHASE_STEP, "cos", "trig-wiener") if m else None,
-        rough=_trig_diffusion(d, l, rough_amp, rough_rate, _ROUGH_PHASE_STEP, "sin", "trig-rough") if l else None,
+        wiener=_trig_diffusion(d, wiener, "trig-wiener") if m else None,
+        rough=_trig_diffusion(d, rough, "trig-rough") if l else None,
         driver=driver,
         holder_beta=holder_beta,
     )
@@ -744,12 +732,7 @@ def _bounded_trig(
     # rate given per component keeps the fields.
     if np.ndim(drift_rate):
         return spec
-    return _with_kernel(spec, _trig_kernel(
-        drift_amp,
-        drift_rate,
-        (wiener_amp, wiener_rate, _WIENER_PHASE_STEP * np.arange(m), "cos") if m else None,
-        (rough_amp, rough_rate, _ROUGH_PHASE_STEP * np.arange(l), "sin") if l else None,
-    ))
+    return _with_kernel(spec, _trig_kernel(drift_amp, drift_rate, wiener, rough))
 
 
 def _geometric_mixed(mu=0.1, sigma_w=0.2, sigma_b=0.3, initial_value=1.0, hurst=0.75, horizon=1.0, holder_order=None):

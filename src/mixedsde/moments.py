@@ -80,12 +80,13 @@ def _number(x: float) -> str:
 class MomentEstimate:
     """One Monte Carlo moment estimate with its honesty diagnostics.
 
-    ``tail_dominance`` is the share of the sum contributed by the single
-    largest sample; past ``TAIL_DOMINANCE_THRESHOLD`` the law of large
-    numbers is visibly failing and finiteness cannot be distinguished from
-    divergence at this sample size. ``sample_count + blowup_count`` is the
-    path count; ``blowup_count`` > 0 voids any finiteness claim for the
-    batch even though the mean over the finite paths is still reported.
+    ``tail_dominance`` is the largest sample's share of the sum. ``unstable``
+    is set past ``TAIL_DOMINANCE_THRESHOLD`` (exp targets), or when the sum
+    is not finite (a sample overflowed, or finite ones summed past the
+    largest double: the estimate and error bars are then ``inf``). Either
+    way finiteness cannot be told from divergence at this sample size.
+    ``sample_count + blowup_count`` is the path count; ``blowup_count`` > 0
+    voids any finiteness claim, though the finite paths' mean is reported.
     """
 
     target: str
@@ -112,17 +113,18 @@ def _estimate_from_sups(slots: np.ndarray, target: MomentTarget) -> MomentEstima
         else:
             values = np.exp(target.c * sups**target.gamma)
         overflow = int(np.sum(~np.isfinite(values)))
-        total = math.fsum(values)  # compensated summation; inf stays inf
+        try:
+            total = math.fsum(values)  # compensated summation; inf stays inf
+        except OverflowError:  # finite samples whose sum passes the largest double
+            total = math.inf
         estimate = total / n
-        if overflow or not np.isfinite(total):
-            dominance = 1.0
-            se = float("inf")
-            ci = (estimate, float("inf"))
+        if not math.isfinite(total):
+            dominance, se, ci = 1.0, math.inf, (estimate, math.inf)
         else:
             dominance = float(values.max() / total) if total > 0 else 0.0
             se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")  # one sample: no spread
             ci = (estimate - 1.96 * se, estimate + 1.96 * se)
-    unstable = overflow > 0 or (target.kind == "exp" and dominance > TAIL_DOMINANCE_THRESHOLD)
+    unstable = not math.isfinite(total) or (target.kind == "exp" and dominance > TAIL_DOMINANCE_THRESHOLD)
     return MomentEstimate(
         target=target.label,
         estimate=float(estimate),

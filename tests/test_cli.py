@@ -211,6 +211,19 @@ def test_moments_counts_add_up_to_the_paths_when_paths_blow_up(tmp_path):
     assert all(int(row["sample_count"]) + int(row["blowup_count"]) == 300 for row in rows)
 
 
+def test_moments_finite_samples_summing_past_the_largest_double_give_an_unstable_row(tmp_path):
+    # every surviving sample is finite at p 1.0077, but their sum passes the largest double
+    cfg = write_config(
+        tmp_path, "q.cfg", "model: quadratic_control\nstatistic: sup\np: [1.0077]\nlevels: [64]\npaths: 2048\nseed: 4\n"
+    )
+    out = tmp_path / "run"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+    (row,) = read_rows(out / "moments.csv")
+    assert [row[k] for k in ("estimate", "standard_error", "ci_low", "ci_high")] == ["inf"] * 4
+    assert (row["sample_count"], row["blowup_count"], row["overflow_count"]) == ("1829", "219", "0")
+    assert row["unstable"] == "true"
+
+
 def test_moments_command_constant_model_is_exact(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -84,3 +84,14 @@ def test_every_field_of_an_exported_class_is_read_or_documented():
         if not any(_reads(tree, name) for tree in trees) and not re.search(rf"\b{name}\b", docs):
             unread.append(qualified)
     assert not unread, f"fields of exported classes that neither src/mixedsde reads nor the docs name: {unread}"
+
+
+def test_every_private_module_level_helper_is_read():
+    # A private def or class that no src/mixedsde code reads is dead, for
+    # example a copy of another helper left behind when its callers moved on.
+    trees, _ = _trees_and_exports()
+    helpers = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    dead = [name for name in helpers if not any(_reads(tree, name) for tree in trees)]
+    assert helpers and not dead, f"private module-level helpers that no src/mixedsde code reads: {dead}"

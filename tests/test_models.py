@@ -144,6 +144,9 @@ def test_non_finite_evaluator_is_reported_with_witness():
     assert bad.violated
     assert bad.constant == float("inf")
     assert "x" in bad.witness
+    # The pass-1 maximum over the finite candidates is kept beside the inf constant.
+    assert np.isfinite(bad.raw_constant)
+    assert report.verdict == "violated"
 
 
 def test_validator_rejects_low_sample_budget_and_wrong_arity():
@@ -154,6 +157,12 @@ def test_validator_rejects_low_sample_budget_and_wrong_arity():
         validate_assumptions(model, "C", samples=2000)
     with pytest.raises(DomainError):
         validate_assumptions(model_zoo("stochvol"), "B", samples=2000)
+
+
+@pytest.mark.parametrize("name", ["stochvol", "bounded_trig"])
+def test_validator_names_an_unknown_set_before_the_model_kind(name):
+    with pytest.raises(DomainError, match="unknown assumption set 'D'"):
+        validate_assumptions(model_zoo(name), "D", samples=1000)
 
 
 @pytest.mark.parametrize("radius", [0.0, -2.0, float("nan")])

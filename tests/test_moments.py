@@ -134,6 +134,14 @@ def test_one_sample_reports_no_spread():
         assert math.isnan(est.standard_error) and math.isnan(est.ci_low) and math.isnan(est.ci_high)
 
 
+def test_finite_samples_summing_past_the_largest_double_are_unstable():
+    # each sample is finite, so none overflows, but their sum passes the largest double
+    est = _estimate_from_sups(np.array([1e308, 1e308]), MomentTarget("sup", p=1.0))
+    assert est.overflow_count == 0 and est.sample_count == 2 and est.blowup_count == 0
+    assert est.estimate == est.standard_error == est.ci_low == est.ci_high == math.inf
+    assert est.unstable
+
+
 def test_all_paths_blown_raises_estimation_error():
     import mixedsde
 
