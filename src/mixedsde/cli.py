@@ -36,7 +36,7 @@ import scipy  # noqa: F401  unused here; perfbench/child.py reads sys.modules['s
 from . import __version__, parallel
 from .analysis import _check_exponent, _check_seminorm_cap, holder_seminorm_batch
 from .errors import ConfigError, DomainError, MixedSdeError, ResourceError
-from .fbm import _check_cholesky_cap, fbm_covariance_matrix, generate_fbm
+from .fbm import _check_cholesky_cap, batch_path_bytes, fbm_covariance_matrix, generate_fbm
 from .grids import TimeGrid, check_hurst
 from .models import VALIDATOR_MIN_SAMPLES, CoupledModelSpec, model_zoo, validate_assumptions, zoo_defaults, ZOO_MODELS
 from .moments import (
@@ -396,7 +396,7 @@ def _run_fbm(config: dict) -> list[dict]:
         for method in methods:
             def job(lo, hi, hurst=hurst, method=method):
                 return generate_fbm(grid, hurst, hi - lo, seed, method, path_offset=lo).values[:, 1:, 0]
-            v = parallel.map_paths(job, paths, workers)
+            v = parallel.map_paths(job, paths, workers, batch_path_bytes(grid.step_count))
             sample = v.T @ v / paths  # one BLAS product over all paths, whatever the chunk size
             del v  # frees these values before the next method draws its own
             for i in range(grid.step_count):
@@ -432,7 +432,9 @@ def _run_integrate(config: dict) -> list[dict]:
         return (np.abs(x[:, :, 0]).max(axis=1), holder_seminorm_batch(x, grid.dt, mu), x[:, -1, 0],
                 result.value, result.converged, result.error_estimate)
 
-    sups, hols, terminal, values, converged, gaps = parallel.map_paths(job, config["paths"], config["workers"])
+    sups, hols, terminal, values, converged, gaps = parallel.map_paths(
+        job, config["paths"], config["workers"], batch_path_bytes(grid.step_count)
+    )
     rows = []
     for i, value in enumerate(values):
         # a numpy scalar ** 2 goes through pow, an array's through square: the pinned CSVs hold pow's bits

@@ -36,6 +36,7 @@ __all__ = [
     "fgn_circulant_eigenvalues",
     "generate_fbm",
     "generate_wiener",
+    "batch_path_bytes",
     "CHOLESKY_CAP",
 ]
 
@@ -68,6 +69,14 @@ def _blocks(count: int, offset: int):
     """(lo, hi) path-index ranges covering offset..offset+count, cut at multiples of _BLOCK_ROWS."""
     for b0 in range(offset - offset % _BLOCK_ROWS, offset + count, _BLOCK_ROWS):
         yield max(b0, offset), min(b0 + _BLOCK_ROWS, offset + count)
+
+
+def batch_path_bytes(n: int) -> int:
+    """Bytes per path, for ``parallel.map_paths``, of a job that reads one synthesized batch of n steps.
+
+    An upper bound: the batch and one same-size copy made by its reader.
+    """
+    return 2 * 8 * (n + 1)
 
 
 def _destination(out, shape):

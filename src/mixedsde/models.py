@@ -701,6 +701,7 @@ def _bounded_trig(
     d, m, l = state_dim, wiener_dim, rough_dim
     drift_rate = _as_rates(drift_rate, d, "drift_rate", "state_dim")
     wiener_rate = _as_rates(wiener_rate, m, "wiener_rate", "wiener_dim")
+    rough_rate = _as_rates(rough_rate, l, "rough_rate", "rough_dim")
     hs = (hurst,) * l if np.isscalar(hurst) else tuple(hurst)
     driver = DriverSpec(m, l, hs, holder_order)
     bound = (
@@ -721,12 +722,13 @@ def _bounded_trig(
     )
     # Only now is the horizon known positive, so horizon ** (1 - beta) is real.
     beta = _time_beta(spec)
+    rate_bound = np.max(np.abs(rough_rate), initial=0.0)  # the fastest rough column bounds the time derivative
     spec = replace(spec, claimed_constants={
         "B1": float(bound),
         "B2": float(rough_amp * np.sqrt(l)),
         "B3": float(lipschitz),
-        "B4-c": float(rough_amp * rough_rate * np.sqrt(d * l) * horizon ** (1 - beta)),
-        "B4-cx": float(rough_amp * rough_rate * np.sqrt(l) * horizon ** (1 - beta)),
+        "B4-c": float(rough_amp * rate_bound * np.sqrt(d * l) * horizon ** (1 - beta)),
+        "B4-cx": float(rough_amp * rate_bound * np.sqrt(l) * horizon ** (1 - beta)),
     })
     # The kernel's factors are shared by all state components, so a drift
     # rate given per component keeps the fields.

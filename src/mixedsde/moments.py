@@ -21,9 +21,9 @@ import numpy as np
 from . import parallel
 from .analysis import holder_seminorm_batch
 from .errors import DomainError, EstimationError
-from .fbm import generate_fbm
+from .fbm import batch_path_bytes, generate_fbm
 from .grids import TimeGrid
-from .solver import SolveOutput, check_levels, solve_levels
+from .solver import SolveOutput, check_levels, ladder_path_bytes, solve_levels
 
 __all__ = [
     "MomentTarget",
@@ -196,7 +196,7 @@ def grid_stability_tables(
     def job(lo, hi):
         return solve_levels(model, levels, hi - lo, seed, lo, SolveOutput.sup_norms)
 
-    per_level = parallel.map_paths(job, paths, workers)
+    per_level = parallel.map_paths(job, paths, workers, ladder_path_bytes(model, levels))
     tables = []
     for target in targets:
         estimates = tuple(_estimate_from_sups(sups, target) for sups in per_level.values())
@@ -273,7 +273,7 @@ def fernique_tail_check(
         coarse = None if fit_mode else holder_seminorm_batch(batch.values[:, ::2], coarse_grid.dt, holder_order)
         return holder_seminorm_batch(batch.values, grid.dt, holder_order), coarse
 
-    seminorms, coarse = parallel.map_paths(job, paths, workers)
+    seminorms, coarse = parallel.map_paths(job, paths, workers, batch_path_bytes(grid.step_count))
     order = np.sort(seminorms)
     median = _sorted_median(order)
     nan = float("nan")

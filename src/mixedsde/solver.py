@@ -33,6 +33,7 @@ __all__ = [
     "stage_drivers",
     "check_levels",
     "solve_levels",
+    "ladder_path_bytes",
     "closed_form_geometric_batch",
     "geometric_convergence_study",
 ]
@@ -361,6 +362,27 @@ def solve_levels(model, levels, count, seed, path_offset, reduce) -> dict:
     return results
 
 
+# Float64 values per path, in _BLOCK_STEPS-row blocks, that the Euler loop's
+# block scratch takes per column: driver increments and a kernel's prepared
+# factors. A stochvol chunk measured about seven blocks for its seven columns.
+_SCRATCH_BLOCKS = 4
+
+
+def ladder_path_bytes(model, levels) -> int:
+    """Upper bound on the bytes per path of one :func:`solve_levels` chunk, for ``parallel.map_paths``.
+
+    Every finest-level driver and state column of both stages, as if all
+    were alive at once, each with ``_SCRATCH_BLOCKS`` blocks of Euler
+    scratch. A coarser level's arrays are freed before the next level is
+    solved, so they never outgrow the finest level's.
+    """
+    coupled = isinstance(model, CoupledModelSpec)
+    stages = (model.base, model) if coupled else (model,)
+    drivers = stages[:1] if coupled and model.share_drivers else stages
+    columns = sum(s.state_dim for s in stages) + sum(s.driver.wiener_dim + s.driver.rough_dim for s in drivers)
+    return 8 * columns * (check_levels(levels)[-1] + 1 + _SCRATCH_BLOCKS * _BLOCK_STEPS)
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     step_count: int
@@ -396,7 +418,7 @@ def geometric_convergence_study(
     def job(lo, hi):
         return solve_levels(model, levels, hi - lo, seed, lo, terminal_errors)
 
-    per_level = parallel.map_paths(job, paths, workers)
+    per_level = parallel.map_paths(job, paths, workers, ladder_path_bytes(model, levels))
     abs_exact = per_level[levels[-1]][1]
     return [
         ConvergenceRow(

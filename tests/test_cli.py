@@ -559,6 +559,11 @@ BAD_VALUE_CASES = {
                                               "bad model parameters for 'bounded_trig' (model.wiener_rate: "
                                               "[0.5, 0.3]): wiener_rate must be a number or a list of wiener_dim = 1 numbers, "
                                               "got [0.5, 0.3]"),
+    "model-bounded_trig-rough_rate-length": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\n"
+                                             "levels: [8]\nseed: 1\npaths: 2\nmodel.rough_rate: [0.2, 0.3]\n", 7,
+                                             "bad model parameters for 'bounded_trig' (model.rough_rate: "
+                                             "[0.2, 0.3]): rough_rate must be a number or a list of rough_dim = 1 numbers, "
+                                             "got [0.2, 0.3]"),
 }
 
 
@@ -619,6 +624,18 @@ def test_bounded_trig_rate_lists_of_the_right_length_run(tmp_path, rates):
     out = tmp_path / "o"
     assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
     assert [row["blowup_count"] for row in read_rows(out / "moments.csv")] == ["0", "0"]
+
+
+def test_a_one_rate_rough_rate_list_writes_the_scalar_rate_rows(tmp_path):
+    body = "model: bounded_trig\nstatistic: sup\np: [2]\nlevels: [8, 16]\npaths: 64\nseed: 1\nmodel.rough_rate: "
+    written = []
+    for k, rate in enumerate(("0.2", "[0.2]")):
+        cfg = write_config(tmp_path, f"r{k}.cfg", body + rate + "\n")
+        assert main(["moments", "--config", cfg, "--out", str(tmp_path / f"o{k}")]) == 0
+        # every byte but the manifest hash, which covers the config's text of the rate
+        written.append([{k: v for k, v in row.items() if k != "manifest_hash"}
+                        for row in read_rows(tmp_path / f"o{k}" / "moments.csv")])
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("rho, warned", [(0.6, True), (0.2, False)])

@@ -9,8 +9,10 @@ threads. Pinning the CSV bytes makes any change to a random stream, a
 study's arithmetic or a library an explicit event: update the sums only
 for a change that alters the outputs on purpose.
 
-Path counts above ``parallel.CHUNK_PATHS`` put two chunks in every sampled
-study, so workers 1 and 2 exercise both the serial and the pooled join.
+Path counts above 2,048 put two chunks in every sampled study, because
+these small configs' footprints leave ``parallel.chunk_paths`` at
+``parallel.CHUNK_PATHS``; so workers 1 and 2 exercise both the serial and
+the pooled join.
 
 Every study synthesises fBm by circulant embedding at every n, so the study
 sums pin the route that runs at benchmark scale. Only the ``fbm`` case,

@@ -165,6 +165,14 @@ def test_validator_names_an_unknown_set_before_the_model_kind(name):
         validate_assumptions(model_zoo(name), "D", samples=1000)
 
 
+@pytest.mark.parametrize("rates, fastest", [([0.2, -0.5], 0.5), (-0.3, 0.3)])
+def test_bounded_trig_time_constants_take_the_fastest_rough_rate(rates, fastest):
+    model = model_zoo("bounded_trig", rough_dim=2, rough_rate=rates)
+    assert model.claimed_constants["B4-cx"] == pytest.approx(0.5 * fastest * np.sqrt(2) * 1.0 ** 0.75)
+    report = validate_assumptions(model, "B", samples=2000, seed=6)
+    assert report.verdict == "no-violation-found"
+
+
 @pytest.mark.parametrize("radius", [0.0, -2.0, float("nan")])
 def test_validator_rejects_a_box_without_size(radius):
     with pytest.raises(DomainError, match="box_radius must be positive"):

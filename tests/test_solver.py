@@ -21,8 +21,8 @@ from mixedsde import (
     solve_coupled,
     solve_model,
 )
+from mixedsde import fbm, parallel, solver
 from mixedsde import randomness as rnd
-from mixedsde import solver
 from mixedsde.solver import SolveOutput, euler_coupled, solve_levels, stage_drivers
 
 
@@ -319,6 +319,39 @@ def test_solve_levels_chunk_peaks_under_six_finest_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 6 * finest + 16 * block, f"peak {peak / finest:.2f} finest arrays"
+
+
+def _traced_peak(model, levels, count):
+    tracemalloc.start()
+    try:
+        solve_levels(model, levels, count, 3, 0, SolveOutput.sup_norms)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["stochvol", "linear_mixed"])
+def test_planned_chunk_peaks_under_its_predicted_footprint(monkeypatch, name):
+    model, levels = model_zoo(name), (256, 1024)
+    path_bytes = solver.ladder_path_bytes(model, levels)
+    monkeypatch.setattr(parallel, "CHUNK_BYTES", 512 * path_bytes + 1)
+    count = parallel.chunk_paths(path_bytes)
+    assert count == 512
+    peak = _traced_peak(model, levels, count)
+    assert peak <= count * path_bytes, f"peak {peak / path_bytes:.0f} paths' footprints"
+
+
+@pytest.mark.parametrize("name", ["stochvol", "linear_mixed"])
+def test_a_64_path_chunk_adds_at_most_one_synthesis_block(name):
+    """At the floor, a circulant block's scratch can outgrow the chunk's own state columns.
+
+    It holds the block's normals, half spectrum and inverse FFT, six finest
+    columns per path of the block, and the embedding's eigenvalues, under
+    one more, while the drivers are drawn and before any state exists.
+    """
+    model, levels = model_zoo(name), (256, 1024)
+    block = fbm._BLOCK_ROWS * 7 * 8 * (levels[-1] + 1)
+    assert _traced_peak(model, levels, 64) <= 64 * solver.ladder_path_bytes(model, levels) + block
 
 
 def test_sup_slots_line_up_across_levels_and_replay_alone():

@@ -63,6 +63,16 @@ def test_trig_kernel_increments_match_the_fields(rough_dim, wiener_rate):
     _assert_kernel_matches_fields(model, ts, dt, dw, dz, None, states)
 
 
+def test_trig_kernel_increments_match_the_fields_with_one_rough_rate_per_column():
+    model = model_zoo("bounded_trig", state_dim=2, wiener_dim=1, rough_dim=2, rough_rate=[0.2, -1.3])
+    rng = np.random.default_rng(7)
+    dt = 1.0 / 256
+    ts = np.sort(rng.uniform(0.0, 1.0, STEPS))
+    states = rng.uniform(-10.0, 10.0, (STEPS, PATHS, 2))
+    dw, dz = _increments(rng, dt, 1), _increments(rng, dt, 2)
+    _assert_kernel_matches_fields(model, ts, dt, dw, dz, None, states)
+
+
 def test_price_kernel_increments_match_the_fields():
     price = model_zoo("stochvol", rho_power=0.25)
     rng = np.random.default_rng(5)
