@@ -37,7 +37,7 @@ from . import __version__, parallel
 from .analysis import _check_exponent, _check_seminorm_cap, holder_seminorm_batch
 from .errors import ConfigError, DomainError, MixedSdeError, ResourceError
 from .fbm import _check_cholesky_cap, batch_path_bytes, fbm_covariance_matrix, generate_fbm
-from .grids import TimeGrid, check_hurst
+from .grids import TimeGrid, _default_holder_order, check_hurst
 from .models import VALIDATOR_MIN_SAMPLES, CoupledModelSpec, model_zoo, validate_assumptions, zoo_defaults, ZOO_MODELS
 from .moments import (
     FERNIQUE_MIN_PATHS,
@@ -170,33 +170,26 @@ def parse_config_file(path: str) -> dict[str, tuple[object, int]]:
     return entries
 
 
+# what a value of each scalar kind must be, and how a refusal names it
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string")}
+
+
 def _coerce(key: _Key, value, path, line):
     def fail(message):
         raise ConfigError(f"key {key.name!r}: {message}", path=path, line=line)
 
-    def scalar(kind, v):
-        if kind == "int":
-            if not isinstance(v, int):
-                fail(f"expected an integer, got {v!r}")
-            return v
-        if kind == "float":
-            if not isinstance(v, (int, float)):
-                fail(f"expected a number, got {v!r}")
-            return float(v)
-        if kind == "str":
-            if not isinstance(v, str):
-                fail(f"expected a string, got {v!r}")
-            return v
-        fail(f"unhandled kind {kind}")
-
-    if key.kind.endswith("_list"):
-        base = key.kind[: -len("_list")]
-        items = value if isinstance(value, list) else [value]
-        out = [scalar(base, item) for item in items]
-        if not out:
-            fail("list must not be empty")
-    else:
-        out = scalar(key.kind, value)
+    kind = key.kind.removesuffix("_list")
+    listed = kind != key.kind
+    types, wanted = _KINDS[kind]
+    items = value if listed and isinstance(value, list) else [value]
+    if not items:
+        fail("list must not be empty")
+    for v in items:
+        if not isinstance(v, types):
+            fail(f"expected {wanted}, got {v!r}")
+    out = [float(v) if kind == "float" else v for v in items]
+    if not listed:
+        out = out[0]
     if key.choices is not None and out not in key.choices:
         fail(f"must be one of {list(key.choices)}, got {out!r}")
     return out
@@ -384,7 +377,7 @@ def _csv_cell(value):
 # command implementations
 
 
-def _run_fbm(config: dict) -> list[dict]:
+def _run_fbm(config: dict, model) -> list[dict]:
     grid = TimeGrid(config["horizon"], config["n"])
     methods = ("cholesky", "circulant") if config["method"] == "both" else (config["method"],)
     rows = []
@@ -419,10 +412,10 @@ def _run_fbm(config: dict) -> list[dict]:
 def _integrate_order(config: dict) -> float:
     """Holder order of the integrate study: ``holder_order``, else just below ``hurst``."""
     mu = config.get("holder_order")
-    return config["hurst"] - 0.01 if mu is None else mu
+    return _default_holder_order(config["hurst"]) if mu is None else mu
 
 
-def _run_integrate(config: dict) -> list[dict]:
+def _run_integrate(config: dict, model) -> list[dict]:
     hurst, mu, width = config["hurst"], _integrate_order(config), config["horizon"]
     grid = TimeGrid(width, config["n"])
 
@@ -454,17 +447,13 @@ def _run_integrate(config: dict) -> list[dict]:
     return rows
 
 
-def _run_solve(config: dict) -> list[dict]:
+def _run_solve(config: dict, model) -> list[dict]:
     study = geometric_convergence_study(
-        _build_model(config), config["levels"], config["paths"], config["seed"], workers=config["workers"]
+        model, config["levels"], config["paths"], config["seed"], workers=config["workers"]
     )
     errors = [row.mean_abs_terminal_error for row in study]
     ratios = (float("nan"), *(_level_ratio(a, b) for a, b in zip(errors, errors[1:])))
     return [{**asdict(row), "error_ratio_vs_prev": ratio} for row, ratio in zip(study, ratios)]
-
-
-class _ModelParamsError(ConfigError):
-    """The zoo builder refused the config's ``model`` and ``model.*`` entries."""
 
 
 def _model_line(entries) -> int:
@@ -473,16 +462,22 @@ def _model_line(entries) -> int:
     return entries["model"][1] if line is None else line
 
 
-def _build_model(config: dict):
-    params = config.get("model_params", {})
+def _build_model(config: dict, entries, path):
+    """The run's zoo model, or None without one; a refused model is a ``ConfigError`` on ``_model_line``."""
+    if "model" not in config:
+        return None
+    params = config["model_params"]
     try:
-        return model_zoo(config["model"], **params)
+        model = model_zoo(config["model"], **params)
     except (TypeError, ValueError) as exc:
-        raise _ModelParamsError(f"{_given(config['model'], params)}: {exc}")
+        raise ConfigError(f"{_given(config['model'], params)}: {exc}", path=path, line=_model_line(entries))
+    if config.get("set") == "C" and not isinstance(model, CoupledModelSpec):
+        raise ConfigError(f"model {config['model']!r} has no coupled stage for set C",
+                          path=path, line=_model_line(entries))
+    return model
 
 
-def _run_moments(config: dict) -> list[dict]:
-    model = _build_model(config)
+def _run_moments(config: dict, model) -> list[dict]:
     if config["statistic"] == "sup":
         targets, extra = [MomentTarget("sup", p=p) for p in config["p"]], {}
     else:
@@ -502,13 +497,10 @@ def _run_moments(config: dict) -> list[dict]:
     return rows
 
 
-def _run_check_conditions(config: dict) -> list[dict]:
-    model = _build_model(config)
+def _run_check_conditions(config: dict, model) -> list[dict]:
     set_id = config["set"]
     if isinstance(model, CoupledModelSpec) and set_id != "C":
         model = model.base
-    if set_id == "C" and not isinstance(model, CoupledModelSpec):
-        raise _ModelParamsError(f"model {config['model']!r} has no coupled stage for set C")
     report = validate_assumptions(
         model, set_id, box_radius=config["radius"], samples=config["samples"], seed=config["seed"]
     )
@@ -527,7 +519,7 @@ def _run_check_conditions(config: dict) -> list[dict]:
     return rows
 
 
-def _run_fernique(config: dict) -> list[dict]:
+def _run_fernique(config: dict, model) -> list[dict]:
     report = fernique_tail_check(
         config["hurst"],
         config["mu"],
@@ -574,10 +566,8 @@ def main(argv=None) -> int:
     try:
         entries = parse_config_file(args.config)
         config = resolve_config(args.command, entries, args.config, overrides)
-        try:
-            rows = _RUNNERS[args.command](config)
-        except _ModelParamsError as exc:
-            raise ConfigError(str(exc), path=args.config, line=_model_line(entries)) from None
+        # one build per run, outside resolve_config, which only validates the keys
+        rows = _RUNNERS[args.command](config, _build_model(config, entries, args.config))
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,11 @@ def check_hurst(value: float) -> float:
     return h
 
 
+def _default_holder_order(hurst: float) -> float:
+    """The seminorm order used when none is given: just below the (smallest) Hurst parameter."""
+    return hurst - 0.01
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k*T/n, k = 0..n on [0, T]."""
@@ -92,7 +97,7 @@ class DriverSpec:
                 )
             mu = self.holder_order
             if mu is None:
-                mu = min(hs) - 0.01
+                mu = _default_holder_order(min(hs))
             mu = float(mu)
             if not 0.5 < mu < min(hs):
                 raise DomainError(

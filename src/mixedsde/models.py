@@ -551,6 +551,8 @@ def _linear_mixed(
     horizon=1.0,
     holder_order=None,
 ):
+    if state_dim < 1:
+        raise DomainError(f"state_dim must be >= 1, got {state_dim}")
     d, m, l = state_dim, wiener_dim, rough_dim
     hs = (hurst,) * l if np.isscalar(hurst) else tuple(hurst)
     driver = DriverSpec(m, l, hs, holder_order)
@@ -698,6 +700,8 @@ def _bounded_trig(
     holder_order=None,
     holder_beta=None,
 ):
+    if state_dim < 1:
+        raise DomainError(f"state_dim must be >= 1, got {state_dim}")
     d, m, l = state_dim, wiener_dim, rough_dim
     drift_rate = _as_rates(drift_rate, d, "drift_rate", "state_dim")
     wiener_rate = _as_rates(wiener_rate, m, "wiener_rate", "wiener_dim")

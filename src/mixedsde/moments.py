@@ -293,10 +293,8 @@ def fernique_tail_check(
 
     n = len(order)
     start = int(0.9 * n)
-    tail = order[start : n - 1]  # drop the max, whose empirical survival is 0
-    if len(tail) < 8:
-        raise EstimationError("too few tail points for the survival fit")
-    if np.std(tail) == 0:
+    tail = order[start : n - 1]  # drop the max, whose empirical survival is 0; 100 paths leave 9 points
+    if tail[0] == tail[-1]:  # all equal, as tail ascends; np.std of equal points can round above 0
         raise EstimationError("degenerate seminorm sample; cannot fit a tail")
     survival = 1.0 - (np.arange(start, n - 1) + 1) / n
     x = tail**2

@@ -39,16 +39,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .fbm import _BLOCK_ROWS
 
 CHUNK_PATHS = 2048
 CHUNK_BYTES = 256 << 20
-# fbm's synthesis block: the narrowest chunk the memory budget cuts
-_MIN_BUDGET_PATHS = 64
 
 
 def chunk_paths(path_bytes: int) -> int:
     """Paths per chunk at ``path_bytes`` per path: ``CHUNK_PATHS``, cut to the budget's power of two."""
-    size = _MIN_BUDGET_PATHS
+    size = _BLOCK_ROWS  # one synthesis block: the narrowest chunk the budget cuts
     while size < CHUNK_PATHS and 2 * size * path_bytes <= CHUNK_BYTES:
         size *= 2
     return min(CHUNK_PATHS, size)

@@ -159,8 +159,6 @@ def _euler_stage(model, grid, count, wiener, rough, x_states=None) -> SolveOutpu
     """Check a stage's driver batches, run the Euler loop, wrap the result."""
     count = _check_driver_batch(wiener, model.driver.wiener_dim, grid, count, "wiener")
     count = _check_driver_batch(rough, model.driver.rough_dim, grid, count, "rough")
-    if count is None:
-        raise DomainError("at least one driver batch is required")
     w_values = wiener.values if wiener is not None else None
     z_values = rough.values if rough is not None else None
     values, first_bad = _euler_loop(model, grid, count, w_values, z_values, x_states)

@@ -564,6 +564,20 @@ BAD_VALUE_CASES = {
                                              "bad model parameters for 'bounded_trig' (model.rough_rate: "
                                              "[0.2, 0.3]): rough_rate must be a number or a list of rough_dim = 1 numbers, "
                                              "got [0.2, 0.3]"),
+    # a negative state_dim is refused by name, before numpy sees it
+    "model-bounded_trig-state_dim-negative": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\n"
+                                              "levels: [8]\nseed: 1\npaths: 2\nmodel.state_dim: -1\n", 7,
+                                              "bad model parameters for 'bounded_trig' (model.state_dim: -1): "
+                                              "state_dim must be >= 1, got -1"),
+    "model-linear_mixed-state_dim-negative": ("check-conditions", "model: linear_mixed\nset: A\nseed: 1\n"
+                                              "model.state_dim: -1\n", 4,
+                                              "bad model parameters for 'linear_mixed' (model.state_dim: -1): "
+                                              "state_dim must be >= 1, got -1"),
+    "empty-key": ("fbm", "hurst: [0.75]\n: 1\nn: 4\npaths: 2\nseed: 1\n", 2, "empty key"),
+    "empty-model-parameter-name": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\nlevels: [8]\n"
+                                   "seed: 1\nmodel.: 1\npaths: 2\n", 6, "empty model parameter name"),
+    "fbm-method-5": ("fbm", "hurst: [0.75]\nn: 4\nmethod: 5\npaths: 2\nseed: 1\n", 3,
+                     "key 'method': expected a string, got 5"),
 }
 
 
@@ -572,11 +586,45 @@ def test_bad_value_exits_2_naming_the_line(tmp_path, capsys, case):
     command, body, line, message = BAD_VALUE_CASES[case]
     cfg = write_config(tmp_path, "bad.cfg", body)
     out = tmp_path / "o"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert f"bad.cfg:{line}: {message}" in err
+    assert not caught and "Warning" not in err
     assert not out.exists()
+
+
+def test_an_unreadable_config_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = str(tmp_path / "absent.cfg")
+    assert main(["fbm", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}: cannot read config: ")
+
+
+def test_resolving_a_config_builds_no_model(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("model_zoo called while resolving a config")
+
+    monkeypatch.setattr(cli, "model_zoo", refuse)
+    path = str(Path(__file__).resolve().parents[1] / "configs" / "coupled_rho.cfg")
+    assert resolve_config("moments", parse_config_file(path), path, {})["model"] == "stochvol"
+
+
+@pytest.mark.parametrize("command, body", [
+    ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\nlevels: [8]\npaths: 2\nseed: 1\n"),
+    ("check-conditions", "model: stochvol\nset: C\nsamples: 1000\nseed: 1\n"),
+])
+def test_a_run_builds_its_model_once(tmp_path, monkeypatch, command, body):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return model_zoo(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "model_zoo", counted)
+    assert main([command, "--config", write_config(tmp_path, "one.cfg", body), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
 
 
 def _edge_horizons(hurst, n):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ from mixedsde import (
     CoupledModelSpec,
     DomainError,
     DriverSpec,
+    PathBatch,
     ResourceError,
     SynthesisError,
     TimeGrid,
@@ -23,7 +25,7 @@ from mixedsde import (
     model_zoo,
     stage_drivers,
 )
-from mixedsde import randomness as rnd
+from mixedsde import fbm, randomness as rnd
 from mixedsde.fbm import _blocks, _cholesky, _prefix_sums, fgn_circulant_eigenvalues
 
 from conftest import sample_cov_se
@@ -256,6 +258,34 @@ def test_driver_spec_validation():
         DriverSpec(1, 1, (0.75,), holder_order=0.8)  # mu >= H
     with pytest.raises(DomainError):
         DriverSpec(1, 1, (0.75,), holder_order=0.4)  # mu <= 1/2
+
+
+# One input each that a grid, a driver spec, a batch or a synthesis routine refuses, and the message.
+SHAPE_REFUSALS = {
+    "grid-horizon-0": (lambda: TimeGrid(0.0, 4), "horizon must be a positive finite real, got 0.0"),
+    "grid-steps-0": (lambda: TimeGrid(1.0, 0), "step_count must be >= 1, got 0"),
+    "spec-wiener_dim-negative": (lambda: DriverSpec(-1, 1, (0.75,)), "driver dimensions must be non-negative"),
+    "spec-hurst-length": (lambda: DriverSpec(1, 2, (0.75,)), "rough_hurst has 1 entries for rough_dim=2"),
+    "spec-holder_order-without-rough": (lambda: DriverSpec(1, 0, (), holder_order=0.6),
+                                        "holder_order is meaningless without rough components"),
+    "batch-shape": (lambda: PathBatch(TimeGrid(1.0, 8), np.zeros((2, 8))),
+                    "batch values must have shape (count, 9, dim), got (2, 8, 1)"),
+    "fbm-count-0": (lambda: generate_fbm(TimeGrid(1.0, 8), 0.75, 0, seed=1), "count must be >= 1, got 0"),
+    "wiener-dim-0": (lambda: generate_wiener(TimeGrid(1.0, 8), 0, 2, seed=1), "dim must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_REFUSALS))
+def test_bad_grids_specs_batches_and_counts_are_refused(case):
+    build, message = SHAPE_REFUSALS[case]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        build()
+
+
+def test_a_negative_circulant_eigenvalue_fails_synthesis(monkeypatch):
+    monkeypatch.setattr(fbm, "fgn_circulant_eigenvalues", lambda n, hurst: np.full(2 * n, -1.0))
+    with pytest.raises(SynthesisError, match=re.escape("min eigenvalue -1.000e+00 < -1e-09 for n=8, H=0.75")):
+        generate_fbm(TimeGrid(1.0, 8), 0.75, 2, seed=1)
 
 
 def test_rough_components_follow_their_own_hurst():

@@ -21,7 +21,7 @@ from mixedsde import (
     young_love_constant,
     young_love_rhs,
 )
-from mixedsde import parallel
+from mixedsde import generate_fbm, moments, parallel
 from mixedsde.moments import _estimate_from_sups, _level_ratio, _sorted_median, grid_stability_tables
 
 
@@ -293,6 +293,21 @@ def test_fernique_growth_mode_refuses_an_odd_grid_before_any_work(monkeypatch):
     monkeypatch.setattr(parallel, "map_paths", fail)
     with pytest.raises(DomainError, match="stride 2 does not divide step_count 15"):
         fernique_tail_check(0.75, 0.8, TimeGrid(1.0, 15), 200, seed=1)
+
+
+def test_fernique_fits_the_fewest_paths_it_takes():
+    # the top decile of FERNIQUE_MIN_PATHS paths, less the max, holds 9 points
+    report = fernique_tail_check(0.75, 0.6, TimeGrid(1.0, 16), moments.FERNIQUE_MIN_PATHS, seed=1)
+    assert report.mode == "fit" and report.slope < 0
+
+
+def test_fernique_refuses_a_degenerate_sample(monkeypatch):
+    def one_stream(grid, hurst, count, seed, path_offset=0):
+        return PathBatch(grid, np.repeat(generate_fbm(grid, hurst, 1, seed).values, count, axis=0))
+
+    monkeypatch.setattr(moments, "generate_fbm", one_stream)
+    with pytest.raises(EstimationError, match="degenerate seminorm sample; cannot fit a tail"):
+        fernique_tail_check(0.75, 0.6, TimeGrid(1.0, 16), 200, seed=1)
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, 200, 201])

@@ -91,3 +91,13 @@ def test_neighbouring_streams_are_uncorrelated():
 def test_reuse_must_be_an_sfc64_generator(reuse):
     with pytest.raises(DomainError, match="SFC64"):
         rnd.path_stream(1, 0, rnd.stream_tag(rnd.ROUGH_X), reuse=reuse)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rnd.stream_tag(rnd.ROUGH_X, 2**16), "component index out of range: 65536"),
+    (lambda: rnd.path_stream(-1, 0, rnd.stream_tag(rnd.ROUGH_X)), "seed must be a u64, got -1"),
+    (lambda: rnd.path_stream(1, 2**32, rnd.stream_tag(rnd.ROUGH_X)), "path index out of range: 4294967296"),
+])
+def test_stream_keys_outside_their_ranges_are_refused(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

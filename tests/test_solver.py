@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -12,6 +13,7 @@ from mixedsde import (
     DriverSpec,
     GridMismatchError,
     ModelSpec,
+    PathBatch,
     TimeGrid,
     closed_form_geometric_batch,
     euler_mixed,
@@ -23,7 +25,7 @@ from mixedsde import (
 )
 from mixedsde import fbm, parallel, solver
 from mixedsde import randomness as rnd
-from mixedsde.solver import SolveOutput, euler_coupled, solve_levels, stage_drivers
+from mixedsde.solver import SolveOutput, check_levels, euler_coupled, solve_levels, stage_drivers
 
 
 def constant_field(value, dim=1, columns=0):
@@ -76,6 +78,36 @@ def test_dimension_mismatch_raises():
     w2, z2, _, _ = stage_drivers(model, other, 4, 3, 0)
     with pytest.raises(GridMismatchError):
         euler_mixed(model, grid, w2, z2)
+
+
+# One call each that the Euler entry points refuse, given linear_mixed drivers (w, z) on an 8-step grid.
+EULER_REFUSALS = {
+    "batch-for-an-undeclared-driver": (
+        lambda grid, w, z: euler_mixed(model_zoo("linear_mixed", wiener_dim=0), grid, w, z),
+        "model declares no wiener components but a batch was supplied"),
+    "batch-of-the-wrong-dim": (
+        lambda grid, w, z: euler_mixed(model_zoo("linear_mixed"), grid, PathBatch(grid, np.zeros((3, 9, 2))), z),
+        "wiener batch has dim 2, model declares 1"),
+    "field-of-the-wrong-shape": (
+        lambda grid, w, z: euler_mixed(replace(simple_model(), wiener=constant_field(0.0)), grid, w, z),
+        "const-0.0 returned shape (2, 1), expected (2, 1, 1)"),
+    "base-batch-on-another-grid": (
+        lambda grid, w, z: euler_coupled(model_zoo("stochvol"), grid, PathBatch(grid.coarsen(2), np.ones((3, 5, 2)))),
+        "base state batch must live on the solve grid"),
+    "base-batch-of-the-wrong-dim": (
+        lambda grid, w, z: euler_coupled(model_zoo("stochvol"), grid, PathBatch(grid, np.ones((3, 9, 1)))),
+        "coupled model reads a base state of dim 2, got 1"),
+    "no-levels": (lambda grid, w, z: check_levels([]), "need at least one grid level"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EULER_REFUSALS))
+def test_bad_batches_fields_and_levels_are_refused(case):
+    call, message = EULER_REFUSALS[case]
+    grid = TimeGrid(1.0, 8)
+    w, z, _, _ = stage_drivers(model_zoo("linear_mixed"), grid, 3, 1, 0)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(grid, w, z)
 
 
 def test_geometric_euler_tracks_closed_form():
