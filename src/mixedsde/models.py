@@ -518,18 +518,31 @@ def _linear_drift(d, A, a0):
     return CoefficientField("linear-drift", evaluate)
 
 
-def _as_matrix_stack(value, columns, d):
+def _reshaped(arr, value, shape, name, dims):
+    """``arr`` in ``shape``, or a refusal naming ``name`` and its length, ``dims`` naming the axes."""
+    if arr.size != np.prod(shape):
+        raise DomainError(f"{name} must be a number or a list of {dims} = {np.prod(shape)} numbers, got {value!r}")
+    return arr.reshape(shape)
+
+
+def _as_matrix_stack(value, columns, d, name, column_dim=""):
+    """A scalar as that multiple of the identity, else ``value`` as (columns, d, d), or (d, d) without columns."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         arr = np.stack([np.eye(d) * float(arr)] * columns) if columns else np.eye(d) * float(arr)
-    return arr.reshape(columns, d, d) if columns else arr.reshape(d, d)
+    if columns:
+        return _reshaped(arr, value, (columns, d, d), name, f"{column_dim} x state_dim x state_dim")
+    return _reshaped(arr, value, (d, d), name, "state_dim x state_dim")
 
 
-def _as_vector_stack(value, columns, d):
+def _as_vector_stack(value, columns, d, name, column_dim=""):
+    """A scalar filled in, else ``value`` as (columns, d), or (d,) without columns."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         arr = np.full((columns, d) if columns else (d,), float(arr))
-    return arr.reshape(columns, d) if columns else arr.reshape(d)
+    if columns:
+        return _reshaped(arr, value, (columns, d), name, f"{column_dim} x state_dim")
+    return _reshaped(arr, value, (d,), name, "state_dim")
 
 
 def _op_norm(mat):
@@ -556,12 +569,12 @@ def _linear_mixed(
     d, m, l = state_dim, wiener_dim, rough_dim
     hs = (hurst,) * l if np.isscalar(hurst) else tuple(hurst)
     driver = DriverSpec(m, l, hs, holder_order)
-    A = _as_matrix_stack(drift_matrix, 0, d)
-    a0 = _as_vector_stack(drift_offset, 0, d)
-    B = _as_matrix_stack(wiener_matrix, m, d)
-    b0 = _as_vector_stack(wiener_offset, m, d)
-    C = _as_matrix_stack(rough_matrix, l, d)
-    c0 = _as_vector_stack(rough_offset, l, d)
+    A = _as_matrix_stack(drift_matrix, 0, d, "drift_matrix")
+    a0 = _as_vector_stack(drift_offset, 0, d, "drift_offset")
+    B = _as_matrix_stack(wiener_matrix, m, d, "wiener_matrix", "wiener_dim")
+    b0 = _as_vector_stack(wiener_offset, m, d, "wiener_offset", "wiener_dim")
+    C = _as_matrix_stack(rough_matrix, l, d, "rough_matrix", "rough_dim")
+    c0 = _as_vector_stack(rough_offset, l, d, "rough_offset", "rough_dim")
     growth = (
         _op_norm(A) + float(np.linalg.norm(a0))
         + sum(_op_norm(B[i]) + float(np.linalg.norm(b0[i])) for i in range(m))
@@ -574,7 +587,7 @@ def _linear_mixed(
     deriv_bound = float(np.sqrt(sum(_op_norm(C[j]) ** 2 for j in range(l))))
     return ModelSpec(
         name="linear_mixed",
-        initial_value=_as_vector_stack(initial_value, 0, d),
+        initial_value=_as_vector_stack(initial_value, 0, d, "initial_value"),
         horizon=horizon,
         drift=_linear_drift(d, A, a0),
         wiener=_linear_fields(d, B, b0, m, "linear-wiener") if m else None,
@@ -628,23 +641,29 @@ def _trig_kernel(drift_amp, drift_rate, wiener, rough):
     Every field component is amp * trig(x_i + rate*t + phase_c), with one
     zero phase for the drift. Since sin(x + a) = sin x cos a + cos x sin a
     and cos(x + a) = cos x cos a - sin x sin a, a step is sin(x) A_j +
-    cos(x) B_j, where the per-path factors A_j and B_j read only t_j and
-    the driver increments. ``prepare`` contracts them over the Wiener and
-    rough columns once per block; every operation there is elementwise in
-    the step, so a step's factors do not depend on the block it falls in.
-    ``wiener`` and ``rough`` are (amp, rate, phases, kind) or None.
+    cos(x) B_j, where the factors A_j and B_j read only t_j and the driver
+    increments: one per path, and one per state component too when
+    ``drift_rate`` gives a rate per component. ``prepare`` contracts them
+    over the Wiener and rough columns once per block; every operation there
+    is elementwise in the step, so a step's factors do not depend on the
+    block it falls in. ``wiener`` and ``rough`` are (amp, rate, phases,
+    kind) or None.
 
     A step takes sin x and cos x from u = tan(x/2), as 2u / (1 + u^2) and
     (1 - u^2) / (1 + u^2): numpy vectorizes ``tan`` but not ``sin`` or
     ``cos``, and one tangent costs about a quarter of a sine and a cosine.
     """
 
+    drift_rates = np.atleast_1d(drift_rate)
+
     def prepare(ts, dt, dw, dz, xs):
-        # The sin factors are doubled here, not their sums: x2 is exact. Each
-        # sum is built in place in one new array, through one product buffer.
-        angle = drift_rate * ts
-        on_sin = (2.0 * drift_amp * np.cos(angle) * dt)[:, None]
-        on_cos = (drift_amp * np.sin(angle) * dt)[:, None]
+        # The drift factors are (steps, 1, rates) and the diffusion products
+        # (steps, paths, 1), so the sums are (steps, paths, rates). The sin
+        # factors are doubled here, not their sums: x2 is exact. Each sum is
+        # built in place in one new array, through one product buffer.
+        angle = ts[:, None] * drift_rates
+        on_sin = (2.0 * drift_amp * np.cos(angle) * dt)[:, None, :]
+        on_cos = (drift_amp * np.sin(angle) * dt)[:, None, :]
         product = None
         for block, inc in ((wiener, dw), (rough, dz)):
             if block is None:
@@ -654,11 +673,11 @@ def _trig_kernel(drift_amp, drift_rate, wiener, rough):
             cos_a, sin_a = amp * np.cos(angle), amp * np.sin(angle)
             a, b = (-2.0 * sin_a, cos_a) if kind == "cos" else (2.0 * cos_a, sin_a)
             for c in range(len(phases)):
-                product = np.multiply(a[:, c : c + 1], inc[:, :, c], out=product)
+                product = np.multiply(a[:, c : c + 1, None], inc[:, :, c : c + 1], out=product)
                 on_sin = np.add(on_sin, product, out=on_sin if on_sin.shape == product.shape else None)
-                product = np.multiply(b[:, c : c + 1], inc[:, :, c], out=product)
+                product = np.multiply(b[:, c : c + 1, None], inc[:, :, c : c + 1], out=product)
                 on_cos = np.add(on_cos, product, out=on_cos if on_cos.shape == product.shape else None)
-        return on_sin[:, :, None], on_cos[:, :, None]
+        return on_sin, on_cos
 
     def increment(prepared, j, state):
         twice_on_sin, on_cos = prepared
@@ -716,7 +735,7 @@ def _bounded_trig(
     rough = (rough_amp, rough_rate, _ROUGH_PHASE_STEP * np.arange(l), "sin") if l else None
     spec = ModelSpec(
         name="bounded_trig",
-        initial_value=_as_vector_stack(initial_value, 0, d),
+        initial_value=_as_vector_stack(initial_value, 0, d, "initial_value"),
         horizon=horizon,
         drift=_trig_drift(d, drift_amp, drift_rate),
         wiener=_trig_diffusion(d, wiener, "trig-wiener") if m else None,
@@ -734,10 +753,6 @@ def _bounded_trig(
         "B4-c": float(rough_amp * rate_bound * np.sqrt(d * l) * horizon ** (1 - beta)),
         "B4-cx": float(rough_amp * rate_bound * np.sqrt(l) * horizon ** (1 - beta)),
     })
-    # The kernel's factors are shared by all state components, so a drift
-    # rate given per component keeps the fields.
-    if np.ndim(drift_rate):
-        return spec
     return _with_kernel(spec, _trig_kernel(drift_amp, drift_rate, wiener, rough))
 
 
@@ -786,7 +801,7 @@ def _stochvol(
         drift_amp=0.3,
         wiener_amp=0.4,
         rough_amp=0.2,
-        initial_value=np.asarray(vol_initial, dtype=float),
+        initial_value=_as_vector_stack(vol_initial, 0, 2, "vol_initial"),
         horizon=horizon,
         holder_order=holder_order,
     )
@@ -871,7 +886,7 @@ def _malliavin_linearized(initial_value=1.0, **base_params):
     return CoupledModelSpec(
         name="malliavin_linearized",
         base=base,
-        initial_value=_as_vector_stack(initial_value, 0, d),
+        initial_value=_as_vector_stack(initial_value, 0, d, "initial_value"),
         drift=at_y(base.drift, "sensitivity-drift"),
         wiener=at_y(base.wiener, "sensitivity-wiener"),
         rough=at_y(base.rough, "sensitivity-rough"),

@@ -564,6 +564,28 @@ BAD_VALUE_CASES = {
                                              "bad model parameters for 'bounded_trig' (model.rough_rate: "
                                              "[0.2, 0.3]): rough_rate must be a number or a list of rough_dim = 1 numbers, "
                                              "got [0.2, 0.3]"),
+    # a model vector or matrix of the wrong length is refused by name, on the first model.* line
+    "model-linear_mixed-initial_value-length": ("check-conditions", "model: linear_mixed\nset: A\nseed: 1\n"
+                                                "model.initial_value: [1.0, 2.0]\n", 4,
+                                                "bad model parameters for 'linear_mixed' (model.initial_value: "
+                                                "[1.0, 2.0]): initial_value must be a number or a list of "
+                                                "state_dim = 1 numbers, got [1.0, 2.0]"),
+    "model-linear_mixed-drift_matrix-length": ("moments", "model: linear_mixed\nstatistic: sup\np: [2]\n"
+                                               "levels: [8]\nseed: 1\npaths: 2\nmodel.hurst: 0.7\n"
+                                               "model.drift_matrix: [1.0, 2.0]\n", 7,
+                                               "bad model parameters for 'linear_mixed' (model.hurst: 0.7, "
+                                               "model.drift_matrix: [1.0, 2.0]): drift_matrix must be a number or "
+                                               "a list of state_dim x state_dim = 1 numbers, got [1.0, 2.0]"),
+    "model-linear_mixed-wiener_offset-length": ("check-conditions", "model: linear_mixed\nset: A\nseed: 1\n"
+                                                "model.wiener_offset: [0.2, 0.2, 0.2]\n", 4,
+                                                "bad model parameters for 'linear_mixed' (model.wiener_offset: "
+                                                "[0.2, 0.2, 0.2]): wiener_offset must be a number or a list of "
+                                                "wiener_dim x state_dim = 1 numbers, got [0.2, 0.2, 0.2]"),
+    "model-stochvol-vol_initial-length": ("moments", "model: stochvol\nstatistic: sup\np: [2]\nlevels: [8]\n"
+                                          "seed: 1\npaths: 2\nmodel.vol_initial: [0.2, 0.3, 0.4]\n", 7,
+                                          "bad model parameters for 'stochvol' (model.vol_initial: [0.2, 0.3, 0.4]): "
+                                          "vol_initial must be a number or a list of state_dim = 2 numbers, "
+                                          "got [0.2, 0.3, 0.4]"),
     # a negative state_dim is refused by name, before numpy sees it
     "model-bounded_trig-state_dim-negative": ("moments", "model: bounded_trig\nstatistic: sup\np: [2]\n"
                                               "levels: [8]\nseed: 1\npaths: 2\nmodel.state_dim: -1\n", 7,
@@ -674,15 +696,27 @@ def test_bounded_trig_rate_lists_of_the_right_length_run(tmp_path, rates):
     assert [row["blowup_count"] for row in read_rows(out / "moments.csv")] == ["0", "0"]
 
 
-def test_a_one_rate_rough_rate_list_writes_the_scalar_rate_rows(tmp_path):
-    body = "model: bounded_trig\nstatistic: sup\np: [2]\nlevels: [8, 16]\npaths: 64\nseed: 1\nmodel.rough_rate: "
+def _rows_without_the_hash(tmp_path, body, rates):
+    """The ``moments`` rows of ``body`` plus each rate line, all but the manifest hash."""
     written = []
-    for k, rate in enumerate(("0.2", "[0.2]")):
+    for k, rate in enumerate(rates):
         cfg = write_config(tmp_path, f"r{k}.cfg", body + rate + "\n")
         assert main(["moments", "--config", cfg, "--out", str(tmp_path / f"o{k}")]) == 0
         # every byte but the manifest hash, which covers the config's text of the rate
         written.append([{k: v for k, v in row.items() if k != "manifest_hash"}
                         for row in read_rows(tmp_path / f"o{k}" / "moments.csv")])
+    return written
+
+
+def test_a_one_rate_rough_rate_list_writes_the_scalar_rate_rows(tmp_path):
+    body = "model: bounded_trig\nstatistic: sup\np: [2]\nlevels: [8, 16]\npaths: 64\nseed: 1\nmodel.rough_rate: "
+    written = _rows_without_the_hash(tmp_path, body, ("0.2", "[0.2]"))
+    assert written[0] == written[1]
+
+
+def test_a_one_rate_drift_rate_list_writes_the_scalar_rate_rows(tmp_path):
+    body = "model: bounded_trig\nstatistic: sup\np: [2]\nlevels: [64, 128]\npaths: 256\nseed: 7\nmodel.drift_rate: "
+    written = _rows_without_the_hash(tmp_path, body, ("0.5", "[0.5]"))
     assert written[0] == written[1]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -185,6 +186,27 @@ def test_validator_rejects_a_box_without_size(radius):
 def test_zoo_rejects_unknown_name():
     with pytest.raises(DomainError):
         model_zoo("heston")
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("linear_mixed", {"initial_value": [1.0, 2.0]}, "initial_value must be a number or a list of state_dim = 1 numbers"),
+    ("linear_mixed", {"drift_matrix": [1.0, 2.0]},
+     "drift_matrix must be a number or a list of state_dim x state_dim = 1 numbers"),
+    ("linear_mixed", {"drift_offset": [0.1, 0.2]}, "drift_offset must be a number or a list of state_dim = 1 numbers"),
+    ("linear_mixed", {"wiener_offset": [0.2, 0.2, 0.2]},
+     "wiener_offset must be a number or a list of wiener_dim x state_dim = 1 numbers"),
+    ("linear_mixed", {"state_dim": 2, "rough_dim": 2, "rough_matrix": [0.4] * 4},
+     "rough_matrix must be a number or a list of rough_dim x state_dim x state_dim = 8 numbers"),
+    ("bounded_trig", {"initial_value": [0.5, 0.5]}, "initial_value must be a number or a list of state_dim = 1 numbers"),
+    ("stochvol", {"vol_initial": [0.2, 0.3, 0.4]}, "vol_initial must be a number or a list of state_dim = 2 numbers"),
+    ("malliavin_linearized", {"initial_value": [1.0, 1.0]},
+     "initial_value must be a number or a list of state_dim = 1 numbers"),
+], ids=["linear_mixed-initial_value", "linear_mixed-drift_matrix", "linear_mixed-drift_offset",
+        "linear_mixed-wiener_offset", "linear_mixed-rough_matrix", "bounded_trig-initial_value",
+        "stochvol-vol_initial", "malliavin_linearized-initial_value"])
+def test_zoo_refuses_a_wrong_length_vector_or_matrix_by_name(name, params, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        model_zoo(name, **params)
 
 
 def test_geometric_zero_vol_is_constant_model():

@@ -95,9 +95,8 @@ def test_chunk_paths_never_exceeds_chunk_paths(monkeypatch, cap):
     assert parallel.chunk_paths(parallel.CHUNK_BYTES // 128) == min(cap, 128)
 
 
-def _chunks(path_bytes, paths):
-    size = parallel.chunk_paths(path_bytes)
-    return [min(size, paths - lo) for lo in range(0, paths, size)]
+def _chunks(path_bytes, paths, workers=1):
+    return [hi - lo for lo, hi in parallel._ranges(paths, workers, path_bytes)]
 
 
 def test_coupled_benchmark_ladder_plans_four_chunks_of_1024_paths():
@@ -113,6 +112,51 @@ def test_small_configs_keep_their_chunks():
     assert _chunks(ladder_path_bytes(model_zoo("stochvol", rho_power=0.2), [16, 32]), 2100) == [2048, 52]
     assert _chunks(batch_path_bytes(64), 2100) == [2048, 52]
     assert _chunks(batch_path_bytes(32), 500) == [500]
+
+
+_COUPLED_LADDER = ladder_path_bytes(model_zoo("stochvol", rho_power=0.2), [256, 512, 1024, 2048, 4096])
+
+
+def test_two_workers_start_with_half_a_chunk():
+    assert _chunks(_COUPLED_LADDER, 4096, 2) == [512, 1024, 1024, 1024, 512]  # coupled_moments
+    assert _chunks(batch_path_bytes(1024), 4096, 2) == [1024, 2048, 1024]  # fernique_tail
+    # the benchmark self-tests' tiny configs: still two jobs
+    assert _chunks(ladder_path_bytes(model_zoo("stochvol", rho_power=0.2), [16, 32]), 2100, 2) == [1024, 1076]
+    assert _chunks(batch_path_bytes(64), 2100, 2) == [1024, 1076]
+    assert _chunks(batch_path_bytes(32), 500, 2) == [500]  # one chunk: nothing to stagger
+
+
+def test_three_workers_start_with_a_third_and_two_thirds_of_a_chunk():
+    # each share rounded down to whole 64-path synthesis blocks
+    assert _chunks(_COUPLED_LADDER, 4096, 3) == [320, 640, 1024, 1024, 1024, 64]
+    assert _chunks(batch_path_bytes(1024), 4096, 3) == [640, 1344, 2048, 64]
+    assert _chunks(_COUPLED_LADDER, 1100, 3) == [320, 640, 140]
+
+
+def test_a_share_under_one_synthesis_block_is_left_out():
+    assert parallel.chunk_paths(parallel.CHUNK_BYTES // 200) == 128
+    assert _chunks(parallel.CHUNK_BYTES // 200, 500, 3) == [64, 128, 128, 128, 52]  # a third of 128 is 42
+    # 64-path chunks, as under _binding_budget: no stagger at all
+    assert _chunks(parallel.CHUNK_BYTES // 64, 700, 2) == [64] * 10 + [60]
+
+
+def test_map_paths_hands_the_jobs_the_staggered_ranges():
+    seen = []
+    assert parallel.map_paths(lambda lo, hi: seen.append((lo, hi)), 4096, 2, batch_path_bytes(1024)) is None
+    assert sorted(seen) == [(0, 1024), (1024, 3072), (3072, 4096)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(paths=st.integers(1, 20_000), path_bytes=st.integers(0, parallel.CHUNK_BYTES // 16), workers=st.integers(1, 8))
+def test_ranges_cover_the_paths_in_order_with_no_empty_chunk(paths, path_bytes, workers):
+    ranges = parallel._ranges(paths, workers, path_bytes)
+    assert ranges[0][0] == 0 and ranges[-1][1] == paths
+    assert all(lo < hi for lo, hi in ranges)
+    assert all(left[1] == right[0] for left, right in zip(ranges, ranges[1:]))
+    size = parallel.chunk_paths(path_bytes)
+    assert max(hi - lo for lo, hi in ranges) <= size  # the stated bound holds
+    if workers == 1 or paths <= size:  # the unstaggered partition
+        assert ranges == [(lo, min(paths, lo + size)) for lo in range(0, paths, size)]
 
 
 def test_a_2_16_step_ladder_plans_chunks_inside_the_budget():

@@ -154,13 +154,14 @@ def test_only_the_trig_and_price_stages_carry_a_kernel():
         assert spec.kernel is None
 
 
-def test_trig_drift_rates_per_component_keep_the_fields():
-    model = model_zoo("bounded_trig", state_dim=2, drift_rate=np.array([0.5, 3.0]))
-    assert model.kernel is None
-    grid = TimeGrid(1.0, 70)
-    w, z, _, _ = stage_drivers(model, grid, 3, 4, 0)
-    out = euler_mixed(model, grid, w, z)
-    assert out.blowup_count == 0 and not np.array_equal(out.paths.values[:, :, 0], out.paths.values[:, :, 1])
+def test_trig_kernel_matches_the_fields_with_one_drift_rate_per_component():
+    model = model_zoo("bounded_trig", state_dim=2, drift_rate=[0.5, 3.0])
+    rng = np.random.default_rng(11)
+    dt = 1.0 / 256
+    ts = np.sort(rng.uniform(0.0, 1.0, STEPS))
+    states = rng.uniform(-10.0, 10.0, (STEPS, PATHS, 2))
+    dw, dz = _increments(rng, dt, 1), _increments(rng, dt, 1)
+    _assert_kernel_matches_fields(model, ts, dt, dw, dz, None, states)
 
 
 def test_a_spec_rebuilt_with_other_fields_drops_its_kernel():
